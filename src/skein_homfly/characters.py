@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import factorial
 
 from .errors import BoundExceeded, SizeMismatch
-from .exact import LaurentQT, RationalQT, _exact_div_univariate, q_bracket
+from .exact import LaurentQT, _exact_div_univariate, q_bracket
 from .partitions import Partition, partitions_of
 
 DEFAULT_TABLE_BOUND = 12
@@ -143,20 +143,3 @@ def hook_character_identity(b: Partition) -> bool:
     if rhs is None:
         return False
     return lhs == rhs
-
-
-def power_sum_in_schur_basis(mu: Partition) -> dict:
-    """Coefficients of the power sum p_mu on the Schur basis (chi column)."""
-    return {lam: character(lam, mu) for lam in partitions_of(mu.size) if character(lam, mu) != 0}
-
-
-def schur_in_power_sum_basis(lam: Partition) -> dict:
-    """Coefficients chi_lambda(C_mu)/z_mu of s_lambda on the power sum basis."""
-    from fractions import Fraction
-
-    out = {}
-    for mu in partitions_of(lam.size):
-        c = character(lam, mu)
-        if c:
-            out[mu] = Fraction(c, mu.z_factor())
-    return out

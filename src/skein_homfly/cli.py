@@ -1,9 +1,10 @@
 """Command line driver with deterministic, exact output.
 
 Subcommands: torus, unknot, characters, plethysm, special, homfly-braid,
-verify.  Output bytes depend only on the inputs (never on thread count);
-exit codes: 0 success, 1 mathematical failure (named in the message),
-2 usage error.
+verify.  Output bytes depend only on the inputs; ``--threads`` is accepted
+for compatibility and has no effect.  Exit codes: 0 success, 1 mathematical
+failure (named in the message), 2 usage error (bad arguments, an invalid
+spec or an unreadable grid file).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 from .characters import character_table
 from .errors import SkeinError
@@ -24,23 +24,6 @@ from .schur import plethysm_coefficients, unknot_value
 from .special import format_delta_basis, special_delta, special_H
 from .torus import TorusLinkSpec, colored_homfly_torus
 from .verify import THEOREMS, GridConfig, run_theorem
-
-
-@dataclass(frozen=True)
-class OutputConfig:
-    """How results are rendered: exact arithmetic is the only mode."""
-
-    format: str = "text"  # text | json | csv
-    basis: str = "monomial"  # monomial | delta
-    precision: str = "exact"
-
-    def __post_init__(self):
-        if self.format not in ("text", "json", "csv"):
-            raise ValueError(f"unknown format {self.format!r}")
-        if self.basis not in ("monomial", "delta"):
-            raise ValueError(f"unknown basis {self.basis!r}")
-        if self.precision != "exact":
-            raise ValueError("exact is the only supported precision")
 
 
 def _partition_arg(text: str) -> Partition:
@@ -64,8 +47,8 @@ def _rational_json(value: RationalQT) -> str:
     )
 
 
-def _print_rational(value: RationalQT, config: OutputConfig):
-    if config.format == "json":
+def _print_rational(value: RationalQT, as_json: bool):
+    if as_json:
         print(_rational_json(value))
     elif value.is_laurent():
         print(canonical_text(value.as_laurent()))
@@ -76,13 +59,12 @@ def _print_rational(value: RationalQT, config: OutputConfig):
 def _cmd_torus(args) -> int:
     spec = TorusLinkSpec(args.m, args.n, args.components, args.colors.components)
     inv = colored_homfly_torus(spec)
-    _print_rational(inv.value, OutputConfig(format="json" if args.json else "text"))
+    _print_rational(inv.value, args.json)
     return 0
 
 
 def _cmd_unknot(args) -> int:
-    config = OutputConfig(format="json" if args.json else "text")
-    _print_rational(unknot_value(args.color), config)
+    _print_rational(unknot_value(args.color), args.json)
     return 0
 
 
@@ -111,8 +93,7 @@ def _cmd_special(args) -> int:
         spec = TorusLinkSpec(args.m, args.n, 1, (args.color,))
     result = special_H(spec) if args.kind == "H" else special_delta(spec)
     value = result.value
-    config = OutputConfig(basis=args.basis)
-    if config.basis == "delta":
+    if args.basis == "delta":
         if isinstance(value, RationalQT):
             raise SkeinError("value is not a Laurent polynomial; no delta-basis form")
         print(format_delta_basis(value))
@@ -136,8 +117,11 @@ def _cmd_homfly_braid(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config = GridConfig.load(args.grid) if args.grid else GridConfig()
-    report = run_theorem(args.theorem, config, args.threads)
+    try:
+        config = GridConfig.load(args.grid) if args.grid else GridConfig()
+    except OSError as e:
+        raise ValueError(f"cannot read grid file: {e}") from None
+    report = run_theorem(args.theorem, config)
     if args.json:
         print(json.dumps(report.to_dict(), separators=(",", ":")))
     else:
@@ -154,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="worker threads for verification grids (results are independent of this)",
+        help="accepted for compatibility; verification sweeps run serially",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -214,8 +198,9 @@ def main(argv=None) -> int:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
     except ValueError as e:
+        # invalid specs, braid text, grid files: usage errors, like argparse's
         print(f"error: ValueError: {e}", file=sys.stderr)
-        return 1
+        return 2
 
 
 if __name__ == "__main__":

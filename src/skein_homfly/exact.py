@@ -263,14 +263,6 @@ def substitute(p: LaurentQT, q: str = "q", t: str = "t") -> LaurentQT:
     return LaurentQT(out)
 
 
-def evaluate(p: LaurentQT, q_val: float, t_val: float) -> float:
-    """Numerical evaluation; sanity-check hook only, never used for results."""
-    total = 0.0
-    for (qe, te), c in p.terms.items():
-        total += float(c) * (float(q_val) ** float(qe)) * (float(t_val) ** te)
-    return total
-
-
 # -- JSON wire format -------------------------------------------------
 
 
@@ -338,10 +330,6 @@ class RationalQT:
     @classmethod
     def one(cls):
         return cls(LaurentQT.one())
-
-    @classmethod
-    def from_laurent(cls, p: LaurentQT):
-        return cls(p)
 
     def is_zero(self):
         return self.num.is_zero()
@@ -508,7 +496,6 @@ class TruncSeries:
     variable: str
     order: int
     coeffs: tuple
-    center: int = 1
 
     def first_nonzero(self):
         for k, c in enumerate(self.coeffs):
@@ -654,16 +641,6 @@ def _div_bracket(p: LaurentQT, variable: str, k: int):
         for e, c in q.items():
             out[(e, other) if variable == "q" else (other, e)] = c
     return LaurentQT(out)
-
-
-def _detect_variable(p: LaurentQT):
-    has_q = any(qe != 0 for qe, _ in p.terms)
-    has_t = any(te != 0 for _, te in p.terms)
-    if has_q and has_t:
-        return None
-    if has_t:
-        return "t"
-    return "q"
 
 
 def _shared_variable(a: LaurentQT, b: LaurentQT):

@@ -115,17 +115,20 @@ class BraidWord:
             raise ValueError(f"strand count {strands} exceeds the cap {max_strands}")
         letters = []
         for tok in text.split():
-            if tok.startswith("s"):
-                body = tok[1:]
-                if "^" in body:
-                    idx, exp = body.split("^")
-                    sign = 1 if int(exp) > 0 else -1
-                    letters.extend([(int(idx), sign)] * abs(int(exp)))
+            try:
+                if tok.startswith("s"):
+                    body = tok[1:]
+                    if "^" in body:
+                        idx, exp = body.split("^")
+                        sign = 1 if int(exp) > 0 else -1
+                        letters.extend([(int(idx), sign)] * abs(int(exp)))
+                    else:
+                        letters.append((int(body), 1))
                 else:
-                    letters.append((int(body), 1))
-            else:
-                v = int(tok)
-                letters.append((abs(v), 1 if v > 0 else -1))
+                    v = int(tok)
+                    letters.append((abs(v), 1 if v > 0 else -1))
+            except ValueError:
+                raise ValueError(f"bad braid letter {tok!r}: write s2, s2^-1 or -2") from None
         if len(letters) > max_letters:
             raise ValueError(f"word length {len(letters)} exceeds the cap {max_letters}")
         return cls(strands, tuple(letters))

@@ -116,9 +116,6 @@ class Partition:
             return None
         return (p[0] - 1, len(p) - 1)
 
-    def is_hook(self) -> bool:
-        return self.hook_form() is not None
-
     def hook_lengths(self):
         """Multiset of hook lengths, row by row."""
         t = self.conjugate().parts

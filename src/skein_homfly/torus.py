@@ -14,7 +14,7 @@ powers in the sum; this is asserted on every public value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 

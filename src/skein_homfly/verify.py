@@ -2,18 +2,17 @@
 
 Each verifier sweeps a compiled-in grid (overridable through a JSON config
 file), evaluates both sides of an identity exactly, and returns a report
-whose failure list is empty exactly when every case holds.  Grid cells are
-independent, so sweeps can fan out over a thread pool; results are merged
-in submission order, keeping reports byte-identical for any thread count.
+whose failure list is empty exactly when every case holds.  Cells run in
+order in the calling thread: they are pure Python under the GIL and share
+the package's caches, so threads would not speed them up.  The sweep
+functions still accept ``threads=`` for compatibility; it has no effect.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .exact import LaurentQT, RationalQT, limit_at_one, q_bracket, t_power
 from .hecke import (
@@ -90,35 +89,25 @@ class GridConfig:
 
     @classmethod
     def load(cls, path: str) -> "GridConfig":
+        """Read a JSON object of grid keys; an unknown key raises ValueError."""
         with open(path) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError("a grid file holds one JSON object")
+        known = [f.name for f in fields(cls)]
+        unknown = sorted(set(raw) - set(known))
+        if unknown:
+            raise ValueError(f"unknown grid key(s) {unknown}; known keys are {known}")
         kwargs = {}
-        for key in (
-            "knots",
-            "links",
-            "max_color",
-            "hook_max",
-            "parity_max",
-            "hook_identity_max",
-            "lowest_term_twists",
-        ):
-            if key in raw:
-                v = raw[key]
-                kwargs[key] = tuple(tuple(x) if isinstance(x, list) else x for x in v) if isinstance(v, list) else v
+        for key, v in raw.items():
+            kwargs[key] = tuple(tuple(x) if isinstance(x, list) else x for x in v) if isinstance(v, list) else v
         return cls(**kwargs)
 
 
-def _run_cells(theorem: str, grid_desc: str, cells, threads=None) -> VerificationReport:
-    """Evaluate callables returning None (pass) or a failure triple."""
+def _run_cells(theorem: str, grid_desc: str, cells) -> VerificationReport:
+    """Evaluate callables returning None (pass) or a failure triple, in order."""
     start = time.perf_counter()
-    if threads is None:
-        threads = os.cpu_count() or 1
-    if threads <= 1 or len(cells) <= 1:
-        results = [c() for c in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda c: c(), cells))
-    failures = tuple(r for r in results if r is not None)
+    failures = tuple(r for r in (c() for c in cells) if r is not None)
     return VerificationReport(
         theorem, grid_desc, len(cells), failures, time.perf_counter() - start
     )
@@ -191,7 +180,7 @@ def verify_symmetry_q_inverse(config: GridConfig = None, threads=None) -> Verifi
     config = config or GridConfig()
     cells = [_symmetry_cell(s, "q^-1") for s in _symmetry_grid(config)]
     grid = f"knots={list(config.knots)} links={list(config.links)} |colors|<={config.max_color}"
-    return _run_cells("thm72", grid, cells, threads)
+    return _run_cells("thm72", grid, cells)
 
 
 def verify_symmetry_neg_q_inverse(config: GridConfig = None, threads=None) -> VerificationReport:
@@ -199,7 +188,7 @@ def verify_symmetry_neg_q_inverse(config: GridConfig = None, threads=None) -> Ve
     config = config or GridConfig()
     cells = [_symmetry_cell(s, "-q^-1") for s in _symmetry_grid(config)]
     grid = f"knots={list(config.knots)} links={list(config.links)} |colors|<={config.max_color}"
-    return _run_cells("thm71", grid, cells, threads)
+    return _run_cells("thm71", grid, cells)
 
 
 # -- special polynomial theorems -----------------------------------------
@@ -240,7 +229,7 @@ def verify_special_H(config: GridConfig = None, threads=None) -> VerificationRep
     for m, n, L in config.links:
         cells.append(_h_link_cell(m, n, (Partition((1,)), Partition((1,)))))
     grid = f"knots={list(config.knots)} |A|<={config.max_color} plus single-box links"
-    return _run_cells("thm62", grid, cells, threads)
+    return _run_cells("thm62", grid, cells)
 
 
 def _delta_hook_cell(m, n, a):
@@ -280,12 +269,12 @@ def verify_special_delta(config: GridConfig = None, threads=None) -> Verificatio
             cells.append(_delta_hook_cell(m, n, a))
     cells.append(_delta_counterexample_cell())
     grid = f"knots={list(config.knots)} hooks |A|<={config.hook_max} + counterexample"
-    return _run_cells("thm64", grid, cells, threads)
+    return _run_cells("thm64", grid, cells)
 
 
 def verify_special_theorems(config: GridConfig = None, threads=None):
     """Both special-polynomial sweeps, aggregated."""
-    return (verify_special_H(config, threads), verify_special_delta(config, threads))
+    return (verify_special_H(config), verify_special_delta(config))
 
 
 # -- combinatorial lemmas -------------------------------------------------
@@ -310,7 +299,7 @@ def verify_hook_character_identity(config: GridConfig = None, threads=None) -> V
         for d in range(1, config.hook_identity_max + 1)
         for b in partitions_of(d)
     ]
-    return _run_cells("lemma65", f"|B| <= {config.hook_identity_max}", cells, threads)
+    return _run_cells("lemma65", f"|B| <= {config.hook_identity_max}", cells)
 
 
 def verify_permutation_parity(n: int = DEFAULT_PARITY_MAX, threads=None) -> VerificationReport:
@@ -328,7 +317,7 @@ def verify_permutation_parity(n: int = DEFAULT_PARITY_MAX, threads=None) -> Veri
         return cell
 
     cells = [make_cell(d) for d in range(1, n + 1)]
-    return _run_cells("lemma73", f"all permutations, degree <= {n}", cells, threads)
+    return _run_cells("lemma73", f"all permutations, degree <= {n}", cells)
 
 
 def verify_lowest_term(config: GridConfig = None, threads=None) -> VerificationReport:
@@ -359,25 +348,24 @@ def verify_lowest_term(config: GridConfig = None, threads=None) -> VerificationR
 
     cells = [make_cell(k) for k in config.lowest_term_twists]
     grid = f"T(2,2k) for k in {list(config.lowest_term_twists)}"
-    return _run_cells("thm22", grid, cells, threads)
+    return _run_cells("thm22", grid, cells)
 
 
 # -- registry -------------------------------------------------------------
 
 THEOREMS = {
-    "thm62": lambda config, threads: verify_special_H(config, threads),
-    "thm64": lambda config, threads: verify_special_delta(config, threads),
-    "thm71": lambda config, threads: verify_symmetry_neg_q_inverse(config, threads),
-    "thm72": lambda config, threads: verify_symmetry_q_inverse(config, threads),
-    "lemma65": lambda config, threads: verify_hook_character_identity(config, threads),
-    "lemma73": lambda config, threads: verify_permutation_parity(
-        (config or GridConfig()).parity_max, threads
-    ),
-    "thm22": lambda config, threads: verify_lowest_term(config, threads),
+    "thm62": verify_special_H,
+    "thm64": verify_special_delta,
+    "thm71": verify_symmetry_neg_q_inverse,
+    "thm72": verify_symmetry_q_inverse,
+    "lemma65": verify_hook_character_identity,
+    "lemma73": lambda config: verify_permutation_parity((config or GridConfig()).parity_max),
+    "thm22": verify_lowest_term,
 }
 
 
 def run_theorem(name: str, config: GridConfig = None, threads=None) -> VerificationReport:
+    """Run one registered sweep; ``threads`` is accepted and has no effect."""
     if name not in THEOREMS:
         raise KeyError(f"unknown theorem {name!r}; choose from {sorted(THEOREMS)}")
-    return THEOREMS[name](config, threads)
+    return THEOREMS[name](config)

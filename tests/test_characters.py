@@ -14,7 +14,8 @@ from skein_homfly.characters import (
 from skein_homfly.errors import BoundExceeded, SizeMismatch
 from skein_homfly.exact import LaurentQT, _exact_div_univariate, q_bracket
 from skein_homfly.partitions import Partition, partitions_of
-from skein_homfly.schur import jacobi_trudi_schur, power_sum_poly, _poly_mul_multi
+
+from oracles import _poly_mul_multi, jacobi_trudi_schur, power_sum_poly
 
 P = Partition
 

@@ -146,6 +146,45 @@ def test_bad_partition_text_exit_two(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (TREFOIL_ARGS[:5] + ["--components", "2", "--colors", "(1)"], "need exactly L colors"),
+        (["homfly-braid", "--strands", "9", "--word", "1"], "exceeds the cap 8"),
+        (["homfly-braid", "--strands", "3", "--word", "sx"], "bad braid letter 'sx'"),
+        (
+            ["special", "--kind", "H", "--m", "2", "--n", "3", "--color", "(1)", "--basis", "delta"],
+            "delta basis applies to univariate q-polynomials",
+        ),
+    ],
+    ids=["torus-color-count", "braid-strand-cap", "braid-bad-letter", "special-H-delta-basis"],
+)
+def test_invalid_spec_exit_two(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+
+
+def test_missing_grid_file_exit_two(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run_cli(capsys, "verify", "--theorem", "lemma73", "--grid", missing)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "cannot read grid file" in err
+    assert err.count("\n") == 1
+
+
+def test_unknown_grid_key_exit_two(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"max_colour": 1}))
+    code, out, err = run_cli(capsys, "verify", "--theorem", "thm72", "--grid", str(grid))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "max_colour" in err
+
+
 def test_byte_identical_across_threads(capsys):
     outputs = []
     for threads in ("1", "4"):

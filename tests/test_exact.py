@@ -9,7 +9,6 @@ from skein_homfly.exact import (
     RationalQT,
     canonical_text,
     delta,
-    evaluate,
     expand_series,
     laurent_from_json,
     laurent_to_json,
@@ -21,6 +20,8 @@ from skein_homfly.exact import (
     t_power,
     truncated_series,
 )
+
+from oracles import evaluate
 
 
 # -- hypothesis strategies ------------------------------------------------

@@ -12,13 +12,16 @@ from skein_homfly.exact import (
 from skein_homfly.partitions import EMPTY, Partition, PartitionVector, partitions_of
 from skein_homfly.schur import (
     SchurExpansion,
+    plethysm_coefficients,
+    universal_denominator,
+    unknot_value,
+)
+
+from oracles import (
     _poly_mul_multi,
     complete_symmetric_poly,
     elementary_symmetric_poly,
     jacobi_trudi_schur,
-    plethysm_coefficients,
-    universal_denominator,
-    unknot_value,
 )
 
 P = Partition

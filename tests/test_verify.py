@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from skein_homfly.partitions import Partition
 from skein_homfly.verify import (
     GridConfig,
@@ -113,6 +115,16 @@ def test_grid_config_load(tmp_path):
     assert config.max_color == 2
     assert config.parity_max == 5
     assert verify_special_H(config).passed
+
+
+def test_grid_config_load_rejects_unknown_keys(tmp_path):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"max_colour": 1, "knots": [[2, 3]], "hookmax": 2}))
+    with pytest.raises(ValueError, match="'hookmax', 'max_colour'"):
+        GridConfig.load(str(path))
+    path.write_text(json.dumps([["max_color", 1]]))
+    with pytest.raises(ValueError, match="one JSON object"):
+        GridConfig.load(str(path))
 
 
 def test_double_transposition_returns_to_start():
