@@ -40,16 +40,10 @@ def _vector_arg(text: str) -> PartitionVector:
         raise argparse.ArgumentTypeError(str(e))
 
 
-def _rational_json(value: RationalQT) -> str:
-    return json.dumps(
-        {"num": laurent_to_json(value.num), "den": laurent_to_json(value.den)},
-        separators=(",", ":"),
-    )
-
-
 def _print_rational(value: RationalQT, as_json: bool):
     if as_json:
-        print(_rational_json(value))
+        wire = {"num": laurent_to_json(value.num), "den": laurent_to_json(value.den)}
+        print(json.dumps(wire, separators=(",", ":")))
     elif value.is_laurent():
         print(canonical_text(value.as_laurent()))
     else:
@@ -92,15 +86,8 @@ def _cmd_special(args) -> int:
     else:
         spec = TorusLinkSpec(args.m, args.n, 1, (args.color,))
     result = special_H(spec) if args.kind == "H" else special_delta(spec)
-    value = result.value
-    if args.basis == "delta":
-        if isinstance(value, RationalQT):
-            raise SkeinError("value is not a Laurent polynomial; no delta-basis form")
-        print(format_delta_basis(value))
-    elif isinstance(value, RationalQT):
-        print(value)
-    else:
-        print(canonical_text(value))
+    render = format_delta_basis if args.basis == "delta" else canonical_text
+    print(render(result.value))
     return 0
 
 
@@ -194,13 +181,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SkeinError as e:
+    except (SkeinError, ValueError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
         # invalid specs, braid text, grid files: usage errors, like argparse's
-        print(f"error: ValueError: {e}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(e, ValueError) else 1
 
 
 if __name__ == "__main__":

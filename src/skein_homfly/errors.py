@@ -40,5 +40,5 @@ class IntegralityViolation(SkeinError):
     """
 
 
-class IndexOutOfRange(SkeinError):
-    """Braid generator index outside 1..n-1."""
+class IndexOutOfRange(SkeinError, ValueError):
+    """Braid generator index outside 1..n-1: bad input, so also a ValueError."""

@@ -7,9 +7,16 @@ monomials and must cancel to integers in any public result -- while
 t-exponents are always integers.
 
 Limits at q=1 or t=1 are computed by truncated series expansion around the
-point, never by polynomial gcd in two variables: write the variable as
-1+eps, expand numerator and denominator to their first non-vanishing order,
-and compare orders.
+point, never by polynomial gcd: write the variable as 1+eps, expand
+numerator and denominator to their first non-vanishing order, compare
+orders, and return the quotient of the leading coefficients as a
+RationalQT.
+
+Univariate work runs on one kernel of {int exponent -> coefficient} dicts:
+``_umul`` multiplies, ``_udiv`` divides exactly (or reports that it cannot),
+and ``div_bracket_coeffs`` divides by v^k - v^-k.  A fractional q-exponent
+e enters the kernel as the integer e * r, with r the lcm of the operands'
+q-denominators.
 """
 
 from __future__ import annotations
@@ -574,32 +581,81 @@ def expand_series(f: RationalQT, variable: str):
         order = min(order * 2, cap)
 
 
-def limit_at_one(f: RationalQT, variable: str):
-    """Exact limit of f as the variable goes to 1.
+def limit_at_one(f: RationalQT, variable: str) -> RationalQT:
+    """Exact limit of f as the variable goes to 1, a RationalQT in the other.
 
-    Returns a LaurentQT when the leading-coefficient division is exact,
-    otherwise the reduced univariate RationalQT.  Raises LimitDoesNotExist
-    on a pole and returns zero when the numerator vanishes faster.
+    The value is the quotient of the leading series coefficients; its
+    ``as_laurent()`` gives the Laurent form when the division is exact.
+    Raises LimitDoesNotExist on a pole and returns zero when the numerator
+    vanishes faster.
     """
     if f.num.is_zero():
-        return LaurentQT.zero()
+        return RationalQT(LaurentQT.zero())
     on, od, ln, ld = expand_series(f, variable)
     if on < od:
         raise LimitDoesNotExist(
             f"numerator vanishes to order {on} < denominator order {od} at {variable}=1"
         )
     if on > od:
-        return LaurentQT.zero()
-    quotient = _exact_div_univariate(ln, ld)
-    if quotient is not None:
-        return quotient
-    g = _gcd_univariate(ln, ld)
-    rnum = _exact_div_univariate(ln, g)
-    rden = _exact_div_univariate(ld, g)
-    return RationalQT(rnum, rden)
+        return RationalQT(LaurentQT.zero())
+    return RationalQT(ln, ld)
 
 
-# -- univariate helpers (exact division, gcd) -------------------------
+# -- univariate kernel: {int exponent -> coefficient} dicts --------------
+
+
+def _umul(a: dict, b: dict) -> dict:
+    """Multiply integer-keyed sparse univariate polynomials exactly."""
+    if not a or not b:
+        return {}
+    la, lb = min(a), min(b)
+    g = 0
+    for e in a:
+        g = gcd(g, e - la)
+    for e in b:
+        g = gcd(g, e - lb)
+    if g == 0:
+        g = 1
+    xs = [0] * ((max(a) - la) // g + 1)
+    for e, c in a.items():
+        xs[(e - la) // g] = c
+    ys = [0] * ((max(b) - lb) // g + 1)
+    for e, c in b.items():
+        ys[(e - lb) // g] = c
+    out = [0] * (len(xs) + len(ys) - 1)
+    for i, x in enumerate(xs):
+        if x:
+            for j, y in enumerate(ys):
+                if y:
+                    out[i + j] += x * y
+    base = la + lb
+    return {base + g * k: v for k, v in enumerate(out) if v}
+
+
+def _udiv(a: dict, b: dict):
+    """a / b for nonzero univariate dicts; None when the division is not exact.
+
+    Long division from the top exponent down.  The quotient's exponents lie
+    in min(a) - min(b) .. max(a) - max(b), so a remainder term below that
+    range proves the division inexact.
+    """
+    lo = min(a) - min(b)
+    top_b = max(b)
+    lead = b[top_b]
+    rem = dict(a)
+    out = {}
+    while rem:
+        e = max(rem) - top_b
+        if e < lo:
+            return None
+        c = out[e] = _canon(Fraction(rem[e + top_b], lead))
+        for eb, cb in b.items():
+            s = rem.get(e + eb, 0) - c * cb
+            if s == 0:
+                rem.pop(e + eb, None)
+            else:
+                rem[e + eb] = s
+    return out
 
 
 def div_bracket_coeffs(coeffs: dict, k: int):
@@ -643,135 +699,22 @@ def _div_bracket(p: LaurentQT, variable: str, k: int):
     return LaurentQT(out)
 
 
-def _shared_variable(a: LaurentQT, b: LaurentQT):
-    """Variable of two jointly univariate polynomials, or None on a mix."""
-    has_q = any(qe != 0 for qe, _ in a.terms) or any(qe != 0 for qe, _ in b.terms)
-    has_t = any(te != 0 for _, te in a.terms) or any(te != 0 for _, te in b.terms)
-    if has_q and has_t:
-        return None
-    return "t" if has_t else "q"
-
-
-def _to_coeff_list(p: LaurentQT, variable: str):
-    """(min_exp_scaled, ram, coeffs ascending) for a univariate Laurent poly."""
-    idx = 0 if variable == "q" else 1
-    ram = 1
-    for k in p.terms:
-        e = k[idx]
-        if isinstance(e, Fraction):
-            ram = lcm(ram, e.denominator)
-    exps = {}
-    for k, c in p.terms.items():
-        e = k[idx]
-        exps[int(e * ram)] = c
-    lo, hi = min(exps), max(exps)
-    coeffs = [exps.get(i, 0) for i in range(lo, hi + 1)]
-    return lo, ram, coeffs
-
-
-def _from_coeff_list(lo, ram, coeffs, variable: str) -> LaurentQT:
-    terms = {}
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        e = _canon(Fraction(lo + i, ram))
-        key = (e, 0) if variable == "q" else (0, e)
-        terms[key] = c
-    return LaurentQT(terms)
-
-
 def _exact_div_univariate(a: LaurentQT, b: LaurentQT):
-    """a / b for univariate inputs in the same variable; None if not exact."""
+    """a / b for univariate inputs in the same variable; None if not exact.
+
+    Both operands go onto one exponent scale, the lcm of their
+    q-denominators, and through the kernel's ``_udiv``.
+    """
     if b.is_zero():
         raise ZeroDivisionError("univariate division by zero")
     if a.is_zero():
         return LaurentQT.zero()
-    variable = _shared_variable(a, b)
-    if variable is None:
+    keys = [*a.terms, *b.terms]
+    idx = 1 if any(te for _, te in keys) else 0
+    if idx and any(qe for qe, _ in keys):
         return None
-    la, ra, ca = _to_coeff_list(a, variable)
-    lb, rb, cb = _to_coeff_list(b, variable)
-    if ra != rb:
-        r = lcm(ra, rb)
-        la, ca = la * (r // ra), _stretch(ca, r // ra)
-        lb, cb = lb * (r // rb), _stretch(cb, r // rb)
-        ra = rb = r
-    if len(ca) < len(cb):
+    ram = lcm(*(Fraction(qe).denominator for qe, _ in keys))
+    out = _udiv(*({int(k[idx] * ram): c for k, c in p.terms.items()} for p in (a, b)))
+    if out is None:
         return None
-    rem = [Fraction(c) for c in ca]
-    div = [Fraction(c) for c in cb]
-    out = [Fraction(0)] * (len(ca) - len(cb) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = rem[i + len(div) - 1] / div[-1]
-        out[i] = c
-        if c != 0:
-            for j, d in enumerate(div):
-                rem[i + j] -= c * d
-    if any(r != 0 for r in rem):
-        return None
-    return _from_coeff_list(la - lb, ra, [_canon(c) for c in out], variable)
-
-
-def _stretch(coeffs, factor):
-    out = [0] * ((len(coeffs) - 1) * factor + 1)
-    for i, c in enumerate(coeffs):
-        out[i * factor] = c
-    return out
-
-
-def _gcd_univariate(a: LaurentQT, b: LaurentQT) -> LaurentQT:
-    """Primitive-normalized gcd of two univariate Laurent polynomials."""
-    variable = _shared_variable(a, b)
-    if variable is None:
-        raise ValueError("gcd requires jointly univariate inputs")
-    _, ra, ca = _to_coeff_list(a, variable)
-    _, rb, cb = _to_coeff_list(b, variable)
-    if ra != rb:
-        r = lcm(ra, rb)
-        ca = _stretch(ca, r // ra)
-        cb = _stretch(cb, r // rb)
-        ra = r
-    x = [Fraction(c) for c in ca]
-    y = [Fraction(c) for c in cb]
-    x = _trim(x)
-    y = _trim(y)
-    while y:
-        x = _poly_mod(x, y)
-        x, y = y, x
-    lead = x[-1]
-    x = [c / lead for c in x]
-    # integer-primitive form with positive lead for determinism
-    den_l = 1
-    for c in x:
-        den_l = lcm(den_l, c.denominator)
-    ints = [int(c * den_l) for c in x]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    ints = [c // g for c in ints]
-    return _from_coeff_list(0, ra, ints, variable)
-
-
-def _trim(coeffs):
-    # drop leading/trailing zeros; gcd is only defined up to a monomial
-    i = 0
-    while i < len(coeffs) and coeffs[i] == 0:
-        i += 1
-    j = len(coeffs)
-    while j > i and coeffs[j - 1] == 0:
-        j -= 1
-    return coeffs[i:j]
-
-
-def _poly_mod(x, y):
-    x = list(x)
-    while len(x) >= len(y) and any(c != 0 for c in x):
-        if x[-1] == 0:
-            x.pop()
-            continue
-        f = x[-1] / y[-1]
-        off = len(x) - len(y)
-        for j, d in enumerate(y):
-            x[off + j] -= f * d
-        x.pop()
-    return _trim(x)
+    return LaurentQT({(0, e) if idx else (Fraction(e, ram), 0): c for e, c in out.items()})

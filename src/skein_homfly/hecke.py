@@ -10,6 +10,9 @@ z = q - q^-1.  The trace is the unique linear functional with
     tr_n(w_a s_{n-1} w_b) = t * tr_{n-1}(w_a w_b)     for a, b fixing n
 
 pinned by the two anchors <unknot> = delta and <positive kink> = t*delta.
+Since z * delta = t - t^-1, traces on n strands are kept as Laurent
+numerators over z^n: ``_trace_perm`` returns z^n * tr_n(w_pi), and
+``markov_trace`` builds the one RationalQT numerator / z^n at the end.
 This path never touches the plethysm machinery, so it cross-validates the
 torus formula on uncolored specializations.
 """
@@ -21,7 +24,7 @@ from functools import lru_cache
 from itertools import permutations as _permutations
 
 from .errors import IndexOutOfRange
-from .exact import LaurentQT, RationalQT, delta, q_bracket, substitute, t_power
+from .exact import LaurentQT, RationalQT, delta, q_bracket, substitute, t_bracket, t_power
 from .partitions import Partition
 
 _Z = q_bracket(1)
@@ -273,11 +276,12 @@ def hecke_multiply(x: HeckeElement, y: HeckeElement) -> HeckeElement:
 
 
 @lru_cache(maxsize=None)
-def _trace_perm(n: int, pi: tuple) -> RationalQT:
+def _trace_perm(n: int, pi: tuple) -> LaurentQT:
+    """z^n * tr_n(w_pi), a Laurent polynomial since z * delta = t - t^-1."""
     if n == 1:
-        return delta()
+        return t_bracket(1)
     if pi[n - 1] == n - 1:
-        return delta() * _trace_perm(n - 1, pi[: n - 1])
+        return t_bracket(1) * _trace_perm(n - 1, pi[: n - 1])
     j = pi.index(n - 1)
     alpha = list(pi)
     for p in range(j, n - 1):
@@ -287,19 +291,14 @@ def _trace_perm(n: int, pi: tuple) -> RationalQT:
     # pi = w_alpha * s_{n-1} * (s_{n-2} ... s_{j+1}) with additive lengths
     for i in range(n - 2, j, -1):
         x = apply_generator(x, i, 1)
-    return (_markov_trace_element(x) * RationalQT(t_power(1))).simplified()
-
-
-def _markov_trace_element(x: HeckeElement) -> RationalQT:
-    total = RationalQT(LaurentQT.zero())
-    for pi, c in x.terms.items():
-        total = total + RationalQT(c) * _trace_perm(x.n, pi)
-    return total
+    total = sum((c * _trace_perm(n - 1, sigma) for sigma, c in x.terms.items()), LaurentQT.zero())
+    return t_power(1) * _Z * total
 
 
 def markov_trace(x: HeckeElement) -> RationalQT:
     """Framed invariant of the closure of x, extended linearly."""
-    return _markov_trace_element(x).simplified()
+    total = sum((c * _trace_perm(x.n, pi) for pi, c in x.terms.items()), LaurentQT.zero())
+    return RationalQT(total, _Z ** x.n).simplified()
 
 
 def framed_homfly_of_closure(w: BraidWord) -> RationalQT:

@@ -11,8 +11,9 @@ accumulated over one universal denominator
     D_n(q) = prod_{k=1}^{n} (q^k - q^{-k})^{floor(n/k)}
 
 which every per-class bracket product divides, so summation never leaves a
-single fraction.  The inner loops run on integer-keyed dicts of integer
-coefficients; Fractions appear only at the boundary.
+single fraction.  The inner loops run on exact.py's univariate kernel of
+integer-keyed dicts of integer coefficients; Fractions appear only at the
+boundary.
 """
 
 from __future__ import annotations
@@ -21,48 +22,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, lcm
+from math import lcm
 
 from .characters import character
 from .errors import IntegralityViolation
-from .exact import LaurentQT, RationalQT, _canon, div_bracket_coeffs
+from .exact import LaurentQT, RationalQT, _canon, _umul, div_bracket_coeffs
 from .partitions import Partition, PartitionVector, partitions_of
-
-# -- integer univariate helpers (exponent -> coefficient dicts in q) ---
-
-
-def _umul(a: dict, b: dict) -> dict:
-    """Multiply integer-keyed sparse univariate polynomials exactly."""
-    if not a or not b:
-        return {}
-    la, lb = min(a), min(b)
-    g = 0
-    for e in a:
-        g = gcd(g, e - la)
-    for e in b:
-        g = gcd(g, e - lb)
-    if g == 0:
-        g = 1
-    xs = [0] * ((max(a) - la) // g + 1)
-    for e, c in a.items():
-        xs[(e - la) // g] = c
-    ys = [0] * ((max(b) - lb) // g + 1)
-    for e, c in b.items():
-        ys[(e - lb) // g] = c
-    out = [0] * (len(xs) + len(ys) - 1)
-    for i, x in enumerate(xs):
-        if x:
-            for j, y in enumerate(ys):
-                if y:
-                    out[i + j] += x * y
-    base = la + lb
-    return {base + g * k: v for k, v in enumerate(out) if v}
 
 
 def _udiv_bracket(a: dict, k: int) -> dict:
     """Exact division of a univariate q-polynomial by q^k - q^-k."""
-    if not a:
-        return {}
     out = div_bracket_coeffs(a, k)
     assert out is not None, "bracket division not exact"
     return out

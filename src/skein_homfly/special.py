@@ -35,7 +35,7 @@ class SpecialPolynomial:
 
     kind: str  # "H" or "delta"
     variable: str  # the surviving variable: "t" for H, "q" for delta
-    value: object  # LaurentQT, or RationalQT when division is not exact
+    value: LaurentQT  # the limit in the surviving variable
     source: object
 
 
@@ -49,7 +49,7 @@ def _ratio(spec) -> RationalQT:
 
 def special_H(spec) -> SpecialPolynomial:
     """q->1 limit of the invariant over the unknot normalization."""
-    value = limit_at_one(_ratio(spec), "q")
+    value = limit_at_one(_ratio(spec), "q").as_laurent()
     return SpecialPolynomial("H", "t", value, spec)
 
 
@@ -59,7 +59,7 @@ def special_delta(spec) -> SpecialPolynomial:
     Exists for knots; for links it generally does not (LimitDoesNotExist
     propagates), which is itself a checked behavior.
     """
-    value = limit_at_one(_ratio(spec), "t")
+    value = limit_at_one(_ratio(spec), "t").as_laurent()
     return SpecialPolynomial("delta", "q", value, spec)
 
 

@@ -34,6 +34,12 @@ DEFAULT_HOOK_MAX = 5
 DEFAULT_PARITY_MAX = 7
 DEFAULT_HOOK_IDENTITY_MAX = 8
 DEFAULT_LOWEST_TERM_TWISTS = (1, 2, 3)
+#: grid keys that hold lists: key -> (entry width, 0 for plain ints; shape)
+_LIST_KEYS = {
+    "knots": (2, "a list of [m, n] integer pairs"),
+    "links": (3, "a list of [m, n, L] integer triples"),
+    "lowest_term_twists": (0, "a list of integers"),
+}
 
 
 @dataclass(frozen=True)
@@ -89,7 +95,11 @@ class GridConfig:
 
     @classmethod
     def load(cls, path: str) -> "GridConfig":
-        """Read a JSON object of grid keys; an unknown key raises ValueError."""
+        """Read a JSON object of grid keys.
+
+        An unknown key, or a value of the wrong type or shape, raises a
+        ValueError naming the key.
+        """
         with open(path) as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
@@ -98,10 +108,23 @@ class GridConfig:
         unknown = sorted(set(raw) - set(known))
         if unknown:
             raise ValueError(f"unknown grid key(s) {unknown}; known keys are {known}")
-        kwargs = {}
-        for key, v in raw.items():
-            kwargs[key] = tuple(tuple(x) if isinstance(x, list) else x for x in v) if isinstance(v, list) else v
-        return cls(**kwargs)
+        return cls(**{key: _grid_value(key, v) for key, v in raw.items()})
+
+
+def _grid_value(key: str, v):
+    """A grid file value checked for type and shape, its lists made tuples."""
+    width, shape = _LIST_KEYS.get(key, (None, "an integer"))
+    if width is None:
+        ok = type(v) is int
+    elif width == 0:
+        ok = isinstance(v, list) and all(type(x) is int for x in v)
+    else:
+        ok = isinstance(v, list) and all(
+            isinstance(x, list) and len(x) == width and all(type(y) is int for y in x) for x in v
+        )
+    if not ok:
+        raise ValueError(f"grid key {key!r} must be {shape}, got {json.dumps(v)}")
+    return v if width is None else tuple(tuple(x) if width else x for x in v)
 
 
 def _run_cells(theorem: str, grid_desc: str, cells) -> VerificationReport:

@@ -152,12 +152,19 @@ def test_bad_partition_text_exit_two(capsys):
         (TREFOIL_ARGS[:5] + ["--components", "2", "--colors", "(1)"], "need exactly L colors"),
         (["homfly-braid", "--strands", "9", "--word", "1"], "exceeds the cap 8"),
         (["homfly-braid", "--strands", "3", "--word", "sx"], "bad braid letter 'sx'"),
+        (["homfly-braid", "--strands", "2", "--word", "3"], "IndexOutOfRange: generator index 3 outside 1..1"),
         (
             ["special", "--kind", "H", "--m", "2", "--n", "3", "--color", "(1)", "--basis", "delta"],
             "delta basis applies to univariate q-polynomials",
         ),
     ],
-    ids=["torus-color-count", "braid-strand-cap", "braid-bad-letter", "special-H-delta-basis"],
+    ids=[
+        "torus-color-count",
+        "braid-strand-cap",
+        "braid-bad-letter",
+        "braid-generator-range",
+        "special-H-delta-basis",
+    ],
 )
 def test_invalid_spec_exit_two(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -178,11 +185,18 @@ def test_missing_grid_file_exit_two(tmp_path, capsys):
 
 def test_unknown_grid_key_exit_two(tmp_path, capsys):
     grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps({"max_colour": 1}))
-    code, out, err = run_cli(capsys, "verify", "--theorem", "thm72", "--grid", str(grid))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and "max_colour" in err
+    # an unknown key, then values of the wrong shape and type
+    for raw, key in (
+        ({"max_colour": 1}, "max_colour"),
+        ({"knots": 5}, "'knots'"),
+        ({"max_color": "x"}, "'max_color'"),
+    ):
+        grid.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, "verify", "--theorem", "thm72", "--grid", str(grid))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and key in err
+        assert err.count("\n") == 1
 
 
 def test_byte_identical_across_threads(capsys):

@@ -5,10 +5,14 @@ import pytest
 from skein_homfly.exact import (
     LaurentQT,
     RationalQT,
+    _exact_div_univariate,
+    _udiv,
     div_bracket_coeffs,
     expand_series,
     limit_at_one,
     q_bracket,
+    t_bracket,
+    t_power,
 )
 from skein_homfly.errors import LimitDoesNotExist
 from skein_homfly.partitions import EMPTY, Partition
@@ -47,6 +51,33 @@ def test_udiv_bracket_round_trips():
         for poly in ({0: 1}, {1: 2, -1: 2}, {0: 1, 4: -3, -2: 5}):
             prod = _umul(poly, {k: 1, -k: -1})
             assert _udiv_bracket(prod, k) == poly
+
+
+def test_exact_div_mixed_fractional_lattices():
+    # q^1/2 and q^1/3 brackets meet on the common scale 6
+    half = LaurentQT({(Fraction(1, 2), 0): 1, (Fraction(-1, 2), 0): -1})
+    third = LaurentQT({(Fraction(1, 3), 0): 1, (Fraction(-1, 3), 0): -1})
+    assert _exact_div_univariate(half * third, third) == half
+    assert _exact_div_univariate(half * third, half) == third
+
+
+def test_exact_div_t_only():
+    assert _exact_div_univariate(t_bracket(2), t_bracket(1)) == t_power(1) + t_power(-1)
+    assert _exact_div_univariate(t_bracket(1), t_power(2) * 2) == t_bracket(1) * t_power(-2) * Fraction(1, 2)
+
+
+def test_exact_div_inexact_returns_none():
+    assert _exact_div_univariate(q_bracket(1), q_bracket(2)) is None
+    assert _exact_div_univariate(LaurentQT.one(), t_power(1) + 1) is None
+    assert _exact_div_univariate(q_bracket(1), t_bracket(1)) is None  # q and t mixed
+
+
+def test_udiv_kernel_keeps_int_quotients():
+    quotient = _udiv({3: 1, -3: -1}, {1: 1, -1: -1})  # (q^3 - q^-3) / (q - q^-1)
+    assert quotient == {2: 1, 0: 1, -2: 1}
+    assert all(type(c) is int for c in quotient.values())
+    assert _udiv({0: 1, 1: 1}, {0: 2}) == {0: Fraction(1, 2), 1: Fraction(1, 2)}
+    assert _udiv({0: 1}, {0: 1, 1: 1}) is None
 
 
 def test_div_bracket_coeffs_inexact_returns_none():

@@ -170,6 +170,8 @@ def test_expand_series_zero_numerator():
 def test_limit_simple():
     f = RationalQT(q_bracket(2), q_bracket(1))
     assert limit_at_one(f, "q") == LaurentQT.from_int(2)
+    assert isinstance(limit_at_one(f, "q"), RationalQT)
+    assert limit_at_one(f, "q").as_laurent() == LaurentQT.from_int(2)
 
 
 def test_limit_pole():
@@ -181,6 +183,18 @@ def test_limit_pole():
 def test_limit_zero_when_faster():
     f = RationalQT(q_bracket(1) * q_bracket(1), q_bracket(1))
     assert limit_at_one(f, "q") == LaurentQT.zero()
+    for zero in (limit_at_one(f, "q"), limit_at_one(RationalQT(LaurentQT.zero()), "t")):
+        assert isinstance(zero, RationalQT) and zero.is_zero()
+
+
+def test_limit_not_laurent_is_rational():
+    # (q - q^-1) / ((q - q^-1)(t + 1)) tends to 1/(t + 1) at q = 1
+    f = RationalQT(q_bracket(1), q_bracket(1) * (t_power(1) + 1))
+    value = limit_at_one(f, "q")
+    assert isinstance(value, RationalQT)
+    assert value == RationalQT(LaurentQT.one(), t_power(1) + 1)
+    with pytest.raises(ValueError, match="not a Laurent polynomial"):
+        value.as_laurent()
 
 
 def test_limit_keeps_other_variable():
@@ -198,7 +212,7 @@ def test_limit_matches_numerics_at_offset_point():
     f = RationalQT(q_bracket(6) * q_bracket(1) * t_bracket(1), q_bracket(2) * q_bracket(3))
     value = limit_at_one(f, "q")
     approx = _eval_rational(f, 1.0 + 1e-6, 0.7)
-    exact = evaluate(value, 1.0, 0.7)
+    exact = evaluate(value.as_laurent(), 1.0, 0.7)
     assert abs(approx - exact) / abs(exact) < 1e-4
 
 

@@ -125,6 +125,17 @@ def test_grid_config_load_rejects_unknown_keys(tmp_path):
     path.write_text(json.dumps([["max_color", 1]]))
     with pytest.raises(ValueError, match="one JSON object"):
         GridConfig.load(str(path))
+    for raw, key in (
+        ({"knots": 5}, "'knots'"),
+        ({"max_color": "x"}, "'max_color'"),
+        ({"max_color": True}, "'max_color'"),
+        ({"knots": [[2, 3, 1]]}, "'knots'"),
+        ({"links": [[1, 1]]}, "'links'"),
+        ({"lowest_term_twists": [1.5]}, "'lowest_term_twists'"),
+    ):
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match=key):
+            GridConfig.load(str(path))
 
 
 def test_double_transposition_returns_to_start():
