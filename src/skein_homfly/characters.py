@@ -21,7 +21,11 @@ DEFAULT_TABLE_BOUND = 12
 
 
 def _table_bound() -> int:
-    return int(os.environ.get("SKEIN_HOMFLY_MAX_N", DEFAULT_TABLE_BOUND))
+    raw = os.environ.get("SKEIN_HOMFLY_MAX_N", DEFAULT_TABLE_BOUND)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"SKEIN_HOMFLY_MAX_N must be an integer, got {raw!r}") from None
 
 
 def character(lam: Partition, mu: Partition) -> int:
@@ -90,8 +94,10 @@ class CharacterTable:
 
 def character_table(n: int) -> CharacterTable:
     """Complete character table of the symmetric group on n symbols."""
+    if n < 1:
+        raise ValueError(f"n = {n} must be at least 1")
     bound = _table_bound()
-    if not 1 <= n <= bound:
+    if n > bound:
         raise BoundExceeded(f"n = {n} outside 1..{bound} (set SKEIN_HOMFLY_MAX_N to raise)")
     return _build_table(n)
 

@@ -14,9 +14,11 @@ RationalQT.
 
 Univariate work runs on one kernel of {int exponent -> coefficient} dicts:
 ``_umul`` multiplies, ``_udiv`` divides exactly (or reports that it cannot),
-and ``div_bracket_coeffs`` divides by v^k - v^-k.  A fractional q-exponent
-e enters the kernel as the integer e * r, with r the lcm of the operands'
-q-denominators.
+and ``div_bracket_coeffs`` divides by v^k - v^-k.  ``_slices`` is the one
+lattice conversion: it cuts a LaurentQT into such dicts, one per exponent of
+the other variable, a fractional exponent e entering as the integer e * r
+(r from ``_lattice``, the lcm of the exponent denominators); ``_unslice``
+rebuilds it.
 """
 
 from __future__ import annotations
@@ -142,7 +144,8 @@ class LaurentQT:
         return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -381,7 +384,8 @@ class RationalQT:
         return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -401,7 +405,7 @@ class RationalQT:
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
-        return other / self
+        return NotImplemented if other is NotImplemented else other / self
 
     def __pow__(self, e: int):
         if e < 0:
@@ -429,59 +433,46 @@ class RationalQT:
         return RationalQT(substitute(self.num, q, t), substitute(self.den, q, t))
 
     def simplified(self) -> "RationalQT":
-        """Cancel shared bracket factors v^k - v^-k and monomial denominators.
+        """Cancel bracket factors v^k - v^-k shared by num and den.
 
         This is content reduction, not general gcd: it strips exactly the
-        structured factors that class sums and trace recursions accumulate,
-        and folds the denominator into the numerator once it is down to a
-        single term.
+        structured factors that class sums and trace recursions accumulate.
+        For each variable both parts are cut once into univariate slices on
+        the variable's exponent lattice, k runs from half the denominator's
+        span down to 1 (in lattice steps), and each bracket is cancelled
+        while both parts divide; each part is then rebuilt once.
         """
         num, den = self.num, self.den
         if num.is_zero():
-            return RationalQT(num)
-        for variable in ("q", "t"):
-            exps = den.exponents(variable)
-            k_max = int(max(exps) - min(exps)) // 2
-            for k in range(k_max, 0, -1):
-                while True:
-                    dd = _div_bracket(den, variable, k)
-                    if dd is None:
-                        break
-                    dn = _div_bracket(num, variable, k)
-                    if dn is None:
-                        break
-                    num, den = dn, dd
-        if len(den.terms) == 1:
-            ((qe, te), c), = den.terms.items()
-            num = num * LaurentQT({(-qe, -te): Fraction(1) / c})
-            den = LaurentQT.one()
+            return self
+        for idx in (0, 1):
+            r = _lattice(idx, num, den)
+            ns, ds = _slices(num, idx, r), _slices(den, idx, r)
+            exps = [e for coeffs in ds.values() for e in coeffs]
+            cancelled = False
+            for k in range((max(exps) - min(exps)) // 2, 0, -1):
+                while (dd := _div_slices(ds, k)) is not None and (dn := _div_slices(ns, k)) is not None:
+                    ns, ds, cancelled = dn, dd, True
+            if cancelled:
+                num, den = _unslice(ns, idx, r), _unslice(ds, idx, r)
         return RationalQT(num, den)
 
 
 def _normalize_pair(num: LaurentQT, den: LaurentQT):
-    qmin = min(min(num.exponents("q")), min(den.exponents("q")))
-    tmin = min(min(num.exponents("t")), min(den.exponents("t")))
-    shift = LaurentQT({(-qmin, -tmin): 1})
-    num = num * shift
-    den = den * shift
-    # scale to coprime integer content with positive denominator lead
-    denom_lcm = 1
-    for c in list(num.terms.values()) + list(den.terms.values()):
-        if isinstance(c, Fraction):
-            denom_lcm = lcm(denom_lcm, c.denominator)
-    if denom_lcm != 1:
-        num = num * denom_lcm
-        den = den * denom_lcm
-    content = 0
-    for c in list(num.terms.values()) + list(den.terms.values()):
-        content = gcd(content, int(c))
-    lead = den.sorted_terms()[-1][1]
-    if lead < 0:
+    """Shift to collective minimal exponents 0, then scale to coprime integer
+    content with a positive denominator lead, in integers on the term dicts."""
+    parts = (num.terms, den.terms)
+    qmin = min(qe for p in parts for qe, _ in p)
+    tmin = min(te for p in parts for _, te in p)
+    scale = lcm(*(c.denominator for p in parts for c in p.values()))
+    num_i, den_i = (
+        {(qe - qmin, te - tmin): c.numerator * (scale // c.denominator) for (qe, te), c in p.items()}
+        for p in parts
+    )
+    content = gcd(*num_i.values(), *den_i.values())
+    if den.terms[max(den.terms)] < 0:
         content = -content
-    if content not in (0, 1):
-        num = num * Fraction(1, content)
-        den = den * Fraction(1, content)
-    return num, den
+    return tuple(LaurentQT({k: c // content for k, c in p.items()}) for p in (num_i, den_i))
 
 
 def delta() -> RationalQT:
@@ -683,27 +674,40 @@ def div_bracket_coeffs(coeffs: dict, k: int):
     return {lo + k + j: u[j] for j in range(top + 1) if u[j]}
 
 
-def _div_bracket(p: LaurentQT, variable: str, k: int):
-    """Exact division of p by variable^k - variable^-k, slice by slice."""
-    main, kept = (0, 1) if variable == "q" else (1, 0)
-    slices = {}
+def _lattice(idx: int, *parts: LaurentQT) -> int:
+    """lcm of the exponent denominators at key position idx (0 = q, 1 = t)."""
+    return lcm(*(key[idx].denominator for p in parts for key in p.terms))
+
+
+def _slices(p: LaurentQT, idx: int, r: int) -> dict:
+    """Cut p into {other exponent: {exponent * r: coeff}} along key position idx."""
+    out = {}
     for key, c in p.terms.items():
-        slices.setdefault(key[kept], {})[key[main]] = c
+        out.setdefault(key[1 - idx], {})[int(key[idx] * r)] = c
+    return out
+
+
+def _unslice(slices: dict, idx: int, r: int) -> LaurentQT:
+    """Inverse of ``_slices``."""
+    items = ((o, e if r == 1 else Fraction(e, r), c) for o, cs in slices.items() for e, c in cs.items())
+    return LaurentQT({((e, o) if idx == 0 else (o, e)): c for o, e, c in items})
+
+
+def _div_slices(slices: dict, k: int):
+    """Divide every slice by v^k - v^-k; None when one division is not exact."""
     out = {}
     for other, coeffs in slices.items():
-        q = div_bracket_coeffs(coeffs, k)
-        if q is None:
+        if (q := div_bracket_coeffs(coeffs, k)) is None:
             return None
-        for e, c in q.items():
-            out[(e, other) if variable == "q" else (other, e)] = c
-    return LaurentQT(out)
+        out[other] = q
+    return out
 
 
 def _exact_div_univariate(a: LaurentQT, b: LaurentQT):
     """a / b for univariate inputs in the same variable; None if not exact.
 
-    Both operands go onto one exponent scale, the lcm of their
-    q-denominators, and through the kernel's ``_udiv``.
+    Both operands are cut onto one exponent lattice and go through the
+    kernel's ``_udiv``.
     """
     if b.is_zero():
         raise ZeroDivisionError("univariate division by zero")
@@ -713,8 +717,6 @@ def _exact_div_univariate(a: LaurentQT, b: LaurentQT):
     idx = 1 if any(te for _, te in keys) else 0
     if idx and any(qe for qe, _ in keys):
         return None
-    ram = lcm(*(Fraction(qe).denominator for qe, _ in keys))
-    out = _udiv(*({int(k[idx] * ram): c for k, c in p.terms.items()} for p in (a, b)))
-    if out is None:
-        return None
-    return LaurentQT({(0, e) if idx else (Fraction(e, ram), 0): c for e, c in out.items()})
+    r = _lattice(idx, a, b)
+    out = _udiv(_slices(a, idx, r)[0], _slices(b, idx, r)[0])
+    return None if out is None else _unslice({0: out}, idx, r)

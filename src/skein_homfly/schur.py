@@ -26,7 +26,7 @@ from math import lcm
 
 from .characters import character
 from .errors import IntegralityViolation
-from .exact import LaurentQT, RationalQT, _canon, _umul, div_bracket_coeffs
+from .exact import LaurentQT, RationalQT, _umul, div_bracket_coeffs
 from .partitions import Partition, PartitionVector, partitions_of
 
 
@@ -57,7 +57,8 @@ def universal_denominator(n: int) -> LaurentQT:
 
 @lru_cache(maxsize=None)
 def _class_data(n: int) -> tuple:
-    """Per class nu of n: (nu, z_nu, t-bracket product, D_n / q-bracket product)."""
+    """(lcm of all z_nu, classes): one entry per class nu of n,
+    (nu, z_nu, t-bracket product, D_n / q-bracket product)."""
     d_n = dict(_universal_denominator_coeffs(n))
     out = []
     for nu in partitions_of(n):
@@ -68,32 +69,21 @@ def _class_data(n: int) -> tuple:
         for p in nu:
             qco = _udiv_bracket(qco, p)
         out.append((nu, nu.z_factor(), tuple(sorted(tpoly.items())), tuple(sorted(qco.items()))))
-    return tuple(out)
+    return lcm(*(z for _, z, _, _ in out)), tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _z_lcm(n: int) -> int:
-    out = 1
-    for nu in partitions_of(n):
-        out = lcm(out, nu.z_factor())
-    return out
-
-
-def character_bracket_sum(n: int, weights, ram: int = 1, require_integral: bool = False) -> RationalQT:
+def character_bracket_sum(n: int, weights, ram: int = 1) -> RationalQT:
     """Accumulate sum_mu w_mu(q) * s*_mu over the universal denominator.
 
-    ``weights`` maps each partition mu of n to a univariate q-polynomial
-    given as {scaled exponent -> integer coefficient}, scaled by ``ram``
-    (exponent e stands for q^(e/ram)).  With require_integral set, any
+    ``n`` is at least 1.  ``weights`` maps each partition mu of n to a
+    univariate q-polynomial given as {scaled exponent -> integer
+    coefficient}, scaled by ``ram`` (exponent e stands for q^(e/ram)).  A
     fractional q-exponent surviving the summation raises
-    IntegralityViolation.
+    IntegralityViolation.  The sum is reduced by ``RationalQT.simplified``.
     """
-    if n == 0:
-        total = sum(w.get(0, 0) for w in weights.values())
-        return RationalQT(LaurentQT.from_int(total))
-    zl = _z_lcm(n)
+    zl, classes = _class_data(n)
     num = {}
-    for nu, z, tpoly, qco in _class_data(n):
+    for nu, z, tpoly, qco in classes:
         g = {}
         for mu, w in weights.items():
             chi = character(mu, nu)
@@ -118,18 +108,11 @@ def character_bracket_sum(n: int, weights, ram: int = 1, require_integral: bool 
                     num.pop(key, None)
                 else:
                     num[key] = s
-    terms = {}
-    for (qe, te), c in num.items():
+    for qe, _ in num:
         if qe % ram:
-            if require_integral:
-                raise IntegralityViolation(
-                    f"fractional q-exponent {Fraction(qe, ram)} survived summation"
-                )
-            terms[(_canon(Fraction(qe, ram)), te)] = c
-        else:
-            terms[(qe // ram, te)] = c
-    den = universal_denominator(n) * zl
-    return RationalQT(LaurentQT(terms), den).simplified()
+            raise IntegralityViolation(f"fractional q-exponent {Fraction(qe, ram)} survived summation")
+    terms = {(qe // ram, te): c for (qe, te), c in num.items()}
+    return RationalQT(LaurentQT(terms), universal_denominator(n) * zl).simplified()
 
 
 @lru_cache(maxsize=None)

@@ -130,11 +130,11 @@ def _torus_value(m: int, n: int, colors: tuple) -> RationalQT:
     weights = {}
     for mu, c in expansion.coeffs.items():
         weights[mu] = {n * mu.k_invariant(): c}
-    total = character_bracket_sum(n_total, weights, ram=m, require_integral=True)
+    total = character_bracket_sum(n_total, weights, ram=m)
     k_sum = sum(a.k_invariant() for a in colors)
     d_sum = sum(a.size for a in colors)
     prefactor = LaurentQT.monomial(1, -m * n * k_sum, -n * (m - 1) * d_sum)
-    return (total * prefactor).simplified()
+    return total * prefactor
 
 
 def colored_homfly_torus(spec: TorusLinkSpec) -> ColoredInvariant:

@@ -157,6 +157,7 @@ def test_bad_partition_text_exit_two(capsys):
             ["special", "--kind", "H", "--m", "2", "--n", "3", "--color", "(1)", "--basis", "delta"],
             "delta basis applies to univariate q-polynomials",
         ),
+        (["characters", "--n", "0"], "ValueError: n = 0 must be at least 1"),
     ],
     ids=[
         "torus-color-count",
@@ -164,6 +165,7 @@ def test_bad_partition_text_exit_two(capsys):
         "braid-bad-letter",
         "braid-generator-range",
         "special-H-delta-basis",
+        "characters-n-below-one",
     ],
 )
 def test_invalid_spec_exit_two(capsys, argv, message):
@@ -172,6 +174,14 @@ def test_invalid_spec_exit_two(capsys, argv, message):
     assert out == ""
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1
+
+
+def test_non_integer_max_n_exit_two(monkeypatch, capsys):
+    monkeypatch.setenv("SKEIN_HOMFLY_MAX_N", "twelve")
+    code, out, err = run_cli(capsys, "characters", "--n", "3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: ValueError: SKEIN_HOMFLY_MAX_N must be an integer, got 'twelve'\n"
 
 
 def test_missing_grid_file_exit_two(tmp_path, capsys):

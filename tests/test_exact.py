@@ -295,6 +295,34 @@ def test_simplified_cancels_brackets():
     assert g == f
     assert g.is_laurent()
     assert g.as_laurent() == LaurentQT({(1, 0): 1, (-1, 0): 1}) * t_bracket(1)
+    # simplifying a simplified value changes nothing, down to the term dicts
+    not_laurent = RationalQT(q_bracket(1) * q_bracket(2) * t_bracket(1), q_bracket(3) * q_bracket(1))
+    for value in (g, not_laurent.simplified(), delta().simplified(), (delta() * delta()).simplified()):
+        again = value.simplified()
+        assert again.num.terms == value.num.terms and again.den.terms == value.den.terms
+        assert list(again.num.terms) == list(value.num.terms)
+        assert list(again.den.terms) == list(value.den.terms)
+
+
+HALF_BRACKET = LaurentQT({(Fraction(1, 2), 0): 1, (Fraction(-1, 2), 0): -1})
+
+
+def test_simplified_on_fractional_q_lattice():
+    # h = q^1/2 - q^-1/2; both values have half-integer q-exponents
+    f = RationalQT(HALF_BRACKET * q_bracket(1), q_bracket(1)).simplified()
+    assert f.as_laurent() == HALF_BRACKET
+    # q - q^-1 = (q^1/2 - q^-1/2)(q^1/2 + q^-1/2): the half bracket cancels
+    g = RationalQT(q_bracket(1), HALF_BRACKET).simplified()
+    assert g.is_laurent()
+    assert g.as_laurent() == LaurentQT({(Fraction(1, 2), 0): 1, (Fraction(-1, 2), 0): 1})
+
+
+@pytest.mark.parametrize("value", [RationalQT.one(), LaurentQT.one()], ids=["rational", "laurent"])
+def test_reflected_operators_reject_foreign_operands(value):
+    with pytest.raises(TypeError, match="'str' and"):
+        "x" / value
+    with pytest.raises(TypeError, match="for -: 'str' and"):
+        "x" - value
 
 
 def test_as_laurent_folds_monomial_denominator():

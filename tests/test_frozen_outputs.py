@@ -13,6 +13,7 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
 
+import spans  # noqa: E402
 import worker  # noqa: E402
 import workloads  # noqa: E402
 
@@ -24,3 +25,12 @@ def test_workload_outputs_match_frozen_hashes(name):
     _, failures = worker.run_pass(items, expected)
     assert failures == []
     assert len(expected) == len(items)
+
+
+def test_bench_names_resolve():
+    # a renamed or removed entry point or cache fails here, not only in a traced run
+    for module, path in spans.ENTRY_POINTS.values():
+        owner, attr = spans._resolve(module, path)
+        assert callable(getattr(owner, attr)), path
+    for module, attr in spans.CACHES.values():
+        assert getattr(spans._module(module), attr).cache_info() is not None, attr
