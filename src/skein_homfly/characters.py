@@ -82,9 +82,6 @@ class CharacterTable:
     index: tuple
     values: dict
 
-    def value(self, lam: Partition, mu: Partition) -> int:
-        return self.values[(lam, mu)]
-
     def row(self, lam: Partition):
         return [self.values[(lam, mu)] for mu in self.index]
 

@@ -44,8 +44,6 @@ def _print_rational(value: RationalQT, as_json: bool):
     if as_json:
         wire = {"num": laurent_to_json(value.num), "den": laurent_to_json(value.den)}
         print(json.dumps(wire, separators=(",", ":")))
-    elif value.is_laurent():
-        print(canonical_text(value.as_laurent()))
     else:
         print(value)
 

@@ -86,10 +86,6 @@ class LaurentQT:
     def monomial(cls, coeff, q_exp=0, t_exp=0):
         return cls({(q_exp, t_exp): coeff})
 
-    @classmethod
-    def from_int(cls, k):
-        return cls({(0, 0): k})
-
     # -- inspection ---------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -108,14 +104,6 @@ class LaurentQT:
 
     def has_integral_q_exponents(self) -> bool:
         return all(isinstance(qe, int) for qe, _ in self.terms)
-
-    def constant_value(self):
-        """Coefficient view of a constant polynomial; raises if non-constant."""
-        if self.is_zero():
-            return 0
-        if set(self.terms) != {(0, 0)}:
-            raise ValueError("not a constant")
-        return self.terms[(0, 0)]
 
     # -- ring operations ----------------------------------------------
 
@@ -220,10 +208,6 @@ def canonical_text(p: LaurentQT) -> str:
         else:
             parts.append(("- " if c < 0 else "+ ") + body)
     return " ".join(parts)
-
-
-def q_power(e) -> LaurentQT:
-    return LaurentQT({(e, 0): 1})
 
 
 def t_power(e: int) -> LaurentQT:
@@ -422,7 +406,7 @@ class RationalQT:
         return self.num * other.den == other.num * self.den
 
     def __str__(self):
-        if len(self.den.terms) == 1:
+        if self.is_laurent():
             return canonical_text(self.as_laurent())
         return f"({canonical_text(self.num)}) / ({canonical_text(self.den)})"
 
@@ -539,11 +523,7 @@ def truncated_series(p: LaurentQT, variable: str, order: int) -> TruncSeries:
 def _expansion_cap(p: LaurentQT, variable: str) -> int:
     """Upper bound for the vanishing order of p at variable = 1."""
     exps = p.exponents(variable)
-    ram = 1
-    for e in exps:
-        if isinstance(e, Fraction):
-            ram = lcm(ram, e.denominator)
-    span = (max(exps) - min(exps)) * ram
+    span = (max(exps) - min(exps)) * _lattice(0 if variable == "q" else 1, p)
     return int(span) + 1
 
 

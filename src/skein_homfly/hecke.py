@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import permutations as _permutations
 
 from .errors import IndexOutOfRange
-from .exact import LaurentQT, RationalQT, delta, q_bracket, substitute, t_bracket, t_power
+from .exact import LaurentQT, RationalQT, delta, q_bracket, t_bracket, t_power
 from .partitions import Partition
 
 _Z = q_bracket(1)
@@ -62,21 +62,6 @@ def perm_cycle_type(pi: tuple) -> Partition:
 
 def all_permutations(n: int):
     return _permutations(range(n))
-
-
-def reduced_word(pi: tuple):
-    """A reduced word (1-based generator indices) for the permutation."""
-    cur = list(pi)
-    sorting = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(cur) - 1):
-            if cur[i] > cur[i + 1]:
-                cur[i], cur[i + 1] = cur[i + 1], cur[i]
-                sorting.append(i + 1)
-                changed = True
-    return list(reversed(sorting))
 
 
 # -- braid words -------------------------------------------------------
@@ -193,21 +178,6 @@ class HeckeElement:
             and self.terms == other.terms
         )
 
-    def __add__(self, other):
-        if not isinstance(other, HeckeElement) or other.n != self.n:
-            return NotImplemented
-        out = dict(self.terms)
-        for pi, c in other.terms.items():
-            s = out.get(pi, LaurentQT.zero()) + c
-            if s.is_zero():
-                out.pop(pi, None)
-            else:
-                out[pi] = s
-        return HeckeElement(self.n, out)
-
-    def scaled(self, factor) -> "HeckeElement":
-        return HeckeElement(self.n, {pi: c * factor for pi, c in self.terms.items()})
-
     def __repr__(self):
         body = " + ".join(f"[{c}]*w{pi}" for pi, c in sorted(self.terms.items()))
         return f"HeckeElement({self.n}: {body or '0'})"
@@ -259,19 +229,6 @@ def element_of_braid(w: BraidWord) -> HeckeElement:
     return x
 
 
-def hecke_multiply(x: HeckeElement, y: HeckeElement) -> HeckeElement:
-    """Product in the Hecke algebra (right factor expanded by reduced words)."""
-    if x.n != y.n:
-        raise ValueError("strand counts differ")
-    total = HeckeElement(x.n, {})
-    for pi, c in y.terms.items():
-        z = x
-        for i in reduced_word(pi):
-            z = apply_generator(z, i, 1)
-        total = total + z.scaled(c)
-    return total
-
-
 # -- the Markov trace --------------------------------------------------
 
 
@@ -310,39 +267,3 @@ def normalized_homfly_of_closure(w: BraidWord) -> RationalQT:
     """Writhe-corrected invariant divided by the unknot value."""
     bracket = framed_homfly_of_closure(w)
     return (bracket * RationalQT(t_power(-w.writhe)) / delta()).simplified()
-
-
-# -- quasi-idempotents --------------------------------------------------
-
-
-def positive_symmetrizer(m: int) -> HeckeElement:
-    """Sum of q^length * basis element over the symmetric group on m strands."""
-    terms = {}
-    for pi in all_permutations(m):
-        terms[pi] = LaurentQT.monomial(1, perm_length(pi), 0)
-    return HeckeElement(m, terms)
-
-
-def negative_symmetrizer(m: int) -> HeckeElement:
-    """Sum of (-q)^(-length) * basis element; the alternating companion."""
-    terms = {}
-    for pi in all_permutations(m):
-        l = perm_length(pi)
-        terms[pi] = LaurentQT.monomial(-1 if l % 2 else 1, -l, 0)
-    return HeckeElement(m, terms)
-
-
-def idempotent_scalars(m: int):
-    """Eigenvalues (alpha_m, beta_m) of the two symmetrizers on themselves.
-
-    alpha_m = q^(m(m-1)/2) * prod_{i=1..m} (q^i - q^-i)/(q - q^-1) expanded
-    as an exact Laurent polynomial, and beta_m is its image under
-    q -> -q^-1.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    alpha = LaurentQT.monomial(1, m * (m - 1) // 2, 0)
-    for i in range(1, m + 1):
-        balanced = LaurentQT({(e, 0): 1 for e in range(i - 1, -i, -2)})
-        alpha = alpha * balanced
-    return alpha, substitute(alpha, q="-q^-1")

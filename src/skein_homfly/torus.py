@@ -116,11 +116,6 @@ class ColoredInvariant:
     spec: object
 
 
-def framing_eigenvalue(mu: Partition) -> LaurentQT:
-    """Twist eigenvalue q^(k_mu) t^(|mu|) of the Schur decoration mu."""
-    return LaurentQT.monomial(1, mu.k_invariant(), mu.size)
-
-
 @lru_cache(maxsize=None)
 def _torus_value(m: int, n: int, colors: tuple) -> RationalQT:
     expansion = plethysm_coefficients(m, colors)

@@ -1,11 +1,13 @@
 """Mechanical verification of symmetry and limit theorems on small grids.
 
 Each verifier sweeps a compiled-in grid (overridable through a JSON config
-file), evaluates both sides of an identity exactly, and returns a report
-whose failure list is empty exactly when every case holds.  Cells run in
-order in the calling thread: they are pure Python under the GIL and share
-the package's caches, so threads would not speed them up.  The sweep
-functions still accept ``threads=`` for compatibility; it has no effect.
+file) as a plain case loop: it builds a list of case tuples and applies one
+module-level check function to each in order, evaluating both sides of an
+identity exactly.  The report's failure list is empty exactly when every
+case holds; a grid with no cases raises ValueError.  Cases run in the
+calling thread: they are pure Python under the GIL and share the package's
+caches, so threads would not speed them up.  The sweep functions still
+accept ``threads=`` for compatibility; it has no effect.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 import time
 from dataclasses import dataclass, fields
 
+from .characters import hook_character_identity
 from .exact import LaurentQT, RationalQT, limit_at_one, q_bracket, t_power
 from .hecke import (
     all_permutations,
@@ -56,29 +59,25 @@ class VerificationReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def summary(self, include_elapsed: bool = False) -> str:
-        """Report text; elapsed time is opt-in so output bytes stay reproducible."""
+    def summary(self) -> str:
+        """Report text; it leaves out ``elapsed`` so output bytes stay reproducible."""
         status = "PASS" if self.passed else "FAIL"
-        timing = f"elapsed={self.elapsed:.2f}s " if include_elapsed else ""
         lines = [
             f"theorem={self.theorem} grid={self.grid} cases={self.cases} "
-            f"failures={len(self.failures)} {timing}{status}"
+            f"failures={len(self.failures)} {status}"
         ]
         for case, expected, actual in self.failures:
             lines.append(f"  case {case}: expected {expected}, got {actual}")
         return "\n".join(lines)
 
-    def to_dict(self, include_elapsed: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "theorem": self.theorem,
             "grid": self.grid,
             "cases": self.cases,
             "failures": [list(f) for f in self.failures],
             "passed": self.passed,
         }
-        if include_elapsed:
-            out["elapsed"] = self.elapsed
-        return out
 
 
 @dataclass(frozen=True)
@@ -127,31 +126,29 @@ def _grid_value(key: str, v):
     return v if width is None else tuple(tuple(x) if width else x for x in v)
 
 
-def _run_cells(theorem: str, grid_desc: str, cells) -> VerificationReport:
-    """Evaluate callables returning None (pass) or a failure triple, in order."""
+def _sweep(theorem: str, grid: str, check, cases) -> VerificationReport:
+    """Apply ``check(*case)`` to each case tuple in order.
+
+    A check returns None when its case holds, else a failure triple
+    (case, expected, actual).
+    """
+    if not cases:
+        raise ValueError(f"{theorem} has no cases on the grid {grid}")
     start = time.perf_counter()
-    failures = tuple(r for r in (c() for c in cells) if r is not None)
-    return VerificationReport(
-        theorem, grid_desc, len(cells), failures, time.perf_counter() - start
-    )
+    failures = tuple(r for r in (check(*case) for case in cases) if r is not None)
+    return VerificationReport(theorem, grid, len(cases), failures, time.perf_counter() - start)
 
 
 # -- color grids --------------------------------------------------------
 
 
-def _colors_up_to(max_size: int, include_empty: bool = True):
-    out = [Partition(())] if include_empty else []
-    for d in range(1, max_size + 1):
-        out.extend(partitions_of(d))
-    return out
+def _colors_up_to(max_size: int):
+    """All non-empty partitions of size <= max_size."""
+    return [a for d in range(1, max_size + 1) for a in partitions_of(d)]
 
 
 def _hooks_up_to(max_size: int):
-    out = []
-    for d in range(1, max_size + 1):
-        for a in range(d):
-            out.append(Partition((a + 1,) + (1,) * (d - 1 - a)))
-    return out
+    return [Partition((a + 1,) + (1,) * (d - 1 - a)) for d in range(1, max_size + 1) for a in range(d)]
 
 
 def _link_color_vectors(max_total: int):
@@ -166,10 +163,8 @@ def _link_color_vectors(max_total: int):
 
 
 def _symmetry_grid(config: GridConfig):
-    specs = []
-    for m, n in config.knots:
-        for a in _colors_up_to(config.max_color, include_empty=False):
-            specs.append(TorusLinkSpec(m, n, 1, (a,)))
+    colors = _colors_up_to(config.max_color)
+    specs = [TorusLinkSpec(m, n, 1, (a,)) for m, n in config.knots for a in colors]
     for m, n, L in config.links:
         if L != 2:
             raise ValueError("only 2-component links in the default grids")
@@ -181,102 +176,70 @@ def _symmetry_grid(config: GridConfig):
 # -- symmetry theorems ---------------------------------------------------
 
 
-def _symmetry_cell(spec, q_target: str):
-    def cell():
-        w = colored_homfly(spec).value
-        wt = colored_homfly(spec.conjugate_colors()).value
-        if q_target == "q^-1":
-            sign = -1 if sum(c.size for c in spec.all_colors()) % 2 else 1
-        else:
-            sign = -1 if sum(c.k_invariant() for c in spec.all_colors()) % 2 else 1
-        lhs = w.substituted(q=q_target)
-        rhs = wt * sign
-        if lhs != rhs:
-            return (str(spec), f"{q_target} image matches transposed colors", "mismatch")
-        return None
+def _check_symmetry(spec, q_target: str):
+    w = colored_homfly(spec).value
+    wt = colored_homfly(spec.conjugate_colors()).value
+    if q_target == "q^-1":
+        sign = -1 if sum(c.size for c in spec.all_colors()) % 2 else 1
+    else:
+        sign = -1 if sum(c.k_invariant() for c in spec.all_colors()) % 2 else 1
+    if w.substituted(q=q_target) != wt * sign:
+        return (str(spec), f"{q_target} image matches transposed colors", "mismatch")
+    return None
 
-    return cell
+
+def _symmetry_sweep(theorem: str, q_target: str, config: GridConfig) -> VerificationReport:
+    config = config or GridConfig()
+    grid = f"knots={list(config.knots)} links={list(config.links)} |colors|<={config.max_color}"
+    return _sweep(theorem, grid, _check_symmetry, [(s, q_target) for s in _symmetry_grid(config)])
 
 
 def verify_symmetry_q_inverse(config: GridConfig = None, threads=None) -> VerificationReport:
     """W(q^-1, t) = (-1)^(total boxes) * W with all colors transposed."""
-    config = config or GridConfig()
-    cells = [_symmetry_cell(s, "q^-1") for s in _symmetry_grid(config)]
-    grid = f"knots={list(config.knots)} links={list(config.links)} |colors|<={config.max_color}"
-    return _run_cells("thm72", grid, cells)
+    return _symmetry_sweep("thm72", "q^-1", config)
 
 
 def verify_symmetry_neg_q_inverse(config: GridConfig = None, threads=None) -> VerificationReport:
     """W(-q^-1, t) = (-1)^(sum of framing exponents) * W with colors transposed."""
-    config = config or GridConfig()
-    cells = [_symmetry_cell(s, "-q^-1") for s in _symmetry_grid(config)]
-    grid = f"knots={list(config.knots)} links={list(config.links)} |colors|<={config.max_color}"
-    return _run_cells("thm71", grid, cells)
+    return _symmetry_sweep("thm71", "-q^-1", config)
 
 
 # -- special polynomial theorems -----------------------------------------
 
 
-def _h_cell(m, n, a):
-    def cell():
-        spec = TorusLinkSpec(m, n, 1, (a,))
-        lhs = special_H(spec).value
-        base = special_H(TorusLinkSpec(m, n, 1, (Partition((1,)),))).value
-        rhs = base ** a.size if a.size else LaurentQT.one()
-        if lhs != rhs:
-            return (str(spec), "H equals single-box H to the |A|", "mismatch")
-        return None
-
-    return cell
-
-
-def _h_link_cell(m, n, colors):
-    def cell():
-        spec = TorusLinkSpec(m, n, 2, colors)
-        lhs = special_H(spec).value
+def _check_H(spec):
+    lhs = special_H(spec).value
+    if spec.L == 2:
         # components of these links are unknots, so the product form is 1
         if lhs != LaurentQT.one():
             return (str(spec), "H = 1 for unknot components", str(lhs))
         return None
-
-    return cell
+    (a,) = spec.colors
+    base = special_H(TorusLinkSpec(spec.m, spec.n, 1, (Partition((1,)),))).value
+    if lhs != base ** a.size:
+        return (str(spec), "H equals single-box H to the |A|", "mismatch")
+    return None
 
 
 def verify_special_H(config: GridConfig = None, threads=None) -> VerificationReport:
     """Multiplicativity of the q->1 special polynomial in the color size."""
     config = config or GridConfig()
-    cells = []
-    for m, n in config.knots:
-        for a in _colors_up_to(config.max_color):
-            cells.append(_h_cell(m, n, a))
-    for m, n, L in config.links:
-        cells.append(_h_link_cell(m, n, (Partition((1,)), Partition((1,)))))
+    colors = [Partition(())] + _colors_up_to(config.max_color)
+    cases = [(TorusLinkSpec(m, n, 1, (a,)),) for m, n in config.knots for a in colors]
+    box = Partition((1,))
+    cases += [(TorusLinkSpec(m, n, 2, (box, box)),) for m, n, _ in config.links]
     grid = f"knots={list(config.knots)} |A|<={config.max_color} plus single-box links"
-    return _run_cells("thm62", grid, cells)
+    return _sweep("thm62", grid, _check_H, cases)
 
 
-def _delta_hook_cell(m, n, a):
-    def cell():
-        spec = TorusLinkSpec(m, n, 1, (a,))
-        lhs = special_delta(spec).value
-        rhs = alexander_torus(m, n, a.size)
-        if lhs != rhs:
-            return (str(spec), "t->1 limit equals Alexander at q^|A|", "mismatch")
-        return None
-
-    return cell
-
-
-def _delta_counterexample_cell():
-    def cell():
-        spec = TorusLinkSpec(2, 3, 1, (Partition((2, 2)),))
-        lhs = special_delta(spec).value
-        rhs = alexander_torus(2, 3, 4)
-        if lhs == rhs:
-            return (str(spec), "non-hook color must break the q^|A| rule", "equality held")
-        return None
-
-    return cell
+def _check_delta(spec, hook: bool):
+    (a,) = spec.colors
+    holds = special_delta(spec).value == alexander_torus(spec.m, spec.n, a.size)
+    if hook and not holds:
+        return (str(spec), "t->1 limit equals Alexander at q^|A|", "mismatch")
+    if holds and not hook:
+        return (str(spec), "non-hook color must break the q^|A| rule", "equality held")
+    return None
 
 
 def verify_special_delta(config: GridConfig = None, threads=None) -> VerificationReport:
@@ -286,61 +249,54 @@ def verify_special_delta(config: GridConfig = None, threads=None) -> Verificatio
     (2,3) torus knot must NOT satisfy the hook identity.
     """
     config = config or GridConfig()
-    cells = []
-    for m, n in config.knots:
-        for a in _hooks_up_to(config.hook_max):
-            cells.append(_delta_hook_cell(m, n, a))
-    cells.append(_delta_counterexample_cell())
+    cases = [
+        (TorusLinkSpec(m, n, 1, (a,)), True)
+        for m, n in config.knots
+        for a in _hooks_up_to(config.hook_max)
+    ]
+    cases.append((TorusLinkSpec(2, 3, 1, (Partition((2, 2)),)), False))
     grid = f"knots={list(config.knots)} hooks |A|<={config.hook_max} + counterexample"
-    return _run_cells("thm64", grid, cells)
-
-
-def verify_special_theorems(config: GridConfig = None, threads=None):
-    """Both special-polynomial sweeps, aggregated."""
-    return (verify_special_H(config), verify_special_delta(config))
+    return _sweep("thm64", grid, _check_delta, cases)
 
 
 # -- combinatorial lemmas -------------------------------------------------
 
 
+def _check_hook_identity(b):
+    if not hook_character_identity(b):
+        return (str(b), "hook alternating sum equals bracket product", "mismatch")
+    return None
+
+
 def verify_hook_character_identity(config: GridConfig = None, threads=None) -> VerificationReport:
     """Exhaustive hook character generating identity for all classes."""
-    from .characters import hook_character_identity
-
     config = config or GridConfig()
+    cases = [(b,) for d in range(1, config.hook_identity_max + 1) for b in partitions_of(d)]
+    return _sweep("lemma65", f"|B| <= {config.hook_identity_max}", _check_hook_identity, cases)
 
-    def make_cell(b):
-        def cell():
-            if not hook_character_identity(b):
-                return (str(b), "hook alternating sum equals bracket product", "mismatch")
-            return None
 
-        return cell
-
-    cells = [
-        make_cell(b)
-        for d in range(1, config.hook_identity_max + 1)
-        for b in partitions_of(d)
-    ]
-    return _run_cells("lemma65", f"|B| <= {config.hook_identity_max}", cells)
+def _check_parity(d: int):
+    for pi in all_permutations(d):
+        if (perm_length(pi) + perm_cycle_type(pi).length - d) % 2:
+            return (str(pi), f"parity {d % 2}", "parity mismatch")
+    return None
 
 
 def verify_permutation_parity(n: int = DEFAULT_PARITY_MAX, threads=None) -> VerificationReport:
     """Inversion count plus cycle count has the parity of the degree."""
     if n > 8:
         raise ValueError("parity sweep capped at n = 8")
+    cases = [(d,) for d in range(1, n + 1)]
+    return _sweep("lemma73", f"all permutations, degree <= {n}", _check_parity, cases)
 
-    def make_cell(d):
-        def cell():
-            for pi in all_permutations(d):
-                if (perm_length(pi) + perm_cycle_type(pi).length - d) % 2:
-                    return (str(pi), f"parity {d % 2}", "parity mismatch")
-            return None
 
-        return cell
-
-    cells = [make_cell(d) for d in range(1, n + 1)]
-    return _run_cells("lemma73", f"all permutations, degree <= {n}", cells)
+def _check_lowest_term(k: int):
+    p = normalized_homfly_of_closure(torus_braid_word(2, 2 * k))
+    lowest = limit_at_one(p * RationalQT(q_bracket(1)), "q")
+    expected = t_power(1 - 2 * k) - t_power(-1 - 2 * k)
+    if lowest != expected:
+        return (f"T(2,{2 * k})", str(expected), str(lowest))
+    return None
 
 
 def verify_lowest_term(config: GridConfig = None, threads=None) -> VerificationReport:
@@ -355,23 +311,9 @@ def verify_lowest_term(config: GridConfig = None, threads=None) -> VerificationR
     number -k there.
     """
     config = config or GridConfig()
-
-    def make_cell(k):
-        def cell():
-            word = torus_braid_word(2, 2 * k)
-            p = normalized_homfly_of_closure(word)
-            bracket_scaled = p * RationalQT(q_bracket(1))
-            lowest = limit_at_one(bracket_scaled, "q")
-            expected = t_power(1 - 2 * k) - t_power(-1 - 2 * k)
-            if lowest != expected:
-                return (f"T(2,{2 * k})", str(expected), str(lowest))
-            return None
-
-        return cell
-
-    cells = [make_cell(k) for k in config.lowest_term_twists]
+    cases = [(k,) for k in config.lowest_term_twists]
     grid = f"T(2,2k) for k in {list(config.lowest_term_twists)}"
-    return _run_cells("thm22", grid, cells)
+    return _sweep("thm22", grid, _check_lowest_term, cases)
 
 
 # -- registry -------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Independent oracles that only the tests use.
 
 Schur polynomials by Jacobi-Trudi determinant expansion in explicit
-variables, the symmetric-function generators they are built from, and a
+variables, the symmetric-function generators they are built from, the
+Hecke-algebra product with the two quasi-idempotent symmetrizers
+(Aiston-Morton, Idempotents of Hecke algebras of type A, JKTR 1998), and a
 floating-point evaluation of Laurent polynomials for numeric sanity checks.
 None of this feeds a computed result of the package.
 """
@@ -10,7 +12,8 @@ from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement, permutations
 
-from skein_homfly.exact import LaurentQT
+from skein_homfly.exact import LaurentQT, substitute
+from skein_homfly.hecke import HeckeElement, all_permutations, apply_generator, perm_length
 from skein_homfly.partitions import Partition
 
 
@@ -105,6 +108,83 @@ def jacobi_trudi_schur(lam: Partition, nvars: int, kind: str = "h") -> dict:
             else:
                 total[e] = s
     return total
+
+
+# -- Hecke algebra products and quasi-idempotents --------------------------
+
+
+def reduced_word(pi: tuple):
+    """A reduced word (1-based generator indices) for the permutation."""
+    cur = list(pi)
+    sorting = []
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(cur) - 1):
+            if cur[i] > cur[i + 1]:
+                cur[i], cur[i + 1] = cur[i + 1], cur[i]
+                sorting.append(i + 1)
+                changed = True
+    return list(reversed(sorting))
+
+
+def hecke_add(x: HeckeElement, y: HeckeElement) -> HeckeElement:
+    """Sum of two elements on the same number of strands."""
+    out = dict(x.terms)
+    for pi, c in y.terms.items():
+        out[pi] = out.get(pi, LaurentQT.zero()) + c
+    return HeckeElement(x.n, out)  # the constructor drops zero coefficients
+
+
+def hecke_scaled(x: HeckeElement, factor) -> HeckeElement:
+    """Every coefficient of x multiplied by factor."""
+    return HeckeElement(x.n, {pi: c * factor for pi, c in x.terms.items()})
+
+
+def hecke_multiply(x: HeckeElement, y: HeckeElement) -> HeckeElement:
+    """Product in the Hecke algebra (right factor expanded by reduced words)."""
+    if x.n != y.n:
+        raise ValueError("strand counts differ")
+    total = HeckeElement(x.n, {})
+    for pi, c in y.terms.items():
+        z = x
+        for i in reduced_word(pi):
+            z = apply_generator(z, i, 1)
+        total = hecke_add(total, hecke_scaled(z, c))
+    return total
+
+
+def positive_symmetrizer(m: int) -> HeckeElement:
+    """Sum of q^length * basis element over the symmetric group on m strands."""
+    terms = {}
+    for pi in all_permutations(m):
+        terms[pi] = LaurentQT.monomial(1, perm_length(pi), 0)
+    return HeckeElement(m, terms)
+
+
+def negative_symmetrizer(m: int) -> HeckeElement:
+    """Sum of (-q)^(-length) * basis element; the alternating companion."""
+    terms = {}
+    for pi in all_permutations(m):
+        l = perm_length(pi)
+        terms[pi] = LaurentQT.monomial(-1 if l % 2 else 1, -l, 0)
+    return HeckeElement(m, terms)
+
+
+def idempotent_scalars(m: int):
+    """Eigenvalues (alpha_m, beta_m) of the two symmetrizers on themselves.
+
+    alpha_m = q^(m(m-1)/2) * prod_{i=1..m} (q^i - q^-i)/(q - q^-1) expanded
+    as an exact Laurent polynomial, and beta_m is its image under
+    q -> -q^-1.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    alpha = LaurentQT.monomial(1, m * (m - 1) // 2, 0)
+    for i in range(1, m + 1):
+        balanced = LaurentQT({(e, 0): 1 for e in range(i - 1, -i, -2)})
+        alpha = alpha * balanced
+    return alpha, substitute(alpha, q="-q^-1")
 
 
 # -- numeric evaluation ----------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -209,6 +210,20 @@ def test_unknown_grid_key_exit_two(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+def test_empty_grid_exit_two(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    for theorem, raw, message in (
+        ("thm72", {"max_color": 0}, "ValueError: thm72 has no cases on the grid knots="),
+        ("lemma65", {"hook_identity_max": -3}, "ValueError: lemma65 has no cases on the grid |B| <= -3"),
+    ):
+        grid.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, "verify", "--theorem", theorem, "--grid", str(grid))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+
+
 def test_byte_identical_across_threads(capsys):
     outputs = []
     for threads in ("1", "4"):
@@ -218,6 +233,16 @@ def test_byte_identical_across_threads(capsys):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def test_readme_library_tour(capsys):
+    # the README's Python example runs and prints the line its comment gives
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [line[2:] for line in block.splitlines() if line.startswith("# ")]
+    assert expected == ["5 - 4*D_4 - D_6 + 3*D_8 + 2*D_10 - 2*D_12 - D_14 + D_16"]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 def test_repeated_runs_identical(capsys):

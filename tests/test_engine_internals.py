@@ -120,11 +120,3 @@ def test_rational_negative_power():
     assert f ** -1 == RationalQT(q_bracket(1), q_bracket(2))
     assert f ** 0 == RationalQT.one()
 
-
-def test_verify_special_theorems_aggregate():
-    from skein_homfly.verify import GridConfig, verify_special_theorems
-
-    small = GridConfig(knots=((2, 3),), links=(), max_color=2, hook_max=2)
-    h_report, d_report = verify_special_theorems(small)
-    assert h_report.passed and d_report.passed
-    assert h_report.theorem == "thm62" and d_report.theorem == "thm64"

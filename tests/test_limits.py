@@ -136,7 +136,7 @@ def test_delta_basis_round_trip():
 
 def test_delta_basis_unit_coefficients_and_zero():
     assert format_delta_basis(LaurentQT.zero()) == "0"
-    assert format_delta_basis(LaurentQT.from_int(3)) == "3"
+    assert format_delta_basis(LaurentQT.monomial(3)) == "3"
     p = LaurentQT({(2, 0): -1, (-2, 0): -1})
     assert format_delta_basis(p) == "-D_2"
 

@@ -14,7 +14,6 @@ from skein_homfly.torus import (
     colored_homfly_disjoint_union,
     colored_homfly_torus,
     colored_homfly_unknot,
-    framing_eigenvalue,
     uncolored_homfly_torus_knot,
 )
 
@@ -27,12 +26,6 @@ def _mono(c, qe, te):
 
 def s_star(*parts):
     return unknot_value(P(parts))
-
-
-def test_framing_eigenvalues():
-    assert framing_eigenvalue(P((1,))) == LaurentQT.monomial(1, 0, 1)
-    assert framing_eigenvalue(P((2,))) == LaurentQT.monomial(1, 2, 2)
-    assert framing_eigenvalue(P((1, 1))) == LaurentQT.monomial(1, -2, 2)
 
 
 # -- torus knots, single box through two boxes --------------------------
