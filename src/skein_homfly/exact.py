@@ -32,6 +32,8 @@ from .errors import FractionalExponentSign, LimitDoesNotExist, ZeroFunction
 
 def _canon(x):
     """Collapse Fraction with denominator 1 to int."""
+    if type(x) is int:
+        return x
     if isinstance(x, Fraction) and x.denominator == 1:
         return int(x)
     return x
@@ -58,10 +60,12 @@ class LaurentQT:
         clean = {}
         if terms:
             for (qe, te), c in terms.items():
-                c = _canon(c)
+                if type(c) is not int:
+                    c = _canon(c)
                 if c == 0:
                     continue
-                qe = _canon(qe)
+                if type(qe) is not int:
+                    qe = _canon(qe)
                 if not isinstance(te, int):
                     te = _canon(te)
                     if not isinstance(te, int):

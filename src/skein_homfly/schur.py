@@ -11,9 +11,10 @@ accumulated over one universal denominator
     D_n(q) = prod_{k=1}^{n} (q^k - q^{-k})^{floor(n/k)}
 
 which every per-class bracket product divides, so summation never leaves a
-single fraction.  The inner loops run on exact.py's univariate kernel of
-integer-keyed dicts of integer coefficients; Fractions appear only at the
-boundary.
+single fraction.  ``class_sum_order`` takes one coefficient of such a sum
+at t = e^h instead, from the classes with few parts only.  The inner loops
+run on exact.py's univariate kernel of integer-keyed dicts of integer
+coefficients; Fractions appear only at the boundary.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm
+from math import factorial, lcm
 
 from .characters import character
 from .errors import IntegralityViolation
@@ -37,18 +38,23 @@ def _udiv_bracket(a: dict, k: int) -> dict:
     return out
 
 
-def _bracket_poly(k: int) -> dict:
-    return {k: 1, -k: -1}
+def _brackets(powers: dict, scale: int = 1) -> dict:
+    """prod_p (v^(p scale) - v^-(p scale))^powers[p] as an {exponent: coeff} dict."""
+    out = {0: 1}
+    for p, e in powers.items():
+        for _ in range(e):
+            out = _umul(out, {p * scale: 1, -p * scale: -1})
+    return out
+
+
+def _multiplicities(nu: Partition) -> dict:
+    return {p: nu.multiplicity(p) for p in nu}
 
 
 @lru_cache(maxsize=None)
 def _universal_denominator_coeffs(n: int) -> tuple:
     """D_n(q) = prod_k (q^k - q^-k)^{floor(n/k)} as a sorted item tuple."""
-    poly = {0: 1}
-    for k in range(1, n + 1):
-        for _ in range(n // k):
-            poly = _umul(poly, _bracket_poly(k))
-    return tuple(sorted(poly.items()))
+    return tuple(sorted(_brackets({k: n // k for k in range(1, n + 1)}).items()))
 
 
 def universal_denominator(n: int) -> LaurentQT:
@@ -62,14 +68,30 @@ def _class_data(n: int) -> tuple:
     d_n = dict(_universal_denominator_coeffs(n))
     out = []
     for nu in partitions_of(n):
-        tpoly = {0: 1}
-        for p in nu:
-            tpoly = _umul(tpoly, _bracket_poly(p))
+        tpoly = _brackets(_multiplicities(nu))
         qco = dict(d_n)
         for p in nu:
             qco = _udiv_bracket(qco, p)
         out.append((nu, nu.z_factor(), tuple(sorted(tpoly.items())), tuple(sorted(qco.items()))))
     return lcm(*(z for _, z, _, _ in out)), tuple(out)
+
+
+def _class_weight(weights, nu: Partition) -> dict:
+    """g_nu = sum_mu w_mu chi_mu(nu), on the weights' scaled exponent lattice."""
+    g = {}
+    for mu, w in weights.items():
+        chi = character(mu, nu)
+        if chi:
+            for e, c in w.items():
+                g[e] = g.get(e, 0) + chi * c
+    return {e: c for e, c in g.items() if c}
+
+
+def _unscale(qe: int, ram: int) -> int:
+    """A scaled q-exponent as an integer; IntegralityViolation if it is not one."""
+    if qe % ram:
+        raise IntegralityViolation(f"fractional q-exponent {Fraction(qe, ram)} survived summation")
+    return qe // ram
 
 
 def character_bracket_sum(n: int, weights, ram: int = 1) -> RationalQT:
@@ -79,21 +101,14 @@ def character_bracket_sum(n: int, weights, ram: int = 1) -> RationalQT:
     univariate q-polynomial given as {scaled exponent -> integer
     coefficient}, scaled by ``ram`` (exponent e stands for q^(e/ram)).  A
     fractional q-exponent surviving the summation raises
-    IntegralityViolation.  The sum is reduced by ``RationalQT.simplified``.
+    IntegralityViolation.  All p(n) classes enter; the sum is reduced by
+    ``RationalQT.simplified``.  ``class_sum_order`` takes one coefficient of
+    the same sum at t = 1 from far fewer classes.
     """
     zl, classes = _class_data(n)
     num = {}
     for nu, z, tpoly, qco in classes:
-        g = {}
-        for mu, w in weights.items():
-            chi = character(mu, nu)
-            if chi:
-                for e, c in w.items():
-                    s = g.get(e, 0) + chi * c
-                    if s == 0:
-                        g.pop(e, None)
-                    else:
-                        g[e] = s
+        g = _class_weight(weights, nu)
         if not g:
             continue
         qscaled = {e * ram: c for e, c in qco}
@@ -108,11 +123,34 @@ def character_bracket_sum(n: int, weights, ram: int = 1) -> RationalQT:
                     num.pop(key, None)
                 else:
                     num[key] = s
-    for qe, _ in num:
-        if qe % ram:
-            raise IntegralityViolation(f"fractional q-exponent {Fraction(qe, ram)} survived summation")
-    terms = {(qe // ram, te): c for (qe, te), c in num.items()}
+    terms = {(_unscale(qe, ram), te): c for (qe, te), c in num.items()}
     return RationalQT(LaurentQT(terms), universal_denominator(n) * zl).simplified()
+
+
+def class_sum_order(n: int, weights, j: int, ram: int = 1) -> tuple:
+    """[h^j] of sum_mu w_mu(q) * s*_mu at t = e^h, as (numerator, denominator).
+
+    Both are {q-exponent: integer} dicts; ``weights`` and ``ram`` are as in
+    ``character_bracket_sum``, and so is the IntegralityViolation check.
+    Each t^p - t^-p = 2 sinh(ph) is odd in h, so class nu enters at orders
+    l(nu), l(nu) + 2, ...: only the classes with l(nu) <= j and l(nu) = j
+    (mod 2) are summed.  The h^j coefficient of a class's t-bracket product
+    is sum_te c_te te^j / j!.  The denominator is j! lcm(z_nu) prod_p [p]^e_p,
+    e_p the most parts p in one summed class, so e_p <= min(j, n // p).
+    """
+    classes = [nu for nu in partitions_of(n) if nu.length <= j and (j - nu.length) % 2 == 0]
+    parts = {p for nu in classes for p in nu}
+    powers = {p: max(nu.multiplicity(p) for nu in classes) for p in parts}
+    zl = lcm(*(nu.z_factor() for nu in classes))
+    num = {}
+    for nu in classes:
+        mult = _multiplicities(nu)
+        f = sum(c * te**j for te, c in _brackets(mult).items()) * (zl // nu.z_factor())
+        qco = _brackets({p: e - mult.get(p, 0) for p, e in powers.items()}, ram)
+        for qe, c in _umul(_class_weight(weights, nu), qco).items():
+            num[qe] = num.get(qe, 0) + f * c
+    den = _umul({0: factorial(j) * zl}, _brackets(powers))
+    return {_unscale(qe, ram): c for qe, c in num.items() if c}, den
 
 
 @lru_cache(maxsize=None)

@@ -4,7 +4,8 @@ H is the q->1 limit of the colored invariant divided by the matching
 product of colored unknot values; its dual (t->1) recovers the Alexander
 polynomial at the single-box color and stays multiplicative in q^|A| for
 hook colors on torus knots -- but not for arbitrary colors, and for links
-the t->1 limit generally does not exist at all.
+the t->1 limit generally does not exist at all.  H expands the full value;
+the dual is taken limit-first from a few classes of the torus class sum.
 
 Values in q that are symmetric under q -> 1/q can be re-expressed on the
 basis {1} and D_d = q^d + q^-d by greedy top-degree elimination; that is
@@ -14,19 +15,21 @@ the display form used for the non-hook counterexample.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
-from .errors import NonCoprime
+from .errors import LimitDoesNotExist, NonCoprime
 from .exact import (
     LaurentQT,
     RationalQT,
     _exact_div_univariate,
     _fmt_rational,
+    _udiv,
+    _umul,
     limit_at_one,
     q_bracket,
 )
-from .torus import colored_homfly
-from .schur import unknot_value
+from .schur import class_sum_order, unknot_value
+from .torus import DisjointUnion, TorusLinkSpec, UnknotSpec, _torus_weights, colored_homfly
 
 
 @dataclass(frozen=True)
@@ -39,27 +42,53 @@ class SpecialPolynomial:
     source: object
 
 
-def _ratio(spec) -> RationalQT:
-    w = colored_homfly(spec).value
+def special_H(spec) -> SpecialPolynomial:
+    """q->1 limit of the invariant over the unknot normalization, by series
+    expansion of the full two-variable ratio."""
     den = RationalQT.one()
     for a in spec.all_colors():
         den = den * unknot_value(a)
-    return (w / den).simplified()
-
-
-def special_H(spec) -> SpecialPolynomial:
-    """q->1 limit of the invariant over the unknot normalization."""
-    value = limit_at_one(_ratio(spec), "q").as_laurent()
+    value = limit_at_one((colored_homfly(spec).value / den).simplified(), "q").as_laurent()
     return SpecialPolynomial("H", "t", value, spec)
 
 
-def special_delta(spec) -> SpecialPolynomial:
-    """t->1 limit of the invariant over the unknot normalization.
+def _delta_torus(spec: TorusLinkSpec) -> LaurentQT:
+    weights, n_total, (qe, _) = _torus_weights(spec.m, spec.n, spec.colors)
+    # s*_A vanishes at t = 1 once per cell of content 0: d(A), the Durfee size
+    orders = [sum(1 for i, p in enumerate(a.parts) if p > i) for a in spec.colors]
+    k = sum(orders)
+    for j in range(k):
+        if class_sum_order(n_total, weights, j, spec.m)[0]:
+            raise LimitDoesNotExist(f"numerator vanishes to order {j} < denominator order {k} at t=1")
+    num, den = class_sum_order(n_total, weights, k, spec.m)
+    if not num:
+        return LaurentQT.zero()
+    for a, d in zip(spec.colors, orders):
+        un, ud = class_sum_order(a.size, {a: {0: 1}}, d)
+        num, den = _umul(num, ud), _umul(den, un)
+    out = _udiv(num, den)
+    if out is None:
+        raise ValueError("value is not a Laurent polynomial")
+    return LaurentQT({(e + qe, 0): c for e, c in out.items()})
 
-    Exists for knots; for links it generally does not (LimitDoesNotExist
-    propagates), which is itself a checked behavior.
+
+def special_delta(spec) -> SpecialPolynomial:
+    """t->1 limit of the invariant over the unknot normalization, limit-first.
+
+    At t = e^h the unknot s*_A vanishes to order d(A), its Durfee size: the
+    value is q^(-mn k_A) [h^k] V / prod [h^d(A)] s*_A, k = sum d(A), from the
+    classes with at most k parts.  A link whose lower orders do not vanish
+    raises LimitDoesNotExist; a disjoint union gives the product of its
+    components' values.
     """
-    value = limit_at_one(_ratio(spec), "t").as_laurent()
+    if isinstance(spec, TorusLinkSpec):
+        value = _delta_torus(spec)
+    elif isinstance(spec, UnknotSpec):
+        value = LaurentQT.one()
+    elif isinstance(spec, DisjointUnion):
+        value = prod((special_delta(c).value for c in spec.components), start=LaurentQT.one())
+    else:
+        raise TypeError(f"unsupported link spec: {spec!r}")
     return SpecialPolynomial("delta", "q", value, spec)
 
 

@@ -116,20 +116,21 @@ class ColoredInvariant:
     spec: object
 
 
-@lru_cache(maxsize=None)
-def _torus_value(m: int, n: int, colors: tuple) -> RationalQT:
+def _torus_weights(m: int, n: int, colors: tuple):
+    """(twist weights {mu: {n k_mu: C^mu}} at ram = m, degree, (qe, te) of the prefactor q^qe t^te)."""
     expansion = plethysm_coefficients(m, colors)
-    n_total = expansion.degree
-    if n_total == 0:
-        return RationalQT.one()
-    weights = {}
-    for mu, c in expansion.coeffs.items():
-        weights[mu] = {n * mu.k_invariant(): c}
-    total = character_bracket_sum(n_total, weights, ram=m)
+    weights = {mu: {n * mu.k_invariant(): c} for mu, c in expansion.coeffs.items()}
     k_sum = sum(a.k_invariant() for a in colors)
     d_sum = sum(a.size for a in colors)
-    prefactor = LaurentQT.monomial(1, -m * n * k_sum, -n * (m - 1) * d_sum)
-    return total * prefactor
+    return weights, expansion.degree, (-m * n * k_sum, -n * (m - 1) * d_sum)
+
+
+@lru_cache(maxsize=None)
+def _torus_value(m: int, n: int, colors: tuple) -> RationalQT:
+    weights, n_total, (qe, te) = _torus_weights(m, n, colors)
+    if n_total == 0:
+        return RationalQT.one()
+    return character_bracket_sum(n_total, weights, ram=m) * LaurentQT.monomial(1, qe, te)
 
 
 def colored_homfly_torus(spec: TorusLinkSpec) -> ColoredInvariant:

@@ -224,12 +224,13 @@ def _check_H(spec):
 def verify_special_H(config: GridConfig = None, threads=None) -> VerificationReport:
     """Multiplicativity of the q->1 special polynomial in the color size."""
     config = config or GridConfig()
-    colors = [Partition(())] + _colors_up_to(config.max_color)
-    cases = [(TorusLinkSpec(m, n, 1, (a,)),) for m, n in config.knots for a in colors]
+    colors = _colors_up_to(config.max_color)
+    cases = [(TorusLinkSpec(m, n, 1, (a,)),) for m, n in config.knots for a in [Partition(()), *colors]]
     box = Partition((1,))
     cases += [(TorusLinkSpec(m, n, 2, (box, box)),) for m, n, _ in config.links]
     grid = f"knots={list(config.knots)} |A|<={config.max_color} plus single-box links"
-    return _sweep("thm62", grid, _check_H, cases)
+    # with no non-empty color the sweep would check empty colors and links only
+    return _sweep("thm62", grid, _check_H, cases if colors else [])
 
 
 def _check_delta(spec, hook: bool):
@@ -254,7 +255,9 @@ def verify_special_delta(config: GridConfig = None, threads=None) -> Verificatio
         for m, n in config.knots
         for a in _hooks_up_to(config.hook_max)
     ]
-    cases.append((TorusLinkSpec(2, 3, 1, (Partition((2, 2)),)), False))
+    # with no hook case the sweep would check the counterexample only
+    if cases:
+        cases.append((TorusLinkSpec(2, 3, 1, (Partition((2, 2)),)), False))
     grid = f"knots={list(config.knots)} hooks |A|<={config.hook_max} + counterexample"
     return _sweep("thm64", grid, _check_delta, cases)
 

@@ -3,8 +3,10 @@
 Schur polynomials by Jacobi-Trudi determinant expansion in explicit
 variables, the symmetric-function generators they are built from, the
 Hecke-algebra product with the two quasi-idempotent symmetrizers
-(Aiston-Morton, Idempotents of Hecke algebras of type A, JKTR 1998), and a
-floating-point evaluation of Laurent polynomials for numeric sanity checks.
+(Aiston-Morton, Idempotents of Hecke algebras of type A, JKTR 1998), the
+t = 1 leading term of a colored unknot from the hook-content product, and
+a floating-point evaluation of Laurent polynomials for numeric sanity
+checks.
 None of this feeds a computed result of the package.
 """
 
@@ -12,9 +14,32 @@ from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement, permutations
 
-from skein_homfly.exact import LaurentQT, substitute
+from skein_homfly.exact import LaurentQT, RationalQT, q_bracket, substitute
 from skein_homfly.hecke import HeckeElement, all_permutations, apply_generator, perm_length
 from skein_homfly.partitions import Partition
+
+
+# -- colored unknots at t = 1 ---------------------------------------------
+
+
+def unknot_leading_term(lam: Partition):
+    """(d, c): s*_lam = c h^d + O(h^(d+1)) at t = e^h, c a RationalQT in q.
+
+    From the hook-content product prod_x (t q^c(x) - t^-1 q^-c(x)) / [h(x)],
+    [k] = q^k - q^-k (Macdonald, Ch. I Sec. 3, Ex. 4): a cell of content 0
+    contributes 2 sinh(h) = 2h + ..., any other cell [c(x)] + O(h).  So d is
+    the number of content-0 cells and c = 2^d prod_{c(x) != 0} [c(x)] / prod [h(x)].
+    """
+    conj = lam.conjugate()
+    d, num, den = 0, LaurentQT.monomial(1), LaurentQT.monomial(1)
+    for i, p in enumerate(lam.parts):
+        for j in range(p):
+            if j == i:
+                d += 1
+            else:
+                num = num * q_bracket(j - i)
+            den = den * q_bracket(p - j + conj[j] - i - 1)
+    return d, RationalQT(num * 2**d, den)
 
 
 # -- Jacobi-Trudi determinants -------------------------------------------

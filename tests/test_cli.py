@@ -215,6 +215,10 @@ def test_empty_grid_exit_two(tmp_path, capsys):
     for theorem, raw, message in (
         ("thm72", {"max_color": 0}, "ValueError: thm72 has no cases on the grid knots="),
         ("lemma65", {"hook_identity_max": -3}, "ValueError: lemma65 has no cases on the grid |B| <= -3"),
+        # no case of the claim: thm64 would run only its counterexample,
+        # thm62 only empty colors and links
+        ("thm64", {"hook_max": 0}, "ValueError: thm64 has no cases on the grid knots="),
+        ("thm62", {"max_color": -1}, "ValueError: thm62 has no cases on the grid knots="),
     ):
         grid.write_text(json.dumps(raw))
         code, out, err = run_cli(capsys, "verify", "--theorem", theorem, "--grid", str(grid))

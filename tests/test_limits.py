@@ -1,8 +1,9 @@
 import pytest
 
 from skein_homfly.errors import LimitDoesNotExist, NonCoprime
-from skein_homfly.exact import LaurentQT, q_bracket
-from skein_homfly.partitions import Partition
+from skein_homfly.exact import LaurentQT, limit_at_one, q_bracket
+from skein_homfly.partitions import Partition, partitions_of
+from skein_homfly.schur import unknot_value
 from skein_homfly.special import (
     SpecialPolynomial,
     alexander_torus,
@@ -12,7 +13,7 @@ from skein_homfly.special import (
     special_H,
     special_delta,
 )
-from skein_homfly.torus import DisjointUnion, TorusLinkSpec, UnknotSpec
+from skein_homfly.torus import DisjointUnion, TorusLinkSpec, UnknotSpec, colored_homfly
 
 P = Partition
 
@@ -103,6 +104,76 @@ def test_delta_limit_missing_for_links():
     hopf = TorusLinkSpec(1, 1, 2, (P((1,)), P((1,))))
     with pytest.raises(LimitDoesNotExist):
         special_delta(hopf)
+
+
+def _delta_full_route(spec):
+    # the t -> 1 limit of the whole two-variable ratio, by series expansion
+    ratio = colored_homfly(spec).value
+    for a in spec.all_colors():
+        ratio = ratio / unknot_value(a)
+    return limit_at_one(ratio.simplified(), "t").as_laurent()
+
+
+def _delta_outcome(route, spec):
+    try:
+        value = route(spec)
+    except LimitDoesNotExist:
+        return "LimitDoesNotExist"
+    return str(value), value.terms
+
+
+def _differential_specs():
+    colors = [a for d in (1, 2, 3) for a in partitions_of(d)]
+    knots = ((2, 3), (3, 2), (2, -3), (1, 3), (2, 5))
+    specs = [TorusLinkSpec(m, n, 1, (a,)) for m, n in knots for a in colors]
+    specs += [TorusLinkSpec(m, n, 1, (P((2, 2)),)) for m, n in ((2, 3), (2, 5))]
+    specs += [TorusLinkSpec(3, 4, 1, (a,)) for a in partitions_of(4)]
+    link_colors = [P(()), P((1,)), P((2,)), P((1, 1))]
+    specs += [
+        TorusLinkSpec(m, n, 2, (a, b))
+        for m, n in ((1, 1), (1, 2), (2, 3))
+        for a in link_colors
+        for b in link_colors
+    ]
+    union = (TorusLinkSpec(2, 3, 1, (P((2, 1)),)), TorusLinkSpec(3, 2, 1, (P((2,)),)), UnknotSpec((P((1, 1)),)))
+    specs.append(DisjointUnion(union))
+    specs.append(UnknotSpec((P((2, 2)),)))
+    return specs
+
+
+def test_delta_limit_first_matches_full_route():
+    # same text, same term dicts, and LimitDoesNotExist in exactly the same cases
+    outcomes = []
+    for spec in _differential_specs():
+        mine = _delta_outcome(lambda s: special_delta(s).value, spec)
+        assert mine == _delta_outcome(_delta_full_route, spec), str(spec)
+        outcomes.append(mine)
+    assert 0 < outcomes.count("LimitDoesNotExist") < len(outcomes)
+
+
+def test_delta_never_builds_the_torus_value(monkeypatch):
+    import skein_homfly.exact as exact_mod
+    import skein_homfly.schur as schur_mod
+    import skein_homfly.special as special_mod
+    import skein_homfly.torus as torus_mod
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("special_delta reached the full route")
+
+    for module, name in (
+        (torus_mod, "colored_homfly"),
+        (special_mod, "colored_homfly"),
+        (schur_mod, "_class_data"),
+        (exact_mod, "limit_at_one"),
+        (special_mod, "limit_at_one"),
+    ):
+        monkeypatch.setattr(module, name, forbidden)
+    knot = TorusLinkSpec(3, 5, 1, (P((2, 1, 1)),))
+    special_delta(knot)
+    special_delta(DisjointUnion((knot, UnknotSpec((P((3,)),)))))
+    special_delta(UnknotSpec((P((2, 1)),)))
+    with pytest.raises(LimitDoesNotExist):
+        special_delta(TorusLinkSpec(1, 2, 2, (P((2,)), P((1,)))))
 
 
 # -- torus Alexander polynomials -------------------------------------------

@@ -9,9 +9,11 @@ from skein_homfly.exact import (
     q_bracket,
     t_bracket,
 )
+from skein_homfly.errors import IntegralityViolation
 from skein_homfly.partitions import EMPTY, Partition, PartitionVector, partitions_of
 from skein_homfly.schur import (
     SchurExpansion,
+    class_sum_order,
     plethysm_coefficients,
     universal_denominator,
     unknot_value,
@@ -22,6 +24,7 @@ from oracles import (
     complete_symmetric_poly,
     elementary_symmetric_poly,
     jacobi_trudi_schur,
+    unknot_leading_term,
 )
 
 P = Partition
@@ -78,6 +81,32 @@ def test_unknot_invariant_under_joint_inversion():
         for lam in partitions_of(n):
             v = unknot_value(lam)
             assert v.substituted(q="q^-1", t="t^-1") == v
+
+
+def _q_poly(coeffs: dict) -> LaurentQT:
+    return LaurentQT({(e, 0): c for e, c in coeffs.items()})
+
+
+def test_unknot_order_sum_matches_hook_content_leading_term():
+    # the class sum at t = e^h vanishes below h^d(A), d(A) the Durfee size,
+    # and its h^d(A) coefficient is the hook-content product's
+    for n in range(1, 9):
+        for lam in partitions_of(n):
+            d, lead = unknot_leading_term(lam)
+            for j in range(d):
+                assert class_sum_order(n, {lam: {0: 1}}, j)[0] == {}, (lam, j)
+            num, den = class_sum_order(n, {lam: {0: 1}}, d)
+            assert RationalQT(_q_poly(num), _q_poly(den)) == lead, lam
+
+
+def test_order_sum_rejects_surviving_fractional_exponent():
+    box = P((1,))
+    # weight q^(2/2) = q: integral, the single-box leading term 2 / [1] times q
+    num, den = class_sum_order(1, {box: {2: 1}}, 1, ram=2)
+    assert RationalQT(_q_poly(num), _q_poly(den)) == RationalQT(LaurentQT.monomial(2, 1), q_bracket(1))
+    # weight q^(1/2) alone: nothing can cancel it
+    with pytest.raises(IntegralityViolation):
+        class_sum_order(1, {box: {1: 1}}, 1, ram=2)
 
 
 def test_universal_denominator_divisibility():
