@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import sys
+from functools import cache
 
 from .characters import character_table
 from .errors import SkeinError
@@ -114,6 +115,7 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skein-homfly",

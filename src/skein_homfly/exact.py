@@ -300,8 +300,8 @@ class RationalQT:
     Normalization shifts a common monomial so the collective minimal
     exponent in each variable is 0, scales both parts to coprime integer
     content, and gives the denominator a positive leading coefficient.
-    Equality is by cross-multiplication, so representatives that differ by
-    a common polynomial factor still compare equal.
+    Equality is by cross-multiplication unless the term dicts are identical,
+    so representatives that differ by a common factor still compare equal.
     """
 
     __slots__ = ("num", "den")
@@ -407,7 +407,8 @@ class RationalQT:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.num * other.den == other.num * self.den
+        same = self.num.terms == other.num.terms and self.den.terms == other.den.terms
+        return same or self.num * other.den == other.num * self.den
 
     def __str__(self):
         if self.is_laurent():

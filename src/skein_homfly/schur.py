@@ -11,10 +11,10 @@ accumulated over one universal denominator
     D_n(q) = prod_{k=1}^{n} (q^k - q^{-k})^{floor(n/k)}
 
 which every per-class bracket product divides, so summation never leaves a
-single fraction.  ``class_sum_order`` takes one coefficient of such a sum
-at t = e^h instead, from the classes with few parts only.  The inner loops
-run on exact.py's univariate kernel of integer-keyed dicts of integer
-coefficients; Fractions appear only at the boundary.
+single fraction.  The sum is Kronecker-packed (Harvey, J. Symbolic Comput.
+2009): one integer coefficient per fixed-width slot of a big int, so each
+class costs one big-int product.  ``class_sum_order`` takes one coefficient
+at t = e^h from the classes with few parts, on exact.py's dict kernel.
 """
 
 from __future__ import annotations
@@ -22,20 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import factorial, lcm
+from itertools import product, repeat
+from math import factorial, gcd, lcm, prod
+from operator import sub
 
 from .characters import character
 from .errors import IntegralityViolation
-from .exact import LaurentQT, RationalQT, _umul, div_bracket_coeffs
+from .exact import LaurentQT, RationalQT, _umul
 from .partitions import Partition, PartitionVector, partitions_of
-
-
-def _udiv_bracket(a: dict, k: int) -> dict:
-    """Exact division of a univariate q-polynomial by q^k - q^-k."""
-    out = div_bracket_coeffs(a, k)
-    assert out is not None, "bracket division not exact"
-    return out
 
 
 def _brackets(powers: dict, scale: int = 1) -> dict:
@@ -51,29 +45,55 @@ def _multiplicities(nu: Partition) -> dict:
     return {p: nu.multiplicity(p) for p in nu}
 
 
-@lru_cache(maxsize=None)
-def _universal_denominator_coeffs(n: int) -> tuple:
-    """D_n(q) = prod_k (q^k - q^-k)^{floor(n/k)} as a sorted item tuple."""
-    return tuple(sorted(_brackets({k: n // k for k in range(1, n + 1)}).items()))
+def _pack(digits: bytes, size: int, wide: int, spread: int) -> int:
+    """Kronecker substitution: sum_k c_k X^(spread k) at X = 2^(8 wide), from
+    the size-byte little-endian digits c_k + 2^(8 size - 1), size <= wide."""
+    count = len(digits) // size
+    out = bytearray(count * spread * wide)
+    for j in range(size):
+        out[j :: spread * wide] = digits[j::size]
+    bias = (bytes(size - 1) + b"\x80" + bytes(spread * wide - size)) * count
+    return int.from_bytes(out, "little") - int.from_bytes(bias, "little")
+
+
+def _unpack(x: int, size: int) -> list:
+    """The signed size-byte slots of a packed int, lowest first: adding half
+    the range to every slot settles all borrows between slots at once."""
+    count = x.bit_length() // (8 * size) + 1
+    x += int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+    raw, half = x.to_bytes(count * size, "little"), 1 << (8 * size - 1)
+    return [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, count * size, size)]
 
 
 def universal_denominator(n: int) -> LaurentQT:
-    return LaurentQT({(e, 0): c for e, c in _universal_denominator_coeffs(n)})
+    """D_n(q) = prod_k (q^k - q^-k)^{floor(n/k)}."""
+    return LaurentQT({(e, 0): c for e, c in _class_data(n)[1]})
 
 
 @lru_cache(maxsize=None)
 def _class_data(n: int) -> tuple:
-    """(lcm of all z_nu, classes): one entry per class nu of n,
-    (nu, z_nu, t-bracket product, D_n / q-bracket product)."""
-    d_n = dict(_universal_denominator_coeffs(n))
+    """(lcm of all z_nu, D_n items, size, classes); per class nu of n the entry
+    (nu, z_nu, t-bracket product items, k, l1, digits).
+
+    prod_i (v^p_i - v^-p_i) is v^-(sum p_i) prod_i (X^p_i - 1) at X = v^2, a
+    big-int product at X = 2^(8 size); size holds 2^(number of brackets in
+    D_n), which bounds all their coefficients.  D_n / prod [nu_i], one exact
+    division, is q^(n + min exponent of D_n) times a polynomial in q^k, kept
+    as ``_pack`` digits with l1 its sum of |coefficients|.
+    """
+    size = (sum(n // k for k in range(1, n + 1)) + 9) // 8
+    d_packed = prod(((1 << (8 * size * k)) - 1) ** (n // k) for k in range(1, n + 1))
     out = []
     for nu in partitions_of(n):
-        tpoly = _brackets(_multiplicities(nu))
-        qco = dict(d_n)
-        for p in nu:
-            qco = _udiv_bracket(qco, p)
-        out.append((nu, nu.z_factor(), tuple(sorted(tpoly.items())), tuple(sorted(qco.items()))))
-    return lcm(*(z for _, z, _, _ in out)), tuple(out)
+        brackets = prod((1 << (8 * size * p)) - 1 for p in nu)
+        tpoly = tuple((2 * k - n, c) for k, c in enumerate(_unpack(brackets, size)) if c)
+        q = _unpack(d_packed // brackets, size)
+        step = gcd(*(k for k, c in enumerate(q) if c)) or 1
+        digits = b"".join((c + (1 << (8 * size - 1))).to_bytes(size, "little") for c in q[::step])
+        out.append((nu, nu.z_factor(), tpoly, 2 * step, sum(map(abs, q)), digits))
+    deg = sum(k * (n // k) for k in range(1, n + 1))
+    d_n = tuple((2 * k - deg, c) for k, c in enumerate(_unpack(d_packed, size)) if c)
+    return lcm(*(entry[1] for entry in out)), d_n, size, tuple(out)
 
 
 def _class_weight(weights, nu: Partition) -> dict:
@@ -104,27 +124,31 @@ def character_bracket_sum(n: int, weights, ram: int = 1) -> RationalQT:
     IntegralityViolation.  All p(n) classes enter; the sum is reduced by
     ``RationalQT.simplified``.  ``class_sum_order`` takes one coefficient of
     the same sum at t = 1 from far fewer classes.
+
+    Kronecker-packed: per class, g_nu and D_n / prod [nu_i] are one int each
+    on one exponent lattice (step: the gcd of the actual offsets), multiplied
+    once and added into one int per t-degree.  Slots hold the bound sum_nu
+    |g_nu|_1 |quotient|_1 (zl / z_nu) max|t-coefficient| with a spare bit.
     """
-    zl, classes = _class_data(n)
-    num = {}
-    for nu, z, tpoly, qco in classes:
-        g = _class_weight(weights, nu)
-        if not g:
-            continue
-        qscaled = {e * ram: c for e, c in qco}
-        h = _umul(g, qscaled)
-        mult = zl // z
+    zl, d_n, qsize, classes = _class_data(n)
+    rows, bound = [], 0
+    for nu, z, tpoly, qstep, l1, digits in classes:
+        if g := _class_weight(weights, nu):
+            rows.append((g, tpoly, qstep * ram, digits, zl // z))
+            bound += sum(map(abs, g.values())) * l1 * (zl // z) * max(abs(c) for _, c in tpoly)
+    glow = min((min(g) for g, *_ in rows), default=0)
+    step = gcd(*(gcd(qs, *map(sub, g, repeat(glow))) for g, _, qs, _, _ in rows)) or 1
+    size = max(qsize, (bound.bit_length() + 9) // 8)
+    acc = {}
+    for g, tpoly, qs, digits, mult in rows:
+        h = _pack(digits, qsize, size, qs // step) * mult
+        h *= sum(c << (8 * size * ((e - glow) // step)) for e, c in g.items())
         for te, tc in tpoly:
-            f = tc * mult
-            for qe, hc in h.items():
-                key = (qe, te)
-                s = num.get(key, 0) + f * hc
-                if s == 0:
-                    num.pop(key, None)
-                else:
-                    num[key] = s
-    terms = {(_unscale(qe, ram), te): c for (qe, te), c in num.items()}
-    return RationalQT(LaurentQT(terms), universal_denominator(n) * zl).simplified()
+            acc[te] = acc.get(te, 0) + tc * h
+    low = glow + (d_n[0][0] + n) * ram
+    slots = ((te, k, c) for te, x in acc.items() for k, c in enumerate(_unpack(x, size)) if c)
+    num = {(_unscale(low + step * k, ram), te): c for te, k, c in slots}
+    return RationalQT(LaurentQT(num), universal_denominator(n) * zl).simplified()
 
 
 def class_sum_order(n: int, weights, j: int, ram: int = 1) -> tuple:

@@ -229,8 +229,8 @@ def verify_special_H(config: GridConfig = None, threads=None) -> VerificationRep
     box = Partition((1,))
     cases += [(TorusLinkSpec(m, n, 2, (box, box)),) for m, n, _ in config.links]
     grid = f"knots={list(config.knots)} |A|<={config.max_color} plus single-box links"
-    # with no non-empty color the sweep would check empty colors and links only
-    return _sweep("thm62", grid, _check_H, cases if colors else [])
+    # with no knot or no non-empty color the sweep would check empty colors and links only
+    return _sweep("thm62", grid, _check_H, cases if colors and config.knots else [])
 
 
 def _check_delta(spec, hook: bool):

@@ -4,19 +4,23 @@ Schur polynomials by Jacobi-Trudi determinant expansion in explicit
 variables, the symmetric-function generators they are built from, the
 Hecke-algebra product with the two quasi-idempotent symmetrizers
 (Aiston-Morton, Idempotents of Hecke algebras of type A, JKTR 1998), the
-t = 1 leading term of a colored unknot from the hook-content product, and
-a floating-point evaluation of Laurent polynomials for numeric sanity
-checks.
+t = 1 leading term of a colored unknot from the hook-content product, the
+class sum accumulated term by term in dicts (the route the packed
+``schur.character_bracket_sum`` replaced), and a floating-point
+evaluation of Laurent polynomials for numeric sanity checks.
 None of this feeds a computed result of the package.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations
+from math import lcm
 
-from skein_homfly.exact import LaurentQT, RationalQT, q_bracket, substitute
+from skein_homfly.exact import LaurentQT, RationalQT, _umul, div_bracket_coeffs, q_bracket, substitute
 from skein_homfly.hecke import HeckeElement, all_permutations, apply_generator, perm_length
-from skein_homfly.partitions import Partition
+from skein_homfly.partitions import Partition, partitions_of
+from skein_homfly.schur import _brackets, _class_weight, _unscale
 
 
 # -- colored unknots at t = 1 ---------------------------------------------
@@ -40,6 +44,51 @@ def unknot_leading_term(lam: Partition):
                 num = num * q_bracket(j - i)
             den = den * q_bracket(p - j + conj[j] - i - 1)
     return d, RationalQT(num * 2**d, den)
+
+
+# -- class sums, one dict term at a time -----------------------------------
+
+
+@cache
+def _dict_class_data(n: int) -> tuple:
+    """(lcm of all z_nu, D_n, classes) with the t-bracket product and the
+    quotient D_n / prod [nu_i] of each class nu as item tuples, from bracket
+    products and divisions on dicts."""
+    d_n = _brackets({k: n // k for k in range(1, n + 1)})
+    classes = []
+    for nu in partitions_of(n):
+        tpoly = _brackets({p: nu.multiplicity(p) for p in nu})
+        qco = dict(d_n)
+        for p in nu:
+            qco = div_bracket_coeffs(qco, p)
+        classes.append((nu, nu.z_factor(), tuple(tpoly.items()), tuple(qco.items())))
+    return lcm(*(z for _, z, _, _ in classes)), d_n, tuple(classes)
+
+
+def character_bracket_sum_dict(n: int, weights, ram: int = 1) -> RationalQT:
+    """``schur.character_bracket_sum`` one dict term at a time, every q-term
+    of g_nu * D_n / prod [nu_i] scattered into every t-degree: the value it
+    hands to ``RationalQT.simplified``."""
+    zl, d_n, classes = _dict_class_data(n)
+    num = {}
+    for nu, z, tpoly, qco in classes:
+        g = _class_weight(weights, nu)
+        if not g:
+            continue
+        qscaled = {e * ram: c for e, c in qco}
+        h = _umul(g, qscaled)
+        mult = zl // z
+        for te, tc in tpoly:
+            f = tc * mult
+            for qe, hc in h.items():
+                key = (qe, te)
+                s = num.get(key, 0) + f * hc
+                if s == 0:
+                    num.pop(key, None)
+                else:
+                    num[key] = s
+    terms = {(_unscale(qe, ram), te): c for (qe, te), c in num.items()}
+    return RationalQT(LaurentQT(terms), LaurentQT({(e, 0): c for e, c in d_n.items()}) * zl)
 
 
 # -- Jacobi-Trudi determinants -------------------------------------------

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from skein_homfly.cli import main
+from skein_homfly.cli import build_parser, main
 from skein_homfly.exact import laurent_from_json, q_bracket, t_bracket, RationalQT
 
 TREFOIL_ARGS = ["torus", "--m", "2", "--n", "3", "--components", "1", "--colors", "(1)"]
@@ -219,6 +219,7 @@ def test_empty_grid_exit_two(tmp_path, capsys):
         # thm62 only empty colors and links
         ("thm64", {"hook_max": 0}, "ValueError: thm64 has no cases on the grid knots="),
         ("thm62", {"max_color": -1}, "ValueError: thm62 has no cases on the grid knots="),
+        ("thm62", {"knots": []}, "ValueError: thm62 has no cases on the grid knots=[]"),
     ):
         grid.write_text(json.dumps(raw))
         code, out, err = run_cli(capsys, "verify", "--theorem", theorem, "--grid", str(grid))
@@ -226,6 +227,40 @@ def test_empty_grid_exit_two(tmp_path, capsys):
         assert out == ""
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
+
+
+def _exit_code(capsys, argv):
+    # argparse usage errors leave main through SystemExit
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_shared_across_calls(capsys):
+    # one process: bad call, good call, bad call again; each call must match
+    # the same call on a freshly built parser
+    calls = (
+        ["torus", "--m", "2"],
+        ["unknot", "--color", "(1,2)"],
+        TREFOIL_ARGS,
+        ["homfly-braid", "--strands", "2", "--word", "3"],
+        ["torus", "--m", "2"],
+        ["unknot", "--color", "(1,2)"],
+    )
+    build_parser.cache_clear()
+    shared = [_exit_code(capsys, list(argv)) for argv in calls]
+    assert build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(_exit_code(capsys, list(argv)))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 2, 0, 2, 2, 2]
+    assert shared[0] == shared[4] and shared[1] == shared[5]
+    assert shared[0][2].startswith("usage: skein-homfly torus")
 
 
 def test_byte_identical_across_threads(capsys):

@@ -16,7 +16,7 @@ from skein_homfly.exact import (
 )
 from skein_homfly.errors import LimitDoesNotExist
 from skein_homfly.partitions import EMPTY, Partition
-from skein_homfly.schur import _umul, _udiv_bracket, universal_denominator, unknot_value
+from skein_homfly.schur import _umul, universal_denominator, unknot_value
 from skein_homfly.torus import TorusLinkSpec, colored_homfly_torus
 
 P = Partition
@@ -50,7 +50,7 @@ def test_udiv_bracket_round_trips():
     for k in (1, 2, 3):
         for poly in ({0: 1}, {1: 2, -1: 2}, {0: 1, 4: -3, -2: 5}):
             prod = _umul(poly, {k: 1, -k: -1})
-            assert _udiv_bracket(prod, k) == poly
+            assert div_bracket_coeffs(prod, k) == poly
 
 
 def test_exact_div_mixed_fractional_lattices():

@@ -280,6 +280,29 @@ def test_rational_cross_equality():
     assert a == b
 
 
+def test_rational_equality_across_representations():
+    # the same value before and after simplified(): different term dicts,
+    # so equality falls back to cross-multiplication
+    raw = RationalQT(q_bracket(1) * q_bracket(2) * t_bracket(1), q_bracket(1) * q_bracket(3))
+    reduced = raw.simplified()
+    assert reduced.num.terms != raw.num.terms
+    assert raw == reduced and reduced == raw
+    assert reduced == RationalQT(reduced.num, reduced.den)
+    assert raw != reduced * 2 and reduced != RationalQT(reduced.den, reduced.num)
+    assert delta() != delta().substituted(q="q^-1")
+
+
+def test_rational_equality_of_identical_terms_skips_products(monkeypatch):
+    value = RationalQT(q_bracket(1) * q_bracket(2) * t_bracket(1), q_bracket(3)).simplified()
+    twin = RationalQT(LaurentQT(dict(value.num.terms)), LaurentQT(dict(value.den.terms)))
+
+    def no_products(self, other):
+        raise AssertionError("cross-multiplied identical term dicts")
+
+    monkeypatch.setattr(LaurentQT, "__mul__", no_products)
+    assert value == twin and twin == value
+
+
 def test_rational_normal_form_minimal_exponents():
     f = delta()
     qmin = min(min(f.num.exponents("q")), min(f.den.exponents("q")))

@@ -13,14 +13,17 @@ from skein_homfly.errors import IntegralityViolation
 from skein_homfly.partitions import EMPTY, Partition, PartitionVector, partitions_of
 from skein_homfly.schur import (
     SchurExpansion,
+    character_bracket_sum,
     class_sum_order,
     plethysm_coefficients,
     universal_denominator,
     unknot_value,
 )
+from skein_homfly.torus import _torus_weights
 
 from oracles import (
     _poly_mul_multi,
+    character_bracket_sum_dict,
     complete_symmetric_poly,
     elementary_symmetric_poly,
     jacobi_trudi_schur,
@@ -107,6 +110,56 @@ def test_order_sum_rejects_surviving_fractional_exponent():
     # weight q^(1/2) alone: nothing can cancel it
     with pytest.raises(IntegralityViolation):
         class_sum_order(1, {box: {1: 1}}, 1, ram=2)
+
+
+def _class_sum_cases():
+    """(label, weights, n, ram) of torus values, unknots and synthetic sums."""
+    knots = [(m, n, d) for m, n in ((2, 3), (3, 2), (2, -3), (2, 5)) for d in (1, 2, 3)]
+    knots += [(3, 4, d) for d in (1, 2, 3, 4)] + [(4, 5, d) for d in (1, 2, 3)]
+    for m, n, d in knots:
+        for a in partitions_of(d):
+            yield (f"T({m},{n})[{a}]", *_torus_weights(m, n, (a,))[:2], m)
+    colors = [c for d in (0, 1, 2) for c in partitions_of(d)]
+    for m, n in ((1, 1), (1, 2), (2, 3)):
+        for a in colors:
+            for b in colors:
+                weights, size, _ = _torus_weights(m, n, (a, b))
+                if size:
+                    yield (f"T({m},{n})[{a};{b}]", weights, size, m)
+    for size in range(1, 9):
+        for lam in partitions_of(size):
+            yield (f"unknot {lam}", {lam: {0: 1}}, size, 1)
+    # no class survives: every g_nu vanishes
+    yield ("no weight", {}, 3, 1)
+    # +-10^40 weights: wide slots, negative slots borrowing from their
+    # neighbours, and class terms that cancel across classes
+    big = 10**40
+    yield ("wide", {P((2, 1)): {0: big, 4: -big}, P((3,)): {0: -big, 2: 1}, P((1, 1, 1)): {2: big + 1}}, 3, 1)
+    yield ("wide ram 2", {P((3, 1)): {0: big, 2: -big}, P((2, 2)): {2: big}, P((4,)): {4: -big}}, 4, 2)
+
+
+def test_packed_class_sum_matches_dict_oracle(monkeypatch):
+    # the packed sum hands simplified() the dict loop's value: the same text
+    # and the same term dicts, so every simplified result is the same too
+    handed = []
+    simplified = RationalQT.simplified
+    monkeypatch.setattr(RationalQT, "simplified", lambda self: handed.append(self) or simplified(self))
+    for label, weights, n, ram in _class_sum_cases():
+        character_bracket_sum(n, weights, ram)
+        value = handed[-1]
+        oracle = character_bracket_sum_dict(n, weights, ram)
+        assert str(value) == str(oracle), label
+        assert value.num.terms == oracle.num.terms and value.den.terms == oracle.den.terms, label
+
+
+def test_packed_class_sum_rejects_surviving_fractional_exponent():
+    box = P((1,))
+    assert character_bracket_sum(1, {box: {2: 1}}, ram=2) == delta() * LaurentQT.monomial(1, 1)
+    # weight q^(1/2) alone: nothing can cancel it
+    with pytest.raises(IntegralityViolation):
+        character_bracket_sum(1, {box: {1: 1}}, ram=2)
+    with pytest.raises(IntegralityViolation):
+        character_bracket_sum_dict(1, {box: {1: 1}}, ram=2)
 
 
 def test_universal_denominator_divisibility():

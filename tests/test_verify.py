@@ -111,11 +111,13 @@ def test_empty_sweep_raises():
     with pytest.raises(ValueError, match="thm22 has no cases"):
         verify_lowest_term(GridConfig(lowest_term_twists=()))
     # no case of the claim: thm64 would run only its counterexample, thm62
-    # only empty colors and links
+    # only empty colors and links, or only links when no knot is given
     with pytest.raises(ValueError, match=r"^thm64 has no cases on the grid .* hooks \|A\|<=0 \+ counterexample$"):
         verify_special_delta(GridConfig(hook_max=0))
     with pytest.raises(ValueError, match=r"^thm62 has no cases on the grid .* \|A\|<=-1 plus single-box"):
         verify_special_H(GridConfig(max_color=-1))
+    with pytest.raises(ValueError, match=r"^thm62 has no cases on the grid knots=\[\] \|A\|<=4 plus single-box"):
+        verify_special_H(GridConfig(knots=()))
 
 
 def test_failures_are_reported():
