@@ -449,19 +449,23 @@ class RationalQT:
 
 def _normalize_pair(num: LaurentQT, den: LaurentQT):
     """Shift to collective minimal exponents 0, then scale to coprime integer
-    content with a positive denominator lead, in integers on the term dicts."""
+    content with a positive denominator lead, in integers on the term dicts.
+    A pair already in that form is returned as it is."""
     parts = (num.terms, den.terms)
     qmin = min(qe for p in parts for qe, _ in p)
     tmin = min(te for p in parts for _, te in p)
     scale = lcm(*(c.denominator for p in parts for c in p.values()))
-    num_i, den_i = (
-        {(qe - qmin, te - tmin): c.numerator * (scale // c.denominator) for (qe, te), c in p.items()}
-        for p in parts
-    )
-    content = gcd(*num_i.values(), *den_i.values())
+    if qmin or tmin or scale != 1:
+        parts = tuple(
+            {(qe - qmin, te - tmin): c.numerator * (scale // c.denominator) for (qe, te), c in p.items()}
+            for p in parts
+        )
+    content = gcd(*parts[0].values(), *parts[1].values())
     if den.terms[max(den.terms)] < 0:
         content = -content
-    return tuple(LaurentQT({k: c // content for k, c in p.items()}) for p in (num_i, den_i))
+    if content == 1 and parts[0] is num.terms:
+        return num, den
+    return tuple(LaurentQT({k: c // content for k, c in p.items()}) for p in parts)
 
 
 def delta() -> RationalQT:

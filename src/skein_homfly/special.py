@@ -4,8 +4,10 @@ H is the q->1 limit of the colored invariant divided by the matching
 product of colored unknot values; its dual (t->1) recovers the Alexander
 polynomial at the single-box color and stays multiplicative in q^|A| for
 hook colors on torus knots -- but not for arbitrary colors, and for links
-the t->1 limit generally does not exist at all.  H expands the full value;
-the dual is taken limit-first from a few classes of the torus class sum.
+the t->1 limit generally does not exist at all.  H is the ratio of two
+leading q -> 1 coefficients: the torus value's, from its own series, over
+the unknots' closed form; the dual is taken limit-first from a few classes
+of the torus class sum.
 
 Values in q that are symmetric under q -> 1/q can be re-expressed on the
 basis {1} and D_d = q^d + q^-d by greedy top-degree elimination; that is
@@ -20,15 +22,14 @@ from math import gcd, prod
 from .errors import LimitDoesNotExist, NonCoprime
 from .exact import (
     LaurentQT,
-    RationalQT,
     _exact_div_univariate,
     _fmt_rational,
     _udiv,
     _umul,
-    limit_at_one,
+    expand_series,
     q_bracket,
 )
-from .schur import class_sum_order, unknot_value
+from .schur import _brackets, class_sum_order
 from .torus import DisjointUnion, TorusLinkSpec, UnknotSpec, _torus_weights, colored_homfly
 
 
@@ -42,13 +43,47 @@ class SpecialPolynomial:
     source: object
 
 
+def _H_torus(spec: TorusLinkSpec) -> LaurentQT:
+    w = colored_homfly(spec).value
+    if w.is_zero():
+        return LaurentQT.zero()
+    a = sum(c.size for c in spec.colors)
+    on, od, ln, ld = expand_series(w, "q")
+    if od - on > a:
+        raise LimitDoesNotExist(
+            f"pole of order {od - on} > sum |A| = {a} at q=1 "
+            f"(numerator order {on}, denominator order {od})"
+        )
+    if od - on < a:
+        return LaurentQT.zero()
+    scale = prod(h for c in spec.colors for h in c.hook_lengths()) << a
+    num = {te: c * scale for (_, te), c in ln.terms.items()}
+    den = _umul({te: c for (_, te), c in ld.terms.items()}, _brackets({1: a}))
+    out = _udiv(num, den)
+    if out is None:
+        raise ValueError("value is not a Laurent polynomial")
+    return LaurentQT({(0, e): c for e, c in out.items()})
+
+
 def special_H(spec) -> SpecialPolynomial:
-    """q->1 limit of the invariant over the unknot normalization, by series
-    expansion of the full two-variable ratio."""
-    den = RationalQT.one()
-    for a in spec.all_colors():
-        den = den * unknot_value(a)
-    value = limit_at_one((colored_homfly(spec).value / den).simplified(), "q").as_laurent()
+    """q->1 limit of the invariant over the unknot normalization.
+
+    At q = 1 + d each bracket [p] is 2pd + O(d^2), so prod s*_A has a pole
+    of order a = sum |A|, reached by the class (1^|A|) alone, with leading
+    coefficient prod (t - t^-1)^|A| / (prod h(A) 2^|A|).  The value is the
+    torus value's d^a coefficient (from the series of its numerator and
+    denominator) over that one; a stronger pole raises LimitDoesNotExist, a
+    weaker one gives zero.  A disjoint union gives the product of its
+    components' values.
+    """
+    if isinstance(spec, TorusLinkSpec):
+        value = _H_torus(spec)
+    elif isinstance(spec, UnknotSpec):
+        value = LaurentQT.one()
+    elif isinstance(spec, DisjointUnion):
+        value = prod((special_H(c).value for c in spec.components), start=LaurentQT.one())
+    else:
+        raise TypeError(f"unsupported link spec: {spec!r}")
     return SpecialPolynomial("H", "t", value, spec)
 
 

@@ -6,7 +6,9 @@ Hecke-algebra product with the two quasi-idempotent symmetrizers
 (Aiston-Morton, Idempotents of Hecke algebras of type A, JKTR 1998), the
 t = 1 leading term of a colored unknot from the hook-content product, the
 class sum accumulated term by term in dicts (the route the packed
-``schur.character_bracket_sum`` replaced), and a floating-point
+``schur.character_bracket_sum`` replaced), the q = 1 special polynomial H
+from the full two-variable ratio (the route ``special.special_H``'s leading
+coefficients replaced), and a floating-point
 evaluation of Laurent polynomials for numeric sanity checks.
 None of this feeds a computed result of the package.
 """
@@ -17,10 +19,19 @@ from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations
 from math import lcm
 
-from skein_homfly.exact import LaurentQT, RationalQT, _umul, div_bracket_coeffs, q_bracket, substitute
+from skein_homfly.exact import (
+    LaurentQT,
+    RationalQT,
+    _umul,
+    div_bracket_coeffs,
+    limit_at_one,
+    q_bracket,
+    substitute,
+)
 from skein_homfly.hecke import HeckeElement, all_permutations, apply_generator, perm_length
 from skein_homfly.partitions import Partition, partitions_of
-from skein_homfly.schur import _brackets, _class_weight, _unscale
+from skein_homfly.schur import _brackets, _class_weight, _unscale, unknot_value
+from skein_homfly.torus import colored_homfly
 
 
 # -- colored unknots at t = 1 ---------------------------------------------
@@ -89,6 +100,18 @@ def character_bracket_sum_dict(n: int, weights, ram: int = 1) -> RationalQT:
                     num[key] = s
     terms = {(_unscale(qe, ram), te): c for (qe, te), c in num.items()}
     return RationalQT(LaurentQT(terms), LaurentQT({(e, 0): c for e, c in d_n.items()}) * zl)
+
+
+# -- the q = 1 special polynomial from the whole ratio ---------------------
+
+
+def special_H_full_route(spec) -> LaurentQT:
+    """q->1 limit of the invariant over the unknot normalization, by series
+    expansion of the full two-variable ratio."""
+    den = RationalQT.one()
+    for a in spec.all_colors():
+        den = den * unknot_value(a)
+    return limit_at_one((colored_homfly(spec).value / den).simplified(), "q").as_laurent()
 
 
 # -- Jacobi-Trudi determinants -------------------------------------------

@@ -310,6 +310,17 @@ def test_rational_normal_form_minimal_exponents():
     assert qmin == 0 and tmin == 0
 
 
+def test_rational_normal_form_content_and_sign_without_shift():
+    # exponents already at 0 and integer coefficients: content and sign still normalize
+    num = LaurentQT({(0, 0): 2, (1, 1): 4})
+    f = RationalQT(num, LaurentQT({(0, 0): 6, (2, 0): -2}))
+    assert f.num.terms == {(0, 0): -1, (1, 1): -2}
+    assert f.den.terms == {(0, 0): -3, (2, 0): 1}
+    # a pair already in normal form is kept as it is
+    g = RationalQT(f.num, f.den)
+    assert g.num is f.num and g.den is f.den
+
+
 def test_simplified_cancels_brackets():
     # z * (q^2 - q^-2) * (t - t^-1) / z^2 reduces all the way to a polynomial
     f = RationalQT(q_bracket(1) * q_bracket(2) * t_bracket(1), q_bracket(1) ** 2)

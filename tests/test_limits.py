@@ -1,7 +1,8 @@
 import pytest
+from oracles import special_H_full_route
 
 from skein_homfly.errors import LimitDoesNotExist, NonCoprime
-from skein_homfly.exact import LaurentQT, limit_at_one, q_bracket
+from skein_homfly.exact import LaurentQT, RationalQT, limit_at_one, q_bracket
 from skein_homfly.partitions import Partition, partitions_of
 from skein_homfly.schur import unknot_value
 from skein_homfly.special import (
@@ -65,6 +66,68 @@ def test_H_of_multistrand_links_splits_over_components():
     assert special_H(spec).value == H1_TREFOIL ** 3
 
 
+def _outcome(route, spec):
+    try:
+        value = route(spec)
+    except LimitDoesNotExist:
+        return "LimitDoesNotExist"
+    return str(value), value.terms
+
+
+def _H_differential_specs():
+    small = [P(())] + [a for d in (1, 2, 3) for a in partitions_of(d)]
+    specs = [
+        TorusLinkSpec(m, n, 1, (a,))
+        for m, n in ((2, 3), (3, 2), (2, -3), (1, 3), (2, 5), (3, 4))
+        for a in small
+    ]
+    specs += [TorusLinkSpec(m, n, 1, (a,)) for m, n in ((3, 5), (2, 7)) for a in small if a.size <= 2]
+    link_colors = [P(()), P((1,)), P((2,)), P((1, 1))]
+    specs += [
+        TorusLinkSpec(m, n, 2, (a, b))
+        for m, n in ((1, 1), (1, -1), (1, 2), (2, 3))
+        for a in link_colors
+        for b in link_colors
+    ]
+    specs.append(TorusLinkSpec(1, 2, 3, (P((1,)), P((2,)), P((1, 1)))))
+    union = (TorusLinkSpec(2, 3, 1, (P((2, 1)),)), TorusLinkSpec(3, 2, 1, (P((2,)),)), UnknotSpec((P((1, 1)),)))
+    specs.append(DisjointUnion(union))
+    specs.append(UnknotSpec((P((2, 2)),)))
+    return specs
+
+
+def test_H_leading_terms_match_full_route():
+    # same text and term dicts on every spec, and LimitDoesNotExist in the same cases
+    for spec in _H_differential_specs():
+        mine = _outcome(lambda s: special_H(s).value, spec)
+        assert mine == _outcome(special_H_full_route, spec), str(spec)
+
+
+def test_H_never_builds_the_ratio(monkeypatch):
+    import skein_homfly.exact as exact_mod
+    import skein_homfly.special as special_mod
+
+    specs = [
+        TorusLinkSpec(3, 4, 1, (P((2, 1)),)),
+        TorusLinkSpec(2, 3, 2, (P((1,)), P((2,)))),
+        TorusLinkSpec(2, -3, 1, (P(()),)),
+    ]
+    for spec in specs:
+        colored_homfly(spec)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("special_H reached the full route")
+
+    monkeypatch.setattr(RationalQT, "simplified", forbidden)
+    monkeypatch.setattr(RationalQT, "__truediv__", forbidden)
+    monkeypatch.setattr(exact_mod, "limit_at_one", forbidden)
+    assert not hasattr(special_mod, "limit_at_one")
+    for spec in specs:
+        assert isinstance(special_H(spec).value, LaurentQT)
+    special_H(DisjointUnion((specs[0], UnknotSpec((P((3,)),)))))
+    assert special_H(UnknotSpec((P((2, 1)),))).value == LaurentQT.one()
+
+
 # -- the dual limit ------------------------------------------------------
 
 
@@ -114,14 +177,6 @@ def _delta_full_route(spec):
     return limit_at_one(ratio.simplified(), "t").as_laurent()
 
 
-def _delta_outcome(route, spec):
-    try:
-        value = route(spec)
-    except LimitDoesNotExist:
-        return "LimitDoesNotExist"
-    return str(value), value.terms
-
-
 def _differential_specs():
     colors = [a for d in (1, 2, 3) for a in partitions_of(d)]
     knots = ((2, 3), (3, 2), (2, -3), (1, 3), (2, 5))
@@ -145,8 +200,8 @@ def test_delta_limit_first_matches_full_route():
     # same text, same term dicts, and LimitDoesNotExist in exactly the same cases
     outcomes = []
     for spec in _differential_specs():
-        mine = _delta_outcome(lambda s: special_delta(s).value, spec)
-        assert mine == _delta_outcome(_delta_full_route, spec), str(spec)
+        mine = _outcome(lambda s: special_delta(s).value, spec)
+        assert mine == _outcome(_delta_full_route, spec), str(spec)
         outcomes.append(mine)
     assert 0 < outcomes.count("LimitDoesNotExist") < len(outcomes)
 
@@ -165,7 +220,7 @@ def test_delta_never_builds_the_torus_value(monkeypatch):
         (special_mod, "colored_homfly"),
         (schur_mod, "_class_data"),
         (exact_mod, "limit_at_one"),
-        (special_mod, "limit_at_one"),
+        (special_mod, "expand_series"),
     ):
         monkeypatch.setattr(module, name, forbidden)
     knot = TorusLinkSpec(3, 5, 1, (P((2, 1, 1)),))
