@@ -2,9 +2,13 @@
 
 The coefficient domain is the rationals (stdlib ``fractions.Fraction``,
 stored as plain ``int`` whenever the denominator is 1).  q-exponents may be
-exact rationals -- fractional powers of q enter through m-th roots of twist
-monomials and must cancel to integers in any public result -- while
-t-exponents are always integers.
+exact rationals, while t-exponents are always integers.  The class sums
+carry the m-th roots of twist monomials as integer exponents on a scaled
+lattice and check that they cancel (``schur._unscale``), so fractional
+q-exponents reach LaurentQT only from callers who build them.  The
+constructor is the one place that drops zero coefficients and stores
+integral values as ``int``; the arithmetic accumulates raw sums and
+constructs once.
 
 Limits at q=1 or t=1 are computed by truncated series expansion around the
 point, never by polynomial gcd: write the variable as 1+eps, expand
@@ -117,11 +121,7 @@ class LaurentQT:
             return NotImplemented
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
+            out[k] = out.get(k, 0) + c
         return LaurentQT(out)
 
     __radd__ = __add__
@@ -141,8 +141,6 @@ class LaurentQT:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return LaurentQT.zero()
             return LaurentQT({k: c * other for k, c in self.terms.items()})
         if not isinstance(other, LaurentQT):
             return NotImplemented
@@ -150,11 +148,7 @@ class LaurentQT:
         for (qa, ta), ca in self.terms.items():
             for (qb, tb), cb in other.terms.items():
                 k = (qa + qb, ta + tb)
-                s = out.get(k, 0) + ca * cb
-                if s == 0:
-                    out.pop(k, None)
-                else:
-                    out[k] = s
+                out[k] = out.get(k, 0) + ca * cb
         return LaurentQT(out)
 
     __rmul__ = __mul__
@@ -283,12 +277,7 @@ def laurent_to_json(p: LaurentQT) -> list:
 
 
 def laurent_from_json(records) -> LaurentQT:
-    terms = {}
-    for r in records:
-        qe = _canon(Fraction(r["qn"], r["qd"]))
-        c = _canon(Fraction(r["cn"], r["cd"]))
-        terms[(qe, int(r["t"]))] = c
-    return LaurentQT(terms)
+    return LaurentQT({(Fraction(r["qn"], r["qd"]), r["t"]): Fraction(r["cn"], r["cd"]) for r in records})
 
 
 # -- rational functions -----------------------------------------------
@@ -351,7 +340,7 @@ class RationalQT:
         if isinstance(other, RationalQT):
             return other
         if isinstance(other, (LaurentQT, int, Fraction)):
-            return RationalQT(other if isinstance(other, LaurentQT) else LaurentQT({(0, 0): other}))
+            return RationalQT(other)
         return NotImplemented
 
     def __add__(self, other):
@@ -511,15 +500,11 @@ def truncated_series(p: LaurentQT, variable: str, order: int) -> TruncSeries:
             e, kept = te, (qe, 0)
         running = c
         for k in range(order + 1):
-            if running != 0:
-                s = levels[k].get(kept, 0) + running
-                if s == 0:
-                    levels[k].pop(kept, None)
-                else:
-                    levels[k][kept] = s
-            if k == order:
-                break
+            levels[k][kept] = levels[k].get(kept, 0) + running
             step = e - k
+            # binom(e, j) vanishes for every j > k once e = k
+            if k == order or step == 0:
+                break
             if isinstance(running, int) and isinstance(step, int):
                 running = running * step // (k + 1)
             else:

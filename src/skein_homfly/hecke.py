@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _permutations
+from operator import index
 
 from .errors import IndexOutOfRange
 from .exact import LaurentQT, RationalQT, delta, q_bracket, t_bracket, t_power
@@ -77,7 +78,7 @@ class BraidWord:
     def __post_init__(self):
         if self.strands < 1:
             raise ValueError("strands must be >= 1")
-        letters = tuple((int(i), int(s)) for i, s in self.letters)
+        letters = tuple((index(i), index(s)) for i, s in self.letters)
         for i, s in letters:
             if not 1 <= i <= self.strands - 1:
                 raise IndexOutOfRange(f"generator index {i} outside 1..{self.strands - 1}")
@@ -197,27 +198,16 @@ def apply_generator(x: HeckeElement, i: int, sign: int = 1) -> HeckeElement:
     out = {}
 
     def _add(pi, c):
-        s = out.get(pi, LaurentQT.zero()) + c
-        if s.is_zero():
-            out.pop(pi, None)
-        else:
-            out[pi] = s
+        out[pi] = out[pi] + c if pi in out else c
 
     for pi, c in x.terms.items():
         tau = pi[:p] + (pi[p + 1], pi[p]) + pi[p + 2:]
         raises = pi[p] < pi[p + 1]
-        if sign > 0:
-            if raises:
-                _add(tau, c)
-            else:
-                _add(pi, c * _Z)
-                _add(tau, c)
-        else:
-            if raises:
-                _add(tau, c)
-                _add(pi, -(c * _Z))
-            else:
-                _add(tau, c)
+        if sign > 0 and not raises:
+            _add(pi, c * _Z)
+        _add(tau, c)
+        if sign < 0 and raises:
+            _add(pi, -(c * _Z))
     return HeckeElement(n, out)
 
 

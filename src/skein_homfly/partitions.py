@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from operator import index
 
 
 class Partition:
@@ -23,7 +24,7 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(index(p) for p in parts)
         for a, b in zip(parts, parts[1:]):
             if a < b:
                 raise ValueError(f"parts not weakly decreasing: {parts}")

@@ -132,12 +132,17 @@ def alexander_torus(m: int, n: int, d: int = 1) -> LaurentQT:
 
     Computed as the exact quotient
         (q^{mnd} - q^{-mnd})(q^d - q^{-d}) / ((q^{md} - q^{-md})(q^{nd} - q^{-nd}))
-    which is provably a Laurent polynomial for coprime m, n.
+    which is provably a Laurent polynomial for coprime m, n.  T(1, 0) is
+    the unknot, whose brackets [0] would make that quotient 0/0: it gives 1.
     """
+    if m < 1:
+        raise ValueError("m must be a positive integer")
     if gcd(m, abs(n)) != 1:
         raise NonCoprime(f"gcd({m}, {n}) != 1")
     if d < 1:
         raise ValueError("d must be >= 1")
+    if n == 0:
+        return LaurentQT.one()
     num = q_bracket(m * n * d) * q_bracket(d)
     den = q_bracket(m * d) * q_bracket(n * d)
     out = _exact_div_univariate(num, den)

@@ -108,6 +108,21 @@ def test_verify_grid_file(tmp_path, capsys):
     assert "degree <= 4" in out
 
 
+def test_verify_degenerate_torus_grid(tmp_path, capsys):
+    # degenerate torus parameters: T(1, 0), T(1, +-1) and T(m, +-1) are all unknots
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({
+        "knots": [[1, 0], [1, 1], [1, -1], [2, 1], [2, -1], [3, 1]],
+        "links": [[1, 0, 2], [1, -1, 2]],
+        "max_color": 2,
+        "hook_max": 3,
+    }))
+    for theorem in ("thm62", "thm64", "thm71", "thm72", "lemma65", "lemma73", "thm22"):
+        code, out, _ = run_cli(capsys, "verify", "--theorem", theorem, "--grid", str(grid))
+        assert code == 0, theorem
+        assert f"theorem={theorem} " in out and "failures=0 PASS" in out
+
+
 def test_math_error_exit_one(capsys):
     code, out, err = run_cli(
         capsys, "torus", "--m", "2", "--n", "4", "--components", "1", "--colors", "(1)"

@@ -77,6 +77,9 @@ def test_ring_axioms(a, b, c):
     assert a + b == b + a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+    # every result is canonical: no zero coefficient stored, integral ones as int
+    for r in ((a + b) + c, a - a, a * (b - b), a * b + a * c, a * 0, a * Fraction(3, 2)):
+        assert all(v != 0 and (type(v) is int or v.denominator != 1) for v in r.terms.values())
 
 
 # -- substitution ----------------------------------------------------------
@@ -135,6 +138,9 @@ def test_json_round_trip():
     records = laurent_to_json(p)
     assert records == sorted(records, key=lambda r: (Fraction(r["qn"], r["qd"]), r["t"]))
     assert laurent_from_json(records) == p
+    # a non-integral t-exponent is rejected, not truncated
+    with pytest.raises(ValueError, match="t-exponent"):
+        laurent_from_json([{"qn": 0, "qd": 1, "t": 1.5, "cn": 1, "cd": 1}])
 
 
 # -- series expansion and limits -------------------------------------------

@@ -102,6 +102,9 @@ def test_braid_relation_invariance_randomized():
         x = element_of_braid(BraidWord(n, tuple(word)))
         y = element_of_braid(BraidWord(n, tuple(_random_rewrites(word, n, rng))))
         assert x == y
+        # no term with a zero coefficient survives the fold
+        for c in x.terms.values():
+            assert not c.is_zero() and 0 not in c.terms.values()
 
 
 def test_trace_anchor_values():
@@ -196,6 +199,9 @@ def test_braid_word_parsing():
     assert powers.letters == ((1, 1), (1, 1), (1, 1))
     with pytest.raises(IndexOutOfRange):
         BraidWord.parse(2, "s2")
+    # a non-integral generator index is rejected, not truncated
+    with pytest.raises(TypeError):
+        BraidWord(3, ((1.9, 1),))
 
 
 def test_permutation_helpers():

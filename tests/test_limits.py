@@ -237,6 +237,10 @@ def test_delta_never_builds_the_torus_value(monkeypatch):
 def test_alexander_values():
     assert alexander_torus(2, 3, 1) == LaurentQT({(2, 0): 1, (0, 0): -1, (-2, 0): 1})
     assert alexander_torus(2, 1, 1) == LaurentQT.one()
+    # T(1, 0) is the unknot; its bracket quotient would be 0/0
+    assert alexander_torus(1, 0, 3) == LaurentQT.one()
+    with pytest.raises(ValueError, match="m must be"):
+        alexander_torus(0, 1, 1)
     with pytest.raises(NonCoprime):
         alexander_torus(2, 4, 1)
     with pytest.raises(ValueError):

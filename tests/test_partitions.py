@@ -116,6 +116,9 @@ def test_invalid_partitions_rejected():
         Partition((1, 2))
     with pytest.raises(ValueError):
         Partition((2, 0))
+    # a non-integral part is rejected, not truncated
+    with pytest.raises(TypeError):
+        Partition((2.7, 1))
 
 
 def test_partition_vector():
