@@ -7,7 +7,8 @@ carry the m-th roots of twist monomials as integer exponents on a scaled
 lattice and check that they cancel (``schur._unscale``), so fractional
 q-exponents reach LaurentQT only from callers who build them.  The
 constructor is the one place that drops zero coefficients and stores
-integral values as ``int``; the arithmetic accumulates raw sums and
+integral values as ``int``; it rejects any other scalar, such as a float,
+which would break exactness.  The arithmetic accumulates raw sums and
 constructs once.
 
 Limits at q=1 or t=1 are computed by truncated series expansion around the
@@ -17,8 +18,8 @@ orders, and return the quotient of the leading coefficients as a
 RationalQT.
 
 Univariate work runs on one kernel of {int exponent -> coefficient} dicts:
-``_umul`` multiplies, ``_udiv`` divides exactly (or reports that it cannot),
-and ``div_bracket_coeffs`` divides by v^k - v^-k.  ``_slices`` is the one
+``_umul`` multiplies and ``_udiv`` divides exactly (or reports that it
+cannot), by any divisor, brackets v^k - v^-k included.  ``_slices`` is the one
 lattice conversion: it cuts a LaurentQT into such dicts, one per exponent of
 the other variable, a fractional exponent e entering as the integer e * r
 (r from ``_lattice``, the lcm of the exponent denominators); ``_unslice``
@@ -34,13 +35,14 @@ from math import gcd, lcm
 from .errors import FractionalExponentSign, LimitDoesNotExist, ZeroFunction
 
 
-def _canon(x):
-    """Collapse Fraction with denominator 1 to int."""
-    if type(x) is int:
-        return x
-    if isinstance(x, Fraction) and x.denominator == 1:
+def _canon(x, name: str):
+    """x as a plain int when integral (an int subclass such as bool included),
+    else as a Fraction; ValueError naming x when it is neither."""
+    if isinstance(x, int):
         return int(x)
-    return x
+    if isinstance(x, Fraction):
+        return int(x) if x.denominator == 1 else x
+    raise ValueError(f"{name} must be an int or a Fraction: {x!r}")
 
 
 def _fmt_rational(x) -> str:
@@ -65,15 +67,15 @@ class LaurentQT:
         if terms:
             for (qe, te), c in terms.items():
                 if type(c) is not int:
-                    c = _canon(c)
+                    c = _canon(c, "coefficient")
+                if type(qe) is not int:
+                    qe = _canon(qe, "q-exponent")
+                if type(te) is not int:
+                    te = _canon(te, "t-exponent")
+                    if type(te) is not int:
+                        raise ValueError(f"t-exponent must be an integer: {te}")
                 if c == 0:
                     continue
-                if type(qe) is not int:
-                    qe = _canon(qe)
-                if not isinstance(te, int):
-                    te = _canon(te)
-                    if not isinstance(te, int):
-                        raise ValueError(f"t-exponent must be an integer: {te}")
                 clean[(qe, te)] = c
         object.__setattr__(self, "terms", clean)
 
@@ -386,11 +388,8 @@ class RationalQT:
 
     def __pow__(self, e: int):
         if e < 0:
-            return RationalQT(self.den, self.num) ** (-e)
-        out = RationalQT.one()
-        for _ in range(e):
-            out = out * self
-        return out
+            return RationalQT(self.den ** -e, self.num ** -e)
+        return RationalQT(self.num ** e, self.den ** e)
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -429,7 +428,8 @@ class RationalQT:
             exps = [e for coeffs in ds.values() for e in coeffs]
             cancelled = False
             for k in range((max(exps) - min(exps)) // 2, 0, -1):
-                while (dd := _div_slices(ds, k)) is not None and (dn := _div_slices(ns, k)) is not None:
+                div = {k: 1, -k: -1}
+                while (dd := _div_slices(ds, div)) is not None and (dn := _div_slices(ns, div)) is not None:
                     ns, ds, cancelled = dn, dd, True
             if cancelled:
                 num, den = _unslice(ns, idx, r), _unslice(ds, idx, r)
@@ -570,82 +570,39 @@ def limit_at_one(f: RationalQT, variable: str) -> RationalQT:
 
 
 def _umul(a: dict, b: dict) -> dict:
-    """Multiply integer-keyed sparse univariate polynomials exactly."""
-    if not a or not b:
-        return {}
-    la, lb = min(a), min(b)
-    g = 0
-    for e in a:
-        g = gcd(g, e - la)
-    for e in b:
-        g = gcd(g, e - lb)
-    if g == 0:
-        g = 1
-    xs = [0] * ((max(a) - la) // g + 1)
-    for e, c in a.items():
-        xs[(e - la) // g] = c
-    ys = [0] * ((max(b) - lb) // g + 1)
-    for e, c in b.items():
-        ys[(e - lb) // g] = c
-    out = [0] * (len(xs) + len(ys) - 1)
-    for i, x in enumerate(xs):
-        if x:
-            for j, y in enumerate(ys):
-                if y:
-                    out[i + j] += x * y
-    base = la + lb
-    return {base + g * k: v for k, v in enumerate(out) if v}
+    """Multiply sparse univariate dicts exactly, dropping zero terms."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
 
 
 def _udiv(a: dict, b: dict):
     """a / b for nonzero univariate dicts; None when the division is not exact.
 
-    Long division from the top exponent down.  The quotient's exponents lie
-    in min(a) - min(b) .. max(a) - max(b), so a remainder term below that
-    range proves the division inexact.
+    Dense synthetic division from the top exponent down.  The quotient's
+    exponents lie in min(a) - min(b) .. max(a) - max(b); each quotient term
+    costs len(b) - 1 updates of the remainder list, so the work is linear in
+    the dividend for a fixed divisor.  The division is exact when the
+    remainder left in the lowest max(b) - min(b) slots is zero.  Quotient
+    coefficients are ``int`` when integral, ``Fraction`` otherwise.
     """
-    lo = min(a) - min(b)
-    top_b = max(b)
-    lead = b[top_b]
-    rem = dict(a)
+    lo_a, hi_b = min(a), max(b)
+    span = hi_b - min(b)
+    rem = [0] * (max(a) - lo_a + 1)
+    for e, c in a.items():
+        rem[e - lo_a] = c
+    lead = b[hi_b]
+    tail = [(e - hi_b, -c) for e, c in b.items() if e != hi_b]
+    base = lo_a - hi_b
     out = {}
-    while rem:
-        e = max(rem) - top_b
-        if e < lo:
-            return None
-        c = out[e] = _canon(Fraction(rem[e + top_b], lead))
-        for eb, cb in b.items():
-            s = rem.get(e + eb, 0) - c * cb
-            if s == 0:
-                rem.pop(e + eb, None)
-            else:
-                rem[e + eb] = s
-    return out
-
-
-def div_bracket_coeffs(coeffs: dict, k: int):
-    """Divide {exp -> coeff} by v^k - v^-k; None when not exact.
-
-    Synthetic division against v^-k (v^2k - 1); works over any coefficient
-    ring since it only adds and subtracts.
-    """
-    if not coeffs:
-        return {}
-    lo = min(coeffs)
-    n = max(coeffs) - lo
-    if n < 2 * k:
-        return None
-    s = [0] * (n + 1)
-    for e, c in coeffs.items():
-        s[e - lo] = c
-    u = [0] * (n + 1)
-    for j in range(n + 1):
-        prev = u[j - 2 * k] if j >= 2 * k else 0
-        u[j] = prev - s[j]
-    top = n - 2 * k
-    if any(u[j] != 0 for j in range(top + 1, n + 1)):
-        return None
-    return {lo + k + j: u[j] for j in range(top + 1) if u[j]}
+    for j in range(len(rem) - 1, span - 1, -1):
+        if r := rem[j]:
+            c = out[base + j] = Fraction(r, lead) if r % lead else r // lead
+            for off, nc in tail:
+                rem[j + off] += c * nc
+    return None if any(rem[:span]) else out
 
 
 def _lattice(idx: int, *parts: LaurentQT) -> int:
@@ -667,11 +624,12 @@ def _unslice(slices: dict, idx: int, r: int) -> LaurentQT:
     return LaurentQT({((e, o) if idx == 0 else (o, e)): c for o, e, c in items})
 
 
-def _div_slices(slices: dict, k: int):
-    """Divide every slice by v^k - v^-k; None when one division is not exact."""
+def _div_slices(slices: dict, divisor: dict):
+    """Divide every slice by one univariate dict with ``_udiv``; None when
+    one division is not exact."""
     out = {}
     for other, coeffs in slices.items():
-        if (q := div_bracket_coeffs(coeffs, k)) is None:
+        if (q := _udiv(coeffs, divisor)) is None:
             return None
         out[other] = q
     return out

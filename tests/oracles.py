@@ -22,8 +22,8 @@ from math import lcm
 from skein_homfly.exact import (
     LaurentQT,
     RationalQT,
+    _udiv,
     _umul,
-    div_bracket_coeffs,
     limit_at_one,
     q_bracket,
     substitute,
@@ -64,14 +64,14 @@ def unknot_leading_term(lam: Partition):
 def _dict_class_data(n: int) -> tuple:
     """(lcm of all z_nu, D_n, classes) with the t-bracket product and the
     quotient D_n / prod [nu_i] of each class nu as item tuples, from bracket
-    products and divisions on dicts."""
+    products and exact divisions by brackets on dicts (``exact._udiv``)."""
     d_n = _brackets({k: n // k for k in range(1, n + 1)})
     classes = []
     for nu in partitions_of(n):
         tpoly = _brackets({p: nu.multiplicity(p) for p in nu})
         qco = dict(d_n)
         for p in nu:
-            qco = div_bracket_coeffs(qco, p)
+            qco = _udiv(qco, {p: 1, -p: -1})
         classes.append((nu, nu.z_factor(), tuple(tpoly.items()), tuple(qco.items())))
     return lcm(*(z for _, z, _, _ in classes)), d_n, tuple(classes)
 

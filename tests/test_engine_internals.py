@@ -7,7 +7,6 @@ from skein_homfly.exact import (
     RationalQT,
     _exact_div_univariate,
     _udiv,
-    div_bracket_coeffs,
     expand_series,
     limit_at_one,
     q_bracket,
@@ -50,7 +49,7 @@ def test_udiv_bracket_round_trips():
     for k in (1, 2, 3):
         for poly in ({0: 1}, {1: 2, -1: 2}, {0: 1, 4: -3, -2: 5}):
             prod = _umul(poly, {k: 1, -k: -1})
-            assert div_bracket_coeffs(prod, k) == poly
+            assert _udiv(prod, {k: 1, -k: -1}) == poly
 
 
 def test_exact_div_mixed_fractional_lattices():
@@ -81,8 +80,8 @@ def test_udiv_kernel_keeps_int_quotients():
 
 
 def test_div_bracket_coeffs_inexact_returns_none():
-    assert div_bracket_coeffs({0: 1}, 1) is None
-    assert div_bracket_coeffs({2: 1, -2: 1}, 2) is None  # q^2 + q^-2
+    assert _udiv({0: 1}, {1: 1, -1: -1}) is None
+    assert _udiv({2: 1, -2: 1}, {2: 1, -2: -1}) is None  # q^2 + q^-2
 
 
 def test_universal_denominator_matches_definition():
@@ -119,4 +118,16 @@ def test_rational_negative_power():
     f = RationalQT(q_bracket(2), q_bracket(1))
     assert f ** -1 == RationalQT(q_bracket(1), q_bracket(2))
     assert f ** 0 == RationalQT.one()
+    # num^e / den^e normalized once has the term dicts of |e| normalized products
+    g = RationalQT(q_bracket(1) * 3 + t_power(2), LaurentQT({(Fraction(1, 2), -1): Fraction(2, 3), (0, 1): -1}))
+    for x in (f, g):
+        for e in range(-3, 5):
+            base = x if e >= 0 else RationalQT(x.den, x.num)
+            product = RationalQT.one()
+            for _ in range(abs(e)):
+                product = product * base
+            power = x ** e
+            assert (power.num.terms, power.den.terms) == (product.num.terms, product.den.terms)
+    with pytest.raises(ZeroDivisionError):
+        RationalQT(LaurentQT.zero()) ** -2
 

@@ -143,6 +143,22 @@ def test_json_round_trip():
         laurent_from_json([{"qn": 0, "qd": 1, "t": 1.5, "cn": 1, "cd": 1}])
 
 
+def test_constructor_rejects_inexact_scalars():
+    # a float would be stored as given and printed truncated through int()
+    with pytest.raises(ValueError, match="q-exponent must be an int or a Fraction: 1.5"):
+        LaurentQT({(1.5, 0): 1})
+    with pytest.raises(ValueError, match="coefficient must be an int or a Fraction: 0.5"):
+        LaurentQT({(0, 0): 0.5})
+    with pytest.raises(ValueError, match="coefficient"):
+        LaurentQT({(1, 0): 1, (0, 0): 0.0})
+    with pytest.raises(ValueError, match="q-exponent"):
+        LaurentQT({(2.0, 0): 1})
+    # an int subclass is stored as a plain int, in every slot
+    ((qe, te), c), = LaurentQT({(True, False): True}).terms.items()
+    assert (qe, te, c) == (1, 0, 1)
+    assert (type(qe), type(te), type(c)) == (int, int, int)
+
+
 # -- series expansion and limits -------------------------------------------
 
 

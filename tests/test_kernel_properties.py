@@ -1,0 +1,71 @@
+"""Seeded property checks of the univariate dict kernel, ``exact._umul`` and
+``exact._udiv``: products against ``LaurentQT`` multiplication, quotients
+against the products they came from, and the inexact cases."""
+
+import random
+from fractions import Fraction
+
+from skein_homfly.exact import LaurentQT, _udiv, _umul
+
+CASES = 300
+
+
+def _coeff(rng):
+    c = Fraction(rng.randint(-9, 9), rng.randint(1, 4)) if rng.random() < 0.5 else rng.randint(-9, 9)
+    c = int(c) if isinstance(c, Fraction) and c.denominator == 1 else c
+    return c or 1
+
+
+def _poly(rng, size=None):
+    """A nonzero dict with negative and positive exponents."""
+    return {rng.randint(-6, 6): _coeff(rng) for _ in range(size or rng.randint(1, 6))}
+
+
+def _divisor(rng):
+    """A divisor whose top coefficient is one of 2, -3, 1/2 or a random one."""
+    b = _poly(rng, rng.randint(1, 4))
+    b[max(b)] = rng.choice((2, -3, Fraction(1, 2), _coeff(rng)))
+    return b
+
+
+def _as_laurent(d, idx):
+    return LaurentQT({((e, 0) if idx == 0 else (0, e)): c for e, c in d.items()})
+
+
+def test_umul_matches_laurent_product():
+    rng = random.Random(1101)
+    for i in range(CASES):
+        a, b = _poly(rng), _poly(rng)
+        idx = i % 2
+        assert _as_laurent(_umul(a, b), idx) == _as_laurent(a, idx) * _as_laurent(b, idx)
+        assert all(_umul(a, b).values())
+
+
+def test_udiv_inverts_umul():
+    rng = random.Random(1102)
+    for _ in range(CASES):
+        a, b = _poly(rng), _divisor(rng)
+        q = _udiv(_umul(a, b), b)
+        assert q == a
+        # integral quotient coefficients are int, the others Fraction
+        for c in q.values():
+            assert type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+
+
+def test_udiv_inexact_returns_none():
+    rng = random.Random(1103)
+    for _ in range(CASES):
+        q, b = _poly(rng), _divisor(rng)
+        b[min(b) - rng.randint(1, 3)] = _coeff(rng)
+        span = max(b) - min(b)
+        # a nonzero remainder below min(q) + max(b) spans less than b, so b
+        # cannot divide it
+        low = min(q) + min(b)
+        remainder = {rng.randint(low, low + span - 1): _coeff(rng) for _ in range(rng.randint(1, 3))}
+        a = _umul(q, b)
+        for e, c in remainder.items():
+            a[e] = a.get(e, 0) + c
+        assert _udiv({e: c for e, c in a.items() if c}, b) is None
+        # a divisor longer than the dividend
+        shorter = {rng.randint(0, span - 1): _coeff(rng) for _ in range(3)}
+        assert _udiv(shorter, b) is None
