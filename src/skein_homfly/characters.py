@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import factorial
 
 from .errors import BoundExceeded, SizeMismatch
-from .exact import LaurentQT, _exact_div_univariate, q_bracket
+from .exact import LaurentQT, _exact_div, q_bracket
 from .partitions import Partition, partitions_of
 
 DEFAULT_TABLE_BOUND = 12
@@ -142,7 +142,4 @@ def hook_character_identity(b: Partition) -> bool:
     rhs_num = LaurentQT.one()
     for part in b:
         rhs_num = rhs_num * q_bracket(part)
-    rhs = _exact_div_univariate(rhs_num, q_bracket(1))
-    if rhs is None:
-        return False
-    return lhs == rhs
+    return lhs == _exact_div(rhs_num, q_bracket(1))  # None when the division is not exact

@@ -17,13 +17,13 @@ numerator and denominator to their first non-vanishing order, compare
 orders, and return the quotient of the leading coefficients as a
 RationalQT.
 
-Univariate work runs on one kernel of {int exponent -> coefficient} dicts:
-``_umul`` multiplies and ``_udiv`` divides exactly (or reports that it
-cannot), by any divisor, brackets v^k - v^-k included.  ``_slices`` is the one
-lattice conversion: it cuts a LaurentQT into such dicts, one per exponent of
-the other variable, a fractional exponent e entering as the integer e * r
-(r from ``_lattice``, the lcm of the exponent denominators); ``_unslice``
-rebuilds it.
+Exact quotients run on one kernel of {int exponent -> coefficient} dicts:
+``_umul`` multiplies, ``_udiv`` divides exactly or reports that it cannot,
+``_exact_div`` divides two LaurentQTs by Kronecker substitution and one
+``_udiv``, and ``_cancel`` strips the brackets v^k - v^-k shared by slices.
+``_slices`` cuts a LaurentQT into one dict per exponent of the other
+variable, a fractional exponent e entering as the integer e * r (r from
+``_lattice``, the lcm of the exponent denominators); ``_unslice`` rebuilds it.
 """
 
 from __future__ import annotations
@@ -100,9 +100,6 @@ class LaurentQT:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_one(self) -> bool:
-        return self.terms == {(0, 0): 1}
 
     def sorted_terms(self):
         """Terms in canonical order: (q_exp, t_exp) ascending."""
@@ -327,16 +324,10 @@ class RationalQT:
         return len(self.den.terms) == 1
 
     def as_laurent(self) -> LaurentQT:
-        """Return the value as a Laurent polynomial, folding unit denominators."""
-        if self.den.is_one():
-            return self.num
-        if len(self.den.terms) == 1:
-            ((qe, te), c), = self.den.terms.items()
-            return self.num * LaurentQT({(-qe, -te): Fraction(1) / c})
-        q = _exact_div_univariate(self.num, self.den)
-        if q is not None:
-            return q
-        raise ValueError("value is not a Laurent polynomial")
+        """The value as a LaurentQT when the denominator divides the numerator, else ValueError."""
+        if (out := _exact_div(self.num, self.den)) is None:
+            raise ValueError("value is not a Laurent polynomial")
+        return out
 
     def _coerce(self, other):
         if isinstance(other, RationalQT):
@@ -412,12 +403,9 @@ class RationalQT:
     def simplified(self) -> "RationalQT":
         """Cancel bracket factors v^k - v^-k shared by num and den.
 
-        This is content reduction, not general gcd: it strips exactly the
-        structured factors that class sums and trace recursions accumulate.
-        For each variable both parts are cut once into univariate slices on
-        the variable's exponent lattice, k runs from half the denominator's
-        span down to 1 (in lattice steps), and each bracket is cancelled
-        while both parts divide; each part is then rebuilt once.
+        Content reduction, not general gcd: for each variable both parts are
+        cut once into slices on its exponent lattice, ``_cancel`` strips the
+        shared brackets, and each part is rebuilt once.
         """
         num, den = self.num, self.den
         if num.is_zero():
@@ -425,14 +413,9 @@ class RationalQT:
         for idx in (0, 1):
             r = _lattice(idx, num, den)
             ns, ds = _slices(num, idx, r), _slices(den, idx, r)
-            exps = [e for coeffs in ds.values() for e in coeffs]
-            cancelled = False
-            for k in range((max(exps) - min(exps)) // 2, 0, -1):
-                div = {k: 1, -k: -1}
-                while (dd := _div_slices(ds, div)) is not None and (dn := _div_slices(ns, div)) is not None:
-                    ns, ds, cancelled = dn, dd, True
-            if cancelled:
-                num, den = _unslice(ns, idx, r), _unslice(ds, idx, r)
+            ns, dc = _cancel(ns, ds)
+            if dc is not ds:
+                num, den = _unslice(ns, idx, r), _unslice(dc, idx, r)
         return RationalQT(num, den)
 
 
@@ -635,20 +618,39 @@ def _div_slices(slices: dict, divisor: dict):
     return out
 
 
-def _exact_div_univariate(a: LaurentQT, b: LaurentQT):
-    """a / b for univariate inputs in the same variable; None if not exact.
+def _cancel(ns: dict, ds: dict) -> tuple:
+    """Cancel each bracket v^k - v^-k, k from half the span of the nonzero ds
+    down to 1, while it divides every slice of ns and ds (``_slices`` form);
+    the given objects come back when nothing cancelled."""
+    exps = [e for coeffs in ds.values() for e in coeffs]
+    for k in range((max(exps) - min(exps)) // 2, 0, -1):
+        div = {k: 1, -k: -1}
+        while (dd := _div_slices(ds, div)) is not None and (dn := _div_slices(ns, div)) is not None:
+            ns, ds = dn, dd
+    return ns, ds
 
-    Both operands are cut onto one exponent lattice and go through the
-    kernel's ``_udiv``.
+
+def _exact_div(a: LaurentQT, b: LaurentQT):
+    """a / b for any LaurentQTs; None when b does not divide a.
+
+    Kronecker substitution q^(i/r) t^j -> v^(i + w j), i the steps on the
+    common q-lattice r above each operand's lowest q-exponent and w one more
+    than a's q-span, is a ring map, one-to-one on offsets below w.  So a
+    univariate quotient whose offsets stay <= span(a) - span(b) is the
+    quotient, and any other offset, or no univariate quotient, proves there
+    is none.
     """
     if b.is_zero():
-        raise ZeroDivisionError("univariate division by zero")
+        raise ZeroDivisionError("exact division by zero")
     if a.is_zero():
         return LaurentQT.zero()
-    keys = [*a.terms, *b.terms]
-    idx = 1 if any(te for _, te in keys) else 0
-    if idx and any(qe for qe, _ in keys):
+    r = _lattice(0, a, b)
+    (lo_a, hi_a), (lo_b, hi_b) = ((min(e), max(e)) for e in (a.exponents("q"), b.exponents("q")))
+    w, room = int((hi_a - lo_a) * r) + 1, int((hi_a - lo_a - hi_b + lo_b) * r)
+    kron = ({int((e - lo) * r) + w * t: c for (e, t), c in p.terms.items()}
+            for p, lo in ((a, lo_a), (b, lo_b)))
+    if room < 0 or (out := _udiv(*kron)) is None or any(e % w > room for e in out):
         return None
-    r = _lattice(idx, a, b)
-    out = _udiv(_slices(a, idx, r)[0], _slices(b, idx, r)[0])
-    return None if out is None else _unslice({0: out}, idx, r)
+    base = int((lo_a - lo_b) * r)
+    qs = ((base + e % w, e // w, c) for e, c in out.items())
+    return LaurentQT({(k if r == 1 else Fraction(k, r), te): c for k, te, c in qs})

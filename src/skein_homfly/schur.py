@@ -13,8 +13,10 @@ accumulated over one universal denominator
 which every per-class bracket product divides, so summation never leaves a
 single fraction.  The sum is Kronecker-packed (Harvey, J. Symbolic Comput.
 2009): one integer coefficient per fixed-width slot of a big int, so each
-class costs one big-int product.  ``class_sum_order`` takes one coefficient
-at t = e^h from the classes with few parts, on exact.py's dict kernel.
+class costs one big-int product, and the sum is cancelled against D_n on
+its t-slices (``exact._cancel``) before a RationalQT is built.
+``class_sum_order`` takes one coefficient at t = e^h from the classes with
+few parts, on exact.py's dict kernel.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from operator import sub
 
 from .characters import character
 from .errors import IntegralityViolation
-from .exact import LaurentQT, RationalQT, _umul
+from .exact import RationalQT, _cancel, _umul, _unslice
 from .partitions import Partition, PartitionVector, partitions_of
 
 
@@ -63,11 +65,6 @@ def _unpack(x: int, size: int) -> list:
     x += int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
     raw, half = x.to_bytes(count * size, "little"), 1 << (8 * size - 1)
     return [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, count * size, size)]
-
-
-def universal_denominator(n: int) -> LaurentQT:
-    """D_n(q) = prod_k (q^k - q^-k)^{floor(n/k)}."""
-    return LaurentQT({(e, 0): c for e, c in _class_data(n)[1]})
 
 
 @lru_cache(maxsize=None)
@@ -121,9 +118,9 @@ def character_bracket_sum(n: int, weights, ram: int = 1) -> RationalQT:
     univariate q-polynomial given as {scaled exponent -> integer
     coefficient}, scaled by ``ram`` (exponent e stands for q^(e/ram)).  A
     fractional q-exponent surviving the summation raises
-    IntegralityViolation.  All p(n) classes enter; the sum is reduced by
-    ``RationalQT.simplified``.  ``class_sum_order`` takes one coefficient of
-    the same sum at t = 1 from far fewer classes.
+    IntegralityViolation.  All p(n) classes enter; the sum is cancelled on
+    its t-slices by ``exact._cancel``.  ``class_sum_order`` takes one
+    coefficient of the same sum at t = 1 from far fewer classes.
 
     Kronecker-packed: per class, g_nu and D_n / prod [nu_i] are one int each
     on one exponent lattice (step: the gcd of the actual offsets), multiplied
@@ -146,9 +143,12 @@ def character_bracket_sum(n: int, weights, ram: int = 1) -> RationalQT:
         for te, tc in tpoly:
             acc[te] = acc.get(te, 0) + tc * h
     low = glow + (d_n[0][0] + n) * ram
-    slots = ((te, k, c) for te, x in acc.items() for k, c in enumerate(_unpack(x, size)) if c)
-    num = {(_unscale(low + step * k, ram), te): c for te, k, c in slots}
-    return RationalQT(LaurentQT(num), universal_denominator(n) * zl).simplified()
+    slices = ((te, _unpack(x, size)) for te, x in acc.items())
+    ns = {te: {_unscale(low + step * k, ram): c for k, c in enumerate(s) if c} for te, s in slices if any(s)}
+    if not ns:
+        return RationalQT(0)
+    ns, ds = _cancel(ns, {0: {e: c * zl for e, c in d_n}})
+    return RationalQT(_unslice(ns, 0, 1), _unslice(ds, 0, 1))
 
 
 def class_sum_order(n: int, weights, j: int, ram: int = 1) -> tuple:

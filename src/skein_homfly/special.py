@@ -22,7 +22,7 @@ from math import gcd, prod
 from .errors import LimitDoesNotExist, NonCoprime
 from .exact import (
     LaurentQT,
-    _exact_div_univariate,
+    _exact_div,
     _fmt_rational,
     _udiv,
     _umul,
@@ -145,7 +145,7 @@ def alexander_torus(m: int, n: int, d: int = 1) -> LaurentQT:
         return LaurentQT.one()
     num = q_bracket(m * n * d) * q_bracket(d)
     den = q_bracket(m * d) * q_bracket(n * d)
-    out = _exact_div_univariate(num, den)
+    out = _exact_div(num, den)
     assert out is not None, "torus Alexander division must be exact"
     return out
 

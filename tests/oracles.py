@@ -6,10 +6,11 @@ Hecke-algebra product with the two quasi-idempotent symmetrizers
 (Aiston-Morton, Idempotents of Hecke algebras of type A, JKTR 1998), the
 t = 1 leading term of a colored unknot from the hook-content product, the
 class sum accumulated term by term in dicts (the route the packed
-``schur.character_bracket_sum`` replaced), the q = 1 special polynomial H
-from the full two-variable ratio (the route ``special.special_H``'s leading
-coefficients replaced), and a floating-point
-evaluation of Laurent polynomials for numeric sanity checks.
+``schur.character_bracket_sum`` replaced) and its universal denominator
+D_n as a LaurentQT, the q = 1 special polynomial H from the full
+two-variable ratio (the route ``special.special_H``'s leading coefficients
+replaced), and a floating-point evaluation of Laurent polynomials for
+numeric sanity checks.
 None of this feeds a computed result of the package.
 """
 
@@ -30,7 +31,7 @@ from skein_homfly.exact import (
 )
 from skein_homfly.hecke import HeckeElement, all_permutations, apply_generator, perm_length
 from skein_homfly.partitions import Partition, partitions_of
-from skein_homfly.schur import _brackets, _class_weight, _unscale, unknot_value
+from skein_homfly.schur import _brackets, _class_data, _class_weight, _unscale, unknot_value
 from skein_homfly.torus import colored_homfly
 
 
@@ -79,7 +80,7 @@ def _dict_class_data(n: int) -> tuple:
 def character_bracket_sum_dict(n: int, weights, ram: int = 1) -> RationalQT:
     """``schur.character_bracket_sum`` one dict term at a time, every q-term
     of g_nu * D_n / prod [nu_i] scattered into every t-degree: the value it
-    hands to ``RationalQT.simplified``."""
+    cuts into t-slices for ``exact._cancel``."""
     zl, d_n, classes = _dict_class_data(n)
     num = {}
     for nu, z, tpoly, qco in classes:
@@ -100,6 +101,11 @@ def character_bracket_sum_dict(n: int, weights, ram: int = 1) -> RationalQT:
                     num[key] = s
     terms = {(_unscale(qe, ram), te): c for (qe, te), c in num.items()}
     return RationalQT(LaurentQT(terms), LaurentQT({(e, 0): c for e, c in d_n.items()}) * zl)
+
+
+def universal_denominator(n: int) -> LaurentQT:
+    """D_n(q) = prod_k (q^k - q^-k)^{floor(n/k)}, as ``schur._class_data`` packs it."""
+    return LaurentQT({(e, 0): c for e, c in _class_data(n)[1]})
 
 
 # -- the q = 1 special polynomial from the whole ratio ---------------------

@@ -386,6 +386,15 @@ def test_as_laurent_folds_monomial_denominator():
     assert f.as_laurent() == q_bracket(1)
 
 
+def test_as_laurent_divides_by_any_denominator():
+    # t (q^2 - q^-2) / (q - q^-1) = t (q + q^-1): a denominator in q alone
+    # under a numerator in both variables
+    value = RationalQT(t_power(1) * q_bracket(2), q_bracket(1))
+    assert value.as_laurent() == t_power(1) * LaurentQT({(1, 0): 1, (-1, 0): 1})
+    with pytest.raises(ValueError, match="not a Laurent polynomial"):
+        RationalQT(LaurentQT.one(), q_bracket(1) + t_bracket(1)).as_laurent()
+
+
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         RationalQT(LaurentQT.one(), LaurentQT.zero())

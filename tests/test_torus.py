@@ -20,6 +20,17 @@ from skein_homfly.torus import (
 P = Partition
 
 
+def test_normalized_knot_invariants_are_laurent():
+    # W_A / s*_A of a knot is a Laurent polynomial, whatever denominator the
+    # reduced ratio keeps
+    for m, n in ((2, 3), (2, 5), (3, 4), (2, -3)):
+        for a in (lam for d in (1, 2, 3) for lam in partitions_of(d)):
+            ratio = colored_homfly(TorusLinkSpec(m, n, 1, (a,))).value / unknot_value(a)
+            laurent = ratio.simplified().as_laurent()
+            assert isinstance(laurent, LaurentQT)
+            assert RationalQT(laurent) == ratio, (m, n, a)
+
+
 def _mono(c, qe, te):
     return RationalQT(LaurentQT.monomial(c, qe, te))
 
