@@ -11,7 +11,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
 
 from .errors import BoundExceeded, SizeMismatch
 from .exact import LaurentQT, _exact_div, q_bracket
@@ -60,16 +59,6 @@ def _char(lam: tuple, mu: tuple) -> int:
     return total
 
 
-def dimension(lam: Partition) -> int:
-    """Dimension of the irreducible representation; hook length formula."""
-    if lam.size == 0:
-        return 1
-    d = factorial(lam.size)
-    for h in lam.hook_lengths():
-        d //= h
-    return d
-
-
 @dataclass(frozen=True)
 class CharacterTable:
     """Square table of chi_lambda(C_mu) over all partitions of n.
@@ -84,9 +73,6 @@ class CharacterTable:
 
     def row(self, lam: Partition):
         return [self.values[(lam, mu)] for mu in self.index]
-
-    def matrix(self):
-        return [self.row(lam) for lam in self.index]
 
 
 def character_table(n: int) -> CharacterTable:

@@ -18,12 +18,15 @@ orders, and return the quotient of the leading coefficients as a
 RationalQT.
 
 Exact quotients run on one kernel of {int exponent -> coefficient} dicts:
-``_umul`` multiplies, ``_udiv`` divides exactly or reports that it cannot,
-``_exact_div`` divides two LaurentQTs by Kronecker substitution and one
-``_udiv``, and ``_cancel`` strips the brackets v^k - v^-k shared by slices.
-``_slices`` cuts a LaurentQT into one dict per exponent of the other
-variable, a fractional exponent e entering as the integer e * r (r from
-``_lattice``, the lcm of the exponent denominators); ``_unslice`` rebuilds it.
+``_umul`` multiplies, ``_brackets`` forms products of brackets v^k - v^-k,
+``_udiv`` divides exactly or reports that it cannot, ``_exact_div`` divides
+two LaurentQTs by Kronecker substitution and one ``_udiv``, and ``_cancel``
+strips the brackets shared by slices.  ``_slices`` cuts a LaurentQT into one
+dict per exponent of the other variable, a fractional exponent e entering as
+the integer e * r (r from ``_lattice``, the lcm of the exponent
+denominators); ``_unslice`` rebuilds it.  ``_over_q`` is the one reduction
+that the class sums and the Markov traces share: t-slices over a q-only
+denominator, ``_cancel``, then one RationalQT.
 """
 
 from __future__ import annotations
@@ -108,9 +111,6 @@ class LaurentQT:
     def exponents(self, variable: str):
         idx = 0 if variable == "q" else 1
         return [k[idx] for k in self.terms]
-
-    def has_integral_q_exponents(self) -> bool:
-        return all(isinstance(qe, int) for qe, _ in self.terms)
 
     # -- ring operations ----------------------------------------------
 
@@ -405,7 +405,9 @@ class RationalQT:
 
         Content reduction, not general gcd: for each variable both parts are
         cut once into slices on its exponent lattice, ``_cancel`` strips the
-        shared brackets, and each part is rebuilt once.
+        shared brackets, and each part is rebuilt once.  A Laurent value comes
+        back in its Laurent form, with a monomial denominator.  No computation
+        path calls this; it reduces values that users and tests build.
         """
         num, den = self.num, self.den
         if num.is_zero():
@@ -416,7 +418,8 @@ class RationalQT:
             ns, dc = _cancel(ns, ds)
             if dc is not ds:
                 num, den = _unslice(ns, idx, r), _unslice(dc, idx, r)
-        return RationalQT(num, den)
+        out = _exact_div(num, den)
+        return RationalQT(num, den) if out is None else RationalQT(out)
 
 
 def _normalize_pair(num: LaurentQT, den: LaurentQT):
@@ -561,6 +564,15 @@ def _umul(a: dict, b: dict) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
+def _brackets(powers: dict, scale: int = 1) -> dict:
+    """prod_p (v^(p scale) - v^-(p scale))^powers[p] as an {exponent: coeff} dict."""
+    out = {0: 1}
+    for p, e in powers.items():
+        for _ in range(e):
+            out = _umul(out, {p * scale: 1, -p * scale: -1})
+    return out
+
+
 def _udiv(a: dict, b: dict):
     """a / b for nonzero univariate dicts; None when the division is not exact.
 
@@ -628,6 +640,15 @@ def _cancel(ns: dict, ds: dict) -> tuple:
         while (dd := _div_slices(ds, div)) is not None and (dn := _div_slices(ns, div)) is not None:
             ns, ds = dn, dd
     return ns, ds
+
+
+def _over_q(ns: dict, den: dict) -> RationalQT:
+    """The t-slices ns ({t-exponent: {q-exponent: coeff}}) over the q-only
+    den, after ``_cancel`` strips their shared brackets; zero when ns is empty."""
+    if not ns:
+        return RationalQT(0)
+    ns, ds = _cancel(ns, {0: den})
+    return RationalQT(_unslice(ns, 0, 1), _unslice(ds, 0, 1))
 
 
 def _exact_div(a: LaurentQT, b: LaurentQT):

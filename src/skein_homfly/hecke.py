@@ -10,11 +10,13 @@ z = q - q^-1.  The trace is the unique linear functional with
     tr_n(w_a s_{n-1} w_b) = t * tr_{n-1}(w_a w_b)     for a, b fixing n
 
 pinned by the two anchors <unknot> = delta and <positive kink> = t*delta.
-Since z * delta = t - t^-1, traces on n strands are kept as Laurent
-numerators over z^n: ``_trace_perm`` returns z^n * tr_n(w_pi), and
-``markov_trace`` builds the one RationalQT numerator / z^n at the end.
-This path never touches the plethysm machinery, so it cross-validates the
-torus formula on uncolored specializations.
+Since z * delta = t - t^-1, ``_trace_perm`` keeps z^(n-1) * tr_n(w_pi) / delta,
+a Laurent polynomial that is 1 on one strand.  The framed closure is
+(t - t^-1) sum_pi c_pi U_pi over z^n and the normalized one
+t^(-writhe) sum_pi c_pi U_pi over z^(n-1); each builds one RationalQT at
+the end through ``exact._over_q``, with no delta and no RationalQT
+division.  This path never touches the plethysm machinery, so it
+cross-validates the torus formula on uncolored specializations.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from itertools import permutations as _permutations
 from operator import index
 
 from .errors import IndexOutOfRange
-from .exact import LaurentQT, RationalQT, delta, q_bracket, t_bracket, t_power
+from .exact import LaurentQT, RationalQT, _brackets, _over_q, _slices, q_bracket, t_bracket, t_power
 from .partitions import Partition
 
 _Z = q_bracket(1)
@@ -224,9 +226,9 @@ def element_of_braid(w: BraidWord) -> HeckeElement:
 
 @lru_cache(maxsize=None)
 def _trace_perm(n: int, pi: tuple) -> LaurentQT:
-    """z^n * tr_n(w_pi), a Laurent polynomial since z * delta = t - t^-1."""
+    """U_pi = z^(n-1) * tr_n(w_pi) / delta, a Laurent polynomial since z * delta = t - t^-1."""
     if n == 1:
-        return t_bracket(1)
+        return LaurentQT.one()
     if pi[n - 1] == n - 1:
         return t_bracket(1) * _trace_perm(n - 1, pi[: n - 1])
     j = pi.index(n - 1)
@@ -238,14 +240,17 @@ def _trace_perm(n: int, pi: tuple) -> LaurentQT:
     # pi = w_alpha * s_{n-1} * (s_{n-2} ... s_{j+1}) with additive lengths
     for i in range(n - 2, j, -1):
         x = apply_generator(x, i, 1)
-    total = sum((c * _trace_perm(n - 1, sigma) for sigma, c in x.terms.items()), LaurentQT.zero())
-    return t_power(1) * _Z * total
+    return t_power(1) * _Z * _fold(x)
+
+
+def _fold(x: HeckeElement) -> LaurentQT:
+    """sum_pi c_pi U_pi = z^(n-1) * tr_n(x) / delta."""
+    return sum((c * _trace_perm(x.n, pi) for pi, c in x.terms.items()), LaurentQT.zero())
 
 
 def markov_trace(x: HeckeElement) -> RationalQT:
     """Framed invariant of the closure of x, extended linearly."""
-    total = sum((c * _trace_perm(x.n, pi) for pi, c in x.terms.items()), LaurentQT.zero())
-    return RationalQT(total, _Z ** x.n).simplified()
+    return _over_q(_slices(t_bracket(1) * _fold(x), 0, 1), _brackets({1: x.n}))
 
 
 def framed_homfly_of_closure(w: BraidWord) -> RationalQT:
@@ -255,5 +260,5 @@ def framed_homfly_of_closure(w: BraidWord) -> RationalQT:
 
 def normalized_homfly_of_closure(w: BraidWord) -> RationalQT:
     """Writhe-corrected invariant divided by the unknot value."""
-    bracket = framed_homfly_of_closure(w)
-    return (bracket * RationalQT(t_power(-w.writhe)) / delta()).simplified()
+    total = t_power(-w.writhe) * _fold(element_of_braid(w))
+    return _over_q(_slices(total, 0, 1), _brackets({1: w.strands - 1}))

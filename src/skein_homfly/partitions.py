@@ -108,15 +108,6 @@ class Partition:
                 cols[i] += 1
         return Partition(cols)
 
-    def hook_form(self):
-        """Return (a, b) when the shape is the hook (a+1, 1^b), else None."""
-        p = self.parts
-        if not p:
-            return None
-        if any(x != 1 for x in p[1:]):
-            return None
-        return (p[0] - 1, len(p) - 1)
-
     def hook_lengths(self):
         """Multiset of hook lengths, row by row."""
         t = self.conjugate().parts
@@ -174,11 +165,6 @@ class PartitionVector:
 
     def __getitem__(self, i):
         return self.components[i]
-
-    @property
-    def norm(self) -> int:
-        """Total number of boxes over all components."""
-        return sum(c.size for c in self.components)
 
     def conjugate(self) -> "PartitionVector":
         return PartitionVector(tuple(c.conjugate() for c in self.components))

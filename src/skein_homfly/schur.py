@@ -13,8 +13,9 @@ accumulated over one universal denominator
 which every per-class bracket product divides, so summation never leaves a
 single fraction.  The sum is Kronecker-packed (Harvey, J. Symbolic Comput.
 2009): one integer coefficient per fixed-width slot of a big int, so each
-class costs one big-int product, and the sum is cancelled against D_n on
-its t-slices (``exact._cancel``) before a RationalQT is built.
+class costs one big-int product, and its t-slices go to ``exact._over_q``,
+the reduction the Markov trace shares, which cancels them against D_n and
+builds one RationalQT.
 ``class_sum_order`` takes one coefficient at t = e^h from the classes with
 few parts, on exact.py's dict kernel.
 """
@@ -30,17 +31,8 @@ from operator import sub
 
 from .characters import character
 from .errors import IntegralityViolation
-from .exact import RationalQT, _cancel, _umul, _unslice
+from .exact import RationalQT, _brackets, _over_q, _umul
 from .partitions import Partition, PartitionVector, partitions_of
-
-
-def _brackets(powers: dict, scale: int = 1) -> dict:
-    """prod_p (v^(p scale) - v^-(p scale))^powers[p] as an {exponent: coeff} dict."""
-    out = {0: 1}
-    for p, e in powers.items():
-        for _ in range(e):
-            out = _umul(out, {p * scale: 1, -p * scale: -1})
-    return out
 
 
 def _multiplicities(nu: Partition) -> dict:
@@ -118,8 +110,8 @@ def character_bracket_sum(n: int, weights, ram: int = 1) -> RationalQT:
     univariate q-polynomial given as {scaled exponent -> integer
     coefficient}, scaled by ``ram`` (exponent e stands for q^(e/ram)).  A
     fractional q-exponent surviving the summation raises
-    IntegralityViolation.  All p(n) classes enter; the sum is cancelled on
-    its t-slices by ``exact._cancel``.  ``class_sum_order`` takes one
+    IntegralityViolation.  All p(n) classes enter; ``exact._over_q`` reduces
+    the sum's t-slices against D_n.  ``class_sum_order`` takes one
     coefficient of the same sum at t = 1 from far fewer classes.
 
     Kronecker-packed: per class, g_nu and D_n / prod [nu_i] are one int each
@@ -145,10 +137,7 @@ def character_bracket_sum(n: int, weights, ram: int = 1) -> RationalQT:
     low = glow + (d_n[0][0] + n) * ram
     slices = ((te, _unpack(x, size)) for te, x in acc.items())
     ns = {te: {_unscale(low + step * k, ram): c for k, c in enumerate(s) if c} for te, s in slices if any(s)}
-    if not ns:
-        return RationalQT(0)
-    ns, ds = _cancel(ns, {0: {e: c * zl for e, c in d_n}})
-    return RationalQT(_unslice(ns, 0, 1), _unslice(ds, 0, 1))
+    return _over_q(ns, {e: c * zl for e, c in d_n})
 
 
 def class_sum_order(n: int, weights, j: int, ram: int = 1) -> tuple:

@@ -22,6 +22,7 @@ from math import gcd, prod
 from .errors import LimitDoesNotExist, NonCoprime
 from .exact import (
     LaurentQT,
+    _brackets,
     _exact_div,
     _fmt_rational,
     _udiv,
@@ -29,7 +30,7 @@ from .exact import (
     expand_series,
     q_bracket,
 )
-from .schur import _brackets, class_sum_order
+from .schur import class_sum_order
 from .torus import DisjointUnion, TorusLinkSpec, UnknotSpec, _torus_weights, colored_homfly
 
 

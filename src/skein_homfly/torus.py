@@ -171,4 +171,4 @@ def uncolored_homfly_torus_knot(m: int, n: int):
     if gcd(m, abs(n)) != 1:
         raise NonCoprime(f"gcd({m}, {n}) != 1")
     w = _torus_value(m, n, (Partition((1,)),))
-    return w, (w / delta()).simplified()
+    return w, RationalQT((w / delta()).as_laurent())

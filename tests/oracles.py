@@ -9,29 +9,42 @@ class sum accumulated term by term in dicts (the route the packed
 ``schur.character_bracket_sum`` replaced) and its universal denominator
 D_n as a LaurentQT, the q = 1 special polynomial H from the full
 two-variable ratio (the route ``special.special_H``'s leading coefficients
-replaced), and a floating-point evaluation of Laurent polynomials for
-numeric sanity checks.
+replaced), the Markov trace reduced by ``RationalQT.simplified`` and a
+division by delta (the route ``exact._over_q`` replaced), the hook length
+formula for character degrees, and a floating-point evaluation of Laurent
+polynomials for numeric sanity checks.
 None of this feeds a computed result of the package.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
-from math import lcm
+from math import factorial, lcm
 
 from skein_homfly.exact import (
     LaurentQT,
     RationalQT,
+    _brackets,
     _udiv,
     _umul,
+    delta,
     limit_at_one,
     q_bracket,
     substitute,
+    t_bracket,
+    t_power,
 )
-from skein_homfly.hecke import HeckeElement, all_permutations, apply_generator, perm_length
+from skein_homfly.hecke import (
+    BraidWord,
+    HeckeElement,
+    all_permutations,
+    apply_generator,
+    element_of_braid,
+    perm_length,
+)
 from skein_homfly.partitions import Partition, partitions_of
-from skein_homfly.schur import _brackets, _class_data, _class_weight, _unscale, unknot_value
+from skein_homfly.schur import _class_data, _class_weight, _unscale, unknot_value
 from skein_homfly.torus import colored_homfly
 
 
@@ -80,7 +93,7 @@ def _dict_class_data(n: int) -> tuple:
 def character_bracket_sum_dict(n: int, weights, ram: int = 1) -> RationalQT:
     """``schur.character_bracket_sum`` one dict term at a time, every q-term
     of g_nu * D_n / prod [nu_i] scattered into every t-degree: the value it
-    cuts into t-slices for ``exact._cancel``."""
+    cuts into t-slices for ``exact._over_q``."""
     zl, d_n, classes = _dict_class_data(n)
     num = {}
     for nu, z, tpoly, qco in classes:
@@ -118,6 +131,54 @@ def special_H_full_route(spec) -> LaurentQT:
     for a in spec.all_colors():
         den = den * unknot_value(a)
     return limit_at_one((colored_homfly(spec).value / den).simplified(), "q").as_laurent()
+
+
+# -- the Markov trace over z^n, reduced by simplified() ---------------------
+
+
+@lru_cache(maxsize=None)
+def _trace_perm_over_z(n: int, pi: tuple) -> LaurentQT:
+    """z^n * tr_n(w_pi), the base case z * delta = t - t^-1."""
+    if n == 1:
+        return t_bracket(1)
+    if pi[n - 1] == n - 1:
+        return t_bracket(1) * _trace_perm_over_z(n - 1, pi[: n - 1])
+    j = pi.index(n - 1)
+    alpha = list(pi)
+    for p in range(j, n - 1):
+        alpha[p], alpha[p + 1] = alpha[p + 1], alpha[p]
+    assert alpha[n - 1] == n - 1
+    x = HeckeElement.basis(tuple(alpha[: n - 1]))
+    # pi = w_alpha * s_{n-1} * (s_{n-2} ... s_{j+1}) with additive lengths
+    for i in range(n - 2, j, -1):
+        x = apply_generator(x, i, 1)
+    total = sum((c * _trace_perm_over_z(n - 1, sigma) for sigma, c in x.terms.items()), LaurentQT.zero())
+    return t_power(1) * q_bracket(1) * total
+
+
+def markov_trace_simplified(x: HeckeElement) -> RationalQT:
+    """The framed trace as the numerator over z^n, reduced by ``simplified()``."""
+    total = sum((c * _trace_perm_over_z(x.n, pi) for pi, c in x.terms.items()), LaurentQT.zero())
+    return RationalQT(total, q_bracket(1) ** x.n).simplified()
+
+
+def normalized_closure_by_delta(w: BraidWord) -> RationalQT:
+    """The framed closure times t^-writhe, divided by delta and simplified."""
+    bracket = markov_trace_simplified(element_of_braid(w))
+    return (bracket * RationalQT(t_power(-w.writhe)) / delta()).simplified()
+
+
+# -- character degrees -------------------------------------------------------
+
+
+def dimension(lam: Partition) -> int:
+    """Dimension of the irreducible representation; hook length formula."""
+    if lam.size == 0:
+        return 1
+    d = factorial(lam.size)
+    for h in lam.hook_lengths():
+        d //= h
+    return d
 
 
 # -- Jacobi-Trudi determinants -------------------------------------------

@@ -24,7 +24,9 @@ from oracles import (
     hecke_multiply,
     hecke_scaled,
     idempotent_scalars,
+    markov_trace_simplified,
     negative_symmetrizer,
+    normalized_closure_by_delta,
     positive_symmetrizer,
     reduced_word,
 )
@@ -208,3 +210,33 @@ def test_permutation_helpers():
     assert perm_length((2, 1, 0)) == 3
     assert perm_cycle_type((1, 0, 2)) == P((2, 1))
     assert perm_cycle_type((1, 2, 0)) == P((3,))
+
+
+def _random_words(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        length = rng.randint(0, 8) if n > 1 else 0
+        yield BraidWord(n, tuple((rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(length)))
+
+
+def test_trace_reduction_matches_simplified_route(monkeypatch):
+    # cancelling z on the t-slices of sum c_pi U_pi gives the text and the
+    # term dicts of the numerator over z^n reduced by simplified(), and of
+    # its division by delta
+    def key(value):
+        return str(value), sorted(value.num.terms.items()), sorted(value.den.terms.items())
+
+    for w in _random_words(400, 1206):
+        assert key(framed_homfly_of_closure(w)) == key(markov_trace_simplified(element_of_braid(w))), w
+        assert key(normalized_homfly_of_closure(w)) == key(normalized_closure_by_delta(w)), w
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a closure reached simplified()")
+
+    monkeypatch.setattr(RationalQT, "simplified", forbidden)
+    for m, n in ((2, 3), (2, 5), (3, 4), (2, -3), (3, 2)):
+        word = torus_braid_word(m, n)
+        w, p = uncolored_homfly_torus_knot(m, n)
+        assert framed_homfly_of_closure(word) == RationalQT(t_power(n * (m - 1))) * w
+        assert normalized_homfly_of_closure(word) == p

@@ -56,14 +56,6 @@ def test_conjugate_involution_and_duality(lam):
         assert lam.conjugate()[0] == lam.length
 
 
-def test_hook_form():
-    assert Partition((3, 1, 1)).hook_form() == (2, 2)
-    assert Partition((2, 2)).hook_form() is None
-    assert Partition((1,)).hook_form() == (0, 0)
-    assert Partition((2, 1)).hook_form() == (1, 1)
-    assert EMPTY.hook_form() is None
-
-
 def test_enumeration_order_and_counts():
     assert partitions_of(0) == (EMPTY,)
     four = [p.parts for p in partitions_of(4)]
@@ -123,7 +115,6 @@ def test_invalid_partitions_rejected():
 
 def test_partition_vector():
     vec = PartitionVector.parse("(2);(1,1)")
-    assert vec.norm == 4
     assert str(vec) == "(2);(1,1)"
     assert vec.conjugate() == PartitionVector((Partition((1, 1)), Partition((2,))))
     with pytest.raises(ValueError):
