@@ -1,4 +1,4 @@
-"""Exact sparse Laurent arithmetic in (q, t) and series-based limits.
+"""Exact sparse Laurent arithmetic in (q, t) and limits from vanishing orders.
 
 The coefficient domain is the rationals (stdlib ``fractions.Fraction``,
 stored as plain ``int`` whenever the denominator is 1).  q-exponents may be
@@ -11,11 +11,11 @@ integral values as ``int``; it rejects any other scalar, such as a float,
 which would break exactness.  The arithmetic accumulates raw sums and
 constructs once.
 
-Limits at q=1 or t=1 are computed by truncated series expansion around the
-point, never by polynomial gcd: write the variable as 1+eps, expand
-numerator and denominator to their first non-vanishing order, compare
-orders, and return the quotient of the leading coefficients as a
-RationalQT.
+Limits at q=1 or t=1 come from exact vanishing orders, never from a
+polynomial gcd: ``expand_series`` divides numerator and denominator by
+v - 1 while the division is exact, and the limit compares the orders and
+returns the quotient of the leading coefficients as a RationalQT.  The
+full expansion ``truncated_series`` is the tests' reference.
 
 Exact quotients run on one kernel of {int exponent -> coefficient} dicts:
 ``_umul`` multiplies, ``_brackets`` forms products of brackets v^k - v^-k,
@@ -448,7 +448,7 @@ def delta() -> RationalQT:
     return RationalQT(t_bracket(1), q_bracket(1))
 
 
-# -- truncated series and limits --------------------------------------
+# -- vanishing orders and limits --------------------------------------
 
 
 @dataclass(frozen=True)
@@ -474,7 +474,9 @@ def truncated_series(p: LaurentQT, variable: str, order: int) -> TruncSeries:
     """Expand p around variable = 1 through eps^order, exactly.
 
     Each term c * v^e contributes c * binom(e, k) at eps^k; the binomial is
-    generalized, so e may be any exact rational.
+    generalized, so e may be any exact rational.  No computation path calls
+    this: the limits take exact vanishing orders (``expand_series``), and
+    this full expansion is the tests' reference for them.
     """
     if variable not in ("q", "t"):
         raise ValueError("variable must be 'q' or 't'")
@@ -500,36 +502,33 @@ def truncated_series(p: LaurentQT, variable: str, order: int) -> TruncSeries:
     return TruncSeries(variable, order, tuple(LaurentQT(lv) for lv in levels))
 
 
-def _expansion_cap(p: LaurentQT, variable: str) -> int:
-    """Upper bound for the vanishing order of p at variable = 1."""
-    exps = p.exponents(variable)
-    span = (max(exps) - min(exps)) * _lattice(0 if variable == "q" else 1, p)
-    return int(span) + 1
-
-
 def expand_series(f: RationalQT, variable: str):
-    """Expand num and den around variable = 1 to first non-vanishing order.
+    """Vanishing orders and leading coefficients of num and den at variable = 1.
 
-    Returns (order_num, order_den, leading_num, leading_den) where the
-    leading coefficients are Laurent polynomials in the other variable.
-    Raises ZeroFunction if the numerator is identically zero (its vanishing
-    order would be the +infinity sentinel).
+    Returns (order_num, order_den, leading_num, leading_den), the leading
+    coefficients Laurent polynomials in the other variable.  On the
+    variable's lattice r each slice of a part is a Laurent polynomial in
+    u = v^(1/r): the order k is how often u - 1 divides every slice, and
+    since u - 1 = eps/r + O(eps^2) at v = 1 + eps, the leading coefficient
+    is each quotient slice's value at u = 1 over r^k.  Raises ZeroFunction
+    if the numerator is identically zero (its vanishing order would be the
+    +infinity sentinel).
     """
     if f.num.is_zero():
         raise ZeroFunction("numerator is identically zero")
-    cap = max(_expansion_cap(f.num, variable), _expansion_cap(f.den, variable))
-    order = 4
-    while True:
-        sn = truncated_series(f.num, variable, order)
-        sd = truncated_series(f.den, variable, order)
-        on = sn.first_nonzero()
-        od = sd.first_nonzero()
-        if on is not None and od is not None:
-            return on, od, sn.coeffs[on], sd.coeffs[od]
-        if order >= cap:
-            # a nonzero Laurent polynomial cannot vanish beyond its span
-            raise ZeroFunction("no non-vanishing coefficient within the exponent span")
-        order = min(order * 2, cap)
+    if variable not in ("q", "t"):
+        raise ValueError("variable must be 'q' or 't'")
+    idx = 0 if variable == "q" else 1
+    parts = []
+    for p in (f.num, f.den):
+        r = _lattice(idx, p)
+        slices, k = _slices(p, idx, r), 0
+        while (quot := _div_slices(slices, {1: 1, 0: -1})) is not None:
+            slices, k = quot, k + 1
+        lead = {((0, o) if idx == 0 else (o, 0)): Fraction(sum(cs.values()), r**k) for o, cs in slices.items()}
+        parts.append((k, LaurentQT(lead)))
+    (on, ln), (od, ld) = parts
+    return on, od, ln, ld
 
 
 def limit_at_one(f: RationalQT, variable: str) -> RationalQT:

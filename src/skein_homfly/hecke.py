@@ -104,7 +104,9 @@ class BraidWord:
         max_letters = cls.MAX_LETTERS if max_letters is None else max_letters
         if strands > max_strands:
             raise ValueError(f"strand count {strands} exceeds the cap {max_strands}")
-        letters = []
+        # (letter, count) runs, so a power is counted against the cap before
+        # it is expanded
+        runs = []
         for tok in text.split():
             try:
                 if tok.startswith("s"):
@@ -112,17 +114,18 @@ class BraidWord:
                     if "^" in body:
                         idx, exp = body.split("^")
                         sign = 1 if int(exp) > 0 else -1
-                        letters.extend([(int(idx), sign)] * abs(int(exp)))
+                        runs.append(((int(idx), sign), abs(int(exp))))
                     else:
-                        letters.append((int(body), 1))
+                        runs.append(((int(body), 1), 1))
                 else:
                     v = int(tok)
-                    letters.append((abs(v), 1 if v > 0 else -1))
+                    runs.append(((abs(v), 1 if v > 0 else -1), 1))
             except ValueError:
                 raise ValueError(f"bad braid letter {tok!r}: write s2, s2^-1 or -2") from None
-        if len(letters) > max_letters:
-            raise ValueError(f"word length {len(letters)} exceeds the cap {max_letters}")
-        return cls(strands, tuple(letters))
+        length = sum(count for _, count in runs)
+        if length > max_letters:
+            raise ValueError(f"word length {length} exceeds the cap {max_letters}")
+        return cls(strands, tuple(letter for letter, count in runs for _ in range(count)))
 
     @property
     def writhe(self) -> int:

@@ -5,9 +5,10 @@ product of colored unknot values; its dual (t->1) recovers the Alexander
 polynomial at the single-box color and stays multiplicative in q^|A| for
 hook colors on torus knots -- but not for arbitrary colors, and for links
 the t->1 limit generally does not exist at all.  H is the ratio of two
-leading q -> 1 coefficients: the torus value's, from its own series, over
-the unknots' closed form; the dual is taken limit-first from a few classes
-of the torus class sum.
+leading q -> 1 coefficients: the torus value's, from the exact vanishing
+orders of its numerator and denominator, over the unknots' closed form;
+the dual is taken limit-first from a few classes of the torus class sum.
+Both share one rule for the other specs (``_per_component``).
 
 Values in q that are symmetric under q -> 1/q can be re-expressed on the
 basis {1} and D_d = q^d + q^-d by greedy top-degree elimination; that is
@@ -22,13 +23,14 @@ from math import gcd, prod
 from .errors import LimitDoesNotExist, NonCoprime
 from .exact import (
     LaurentQT,
-    _brackets,
+    RationalQT,
     _exact_div,
     _fmt_rational,
     _udiv,
     _umul,
     expand_series,
     q_bracket,
+    t_bracket,
 )
 from .schur import class_sum_order
 from .torus import DisjointUnion, TorusLinkSpec, UnknotSpec, _torus_weights, colored_homfly
@@ -58,12 +60,19 @@ def _H_torus(spec: TorusLinkSpec) -> LaurentQT:
     if od - on < a:
         return LaurentQT.zero()
     scale = prod(h for c in spec.colors for h in c.hook_lengths()) << a
-    num = {te: c * scale for (_, te), c in ln.terms.items()}
-    den = _umul({te: c for (_, te), c in ld.terms.items()}, _brackets({1: a}))
-    out = _udiv(num, den)
-    if out is None:
-        raise ValueError("value is not a Laurent polynomial")
-    return LaurentQT({(0, e): c for e, c in out.items()})
+    return RationalQT(ln * scale, ld * t_bracket(1) ** a).as_laurent()
+
+
+def _per_component(spec, torus_value) -> LaurentQT:
+    """torus_value(spec) on a torus link, 1 on an unknot, the product of the
+    components' values on a disjoint union; TypeError on anything else."""
+    if isinstance(spec, TorusLinkSpec):
+        return torus_value(spec)
+    if isinstance(spec, UnknotSpec):
+        return LaurentQT.one()
+    if isinstance(spec, DisjointUnion):
+        return prod((_per_component(c, torus_value) for c in spec.components), start=LaurentQT.one())
+    raise TypeError(f"unsupported link spec: {spec!r}")
 
 
 def special_H(spec) -> SpecialPolynomial:
@@ -72,20 +81,12 @@ def special_H(spec) -> SpecialPolynomial:
     At q = 1 + d each bracket [p] is 2pd + O(d^2), so prod s*_A has a pole
     of order a = sum |A|, reached by the class (1^|A|) alone, with leading
     coefficient prod (t - t^-1)^|A| / (prod h(A) 2^|A|).  The value is the
-    torus value's d^a coefficient (from the series of its numerator and
-    denominator) over that one; a stronger pole raises LimitDoesNotExist, a
-    weaker one gives zero.  A disjoint union gives the product of its
-    components' values.
+    torus value's d^a coefficient (from the exact vanishing orders of its
+    numerator and denominator) over that one; a stronger pole raises
+    LimitDoesNotExist, a weaker one gives zero.  A disjoint union gives the
+    product of its components' values.
     """
-    if isinstance(spec, TorusLinkSpec):
-        value = _H_torus(spec)
-    elif isinstance(spec, UnknotSpec):
-        value = LaurentQT.one()
-    elif isinstance(spec, DisjointUnion):
-        value = prod((special_H(c).value for c in spec.components), start=LaurentQT.one())
-    else:
-        raise TypeError(f"unsupported link spec: {spec!r}")
-    return SpecialPolynomial("H", "t", value, spec)
+    return SpecialPolynomial("H", "t", _per_component(spec, _H_torus), spec)
 
 
 def _delta_torus(spec: TorusLinkSpec) -> LaurentQT:
@@ -117,15 +118,7 @@ def special_delta(spec) -> SpecialPolynomial:
     raises LimitDoesNotExist; a disjoint union gives the product of its
     components' values.
     """
-    if isinstance(spec, TorusLinkSpec):
-        value = _delta_torus(spec)
-    elif isinstance(spec, UnknotSpec):
-        value = LaurentQT.one()
-    elif isinstance(spec, DisjointUnion):
-        value = prod((special_delta(c).value for c in spec.components), start=LaurentQT.one())
-    else:
-        raise TypeError(f"unsupported link spec: {spec!r}")
-    return SpecialPolynomial("delta", "q", value, spec)
+    return SpecialPolynomial("delta", "q", _per_component(spec, _delta_torus), spec)
 
 
 def alexander_torus(m: int, n: int, d: int = 1) -> LaurentQT:

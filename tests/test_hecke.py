@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -204,6 +205,19 @@ def test_braid_word_parsing():
     # a non-integral generator index is rejected, not truncated
     with pytest.raises(TypeError):
         BraidWord(3, ((1.9, 1),))
+
+
+def test_braid_word_power_checked_before_expansion():
+    # the power is counted against the cap, not built letter by letter first
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="word length 5000000 exceeds the cap 64"):
+            BraidWord.parse(2, "s1^5000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert BraidWord.parse(3, "s2^-2 1 s1^0").letters == ((2, -1), (2, -1), (1, 1))
 
 
 def test_permutation_helpers():

@@ -1,14 +1,25 @@
 """Seeded property checks of the univariate dict kernel, ``exact._umul`` and
-``exact._udiv``, and of ``exact._exact_div`` built on it: products against
-``LaurentQT`` multiplication, quotients against the products they came from,
-and the inexact cases."""
+``exact._udiv``, and of what is built on it: ``exact._exact_div`` (products
+against ``LaurentQT`` multiplication, quotients against the products they
+came from, and the inexact cases) and the vanishing orders of
+``exact.expand_series`` against the full ``truncated_series``."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from skein_homfly.exact import LaurentQT, _exact_div, _udiv, _umul
+from skein_homfly.errors import ZeroFunction
+from skein_homfly.exact import (
+    LaurentQT,
+    RationalQT,
+    _exact_div,
+    _lattice,
+    _udiv,
+    _umul,
+    expand_series,
+    truncated_series,
+)
 
 CASES = 300
 
@@ -116,3 +127,61 @@ def test_exact_div_results_multiply_back():
             assert out * b == a
     # both outcomes occur
     assert 0 < found < CASES
+
+
+def _vanishing_part(rng, variable, r, order):
+    """A LaurentQT in q and t, q-exponents on the lattice 1/r, that vanishes
+    to exactly ``order`` at variable = 1: a cofactor nonzero there times
+    factors u^j - 1, u = q^(1/r) or t and j in {1, 2}.  Built on integer
+    (q-exponent * r, t-exponent) keys."""
+    idx = 0 if variable == "q" else 1
+    while True:
+        p = {(rng.randint(-2, 2), rng.randint(-2, 2)): _coeff(rng) for _ in range(rng.randint(1, 3))}
+        at_one = {}
+        for key, c in p.items():
+            at_one[key[1 - idx]] = at_one.get(key[1 - idx], 0) + c
+        if any(at_one.values()):
+            break
+    for _ in range(order):
+        j = rng.randint(1, 2)
+        shifted = {(a + j, b) if idx == 0 else (a, b + j): c for (a, b), c in p.items()}
+        for key, c in p.items():
+            shifted[key] = shifted.get(key, 0) - c
+        p = shifted
+    return LaurentQT({(Fraction(a, r), b): c for (a, b), c in p.items()})
+
+
+def _span_cap(p, variable):
+    """One more than p's span on the variable's lattice, a bound on the
+    vanishing order of a nonzero p at variable = 1."""
+    exps = p.exponents(variable)
+    return int((max(exps) - min(exps)) * _lattice(0 if variable == "q" else 1, p)) + 1
+
+
+def test_expand_series_orders_match_truncated_series():
+    # orders up to 9 in each part, which took the old order-doubling loop
+    # through 4, 8 and 16; the other part stays at 4 or below, which keeps
+    # the reference expansions short.  Term dicts are compared, not only values
+    rng = random.Random(1106)
+    seen = set()
+    for i in range(1000):
+        variable, r, high = ("q", "t")[i % 2], (1, 2, 3)[i // 2 % 3], i // 6 % 2
+        orders = [rng.randint(0, 4), rng.randint(0, 4)]
+        orders[high] = rng.randint(0, 9)
+        f = RationalQT(*(_vanishing_part(rng, variable, r, k) for k in orders))
+        on, od, ln, ld = expand_series(f, variable)
+        for p, order, lead in ((f.num, on, ln), (f.den, od, ld)):
+            s = truncated_series(p, variable, _span_cap(p, variable))
+            assert order == s.first_nonzero()
+            assert lead.terms == s.coeffs[order].terms
+        assert [on, od] == orders
+        seen.add((variable, r, high, orders[high]))
+    assert {(v, r, high, 9) for v in "qt" for r in (1, 2, 3) for high in (0, 1)} <= seen
+
+
+def test_expand_series_rejects_bad_input():
+    f = RationalQT(LaurentQT.monomial(1, 1, 1) - 1, LaurentQT.monomial(1, 0, 1) + 1)
+    with pytest.raises(ValueError, match="variable must be"):
+        expand_series(f, "x")
+    with pytest.raises(ZeroFunction):
+        expand_series(RationalQT(LaurentQT.zero(), f.den), "q")

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 from oracles import special_H_full_route
 
@@ -126,6 +128,14 @@ def test_H_never_builds_the_ratio(monkeypatch):
         assert isinstance(special_H(spec).value, LaurentQT)
     special_H(DisjointUnion((specs[0], UnknotSpec((P((3,)),)))))
     assert special_H(UnknotSpec((P((2, 1)),))).value == LaurentQT.one()
+
+
+def test_special_polynomials_reject_unsupported_specs():
+    # neither a partition, nor text, nor a foreign component inside a union
+    for spec in (P((2, 1)), "T(2,3)", DisjointUnion((TREFOIL, SimpleNamespace(L=1)))):
+        for special in (special_H, special_delta):
+            with pytest.raises(TypeError, match="unsupported link spec"):
+                special(spec)
 
 
 # -- the dual limit ------------------------------------------------------
