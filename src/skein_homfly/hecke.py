@@ -23,12 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from itertools import permutations as _permutations
 from operator import index
 
 from .errors import IndexOutOfRange
 from .exact import LaurentQT, RationalQT, _brackets, _over_q, _slices, q_bracket, t_bracket, t_power
-from .partitions import Partition
 
 _Z = q_bracket(1)
 
@@ -42,25 +42,21 @@ def perm_identity(n: int) -> tuple:
 
 def perm_length(pi: tuple) -> int:
     """Coxeter length = inversion count."""
-    n = len(pi)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if pi[i] > pi[j])
+    return sum(a > b for a, b in combinations(pi, 2))
 
 
-def perm_cycle_type(pi: tuple) -> Partition:
-    n = len(pi)
-    seen = [False] * n
-    lens = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        c = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = pi[j]
-            c += 1
-        lens.append(c)
-    return Partition(sorted(lens, reverse=True))
+def perm_cycle_count(pi: tuple) -> int:
+    """Number of cycles, fixed points included."""
+    seen = [False] * len(pi)
+    count = 0
+    for i in range(len(pi)):
+        if not seen[i]:
+            count += 1
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                j = pi[j]
+    return count
 
 
 def all_permutations(n: int):
@@ -166,6 +162,15 @@ class HeckeElement:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _of_permutations(cls, n: int, terms: dict) -> "HeckeElement":
+        """From LaurentQT coefficients on tuple keys already known to be
+        permutations of 0..n-1: zero coefficients are dropped, keys are not
+        checked again."""
+        x = cls(n)
+        object.__setattr__(x, "terms", {pi: c for pi, c in terms.items() if not c.is_zero()})
+        return x
+
     def __setattr__(self, name, value):
         raise AttributeError("HeckeElement is immutable")
 
@@ -213,7 +218,7 @@ def apply_generator(x: HeckeElement, i: int, sign: int = 1) -> HeckeElement:
         _add(tau, c)
         if sign < 0 and raises:
             _add(pi, -(c * _Z))
-    return HeckeElement(n, out)
+    return HeckeElement._of_permutations(n, out)
 
 
 def element_of_braid(w: BraidWord) -> HeckeElement:

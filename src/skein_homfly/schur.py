@@ -13,15 +13,19 @@ accumulated over one universal denominator
 which every per-class bracket product divides, so summation never leaves a
 single fraction.  The sum is Kronecker-packed (Harvey, J. Symbolic Comput.
 2009): one integer coefficient per fixed-width slot of a big int, so each
-class costs one big-int product, and its t-slices go to ``exact._over_q``,
-the reduction the Markov trace shares, which cancels them against D_n and
-builds one RationalQT.
+class costs one big-int product.  When the caller names the colors, one
+big-int division per t-degree takes the sum down to the colors' hook
+denominator prod [h(x)] (the hook-content formula: Macdonald, Symmetric
+Functions and Hall Polynomials, I.3 Ex. 4), falling back to D_n when it is
+not exact.  Its t-slices go to ``exact._over_q``, the reduction the Markov
+trace shares, which cancels what is left and builds one RationalQT.
 ``class_sum_order`` takes one coefficient at t = e^h from the classes with
 few parts, on exact.py's dict kernel.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -48,6 +52,11 @@ def _pack(digits: bytes, size: int, wide: int, spread: int) -> int:
         out[j :: spread * wide] = digits[j::size]
     bias = (bytes(size - 1) + b"\x80" + bytes(spread * wide - size)) * count
     return int.from_bytes(out, "little") - int.from_bytes(bias, "little")
+
+
+def _digits(coeffs, size: int) -> bytes:
+    """The biased size-byte digits of signed coefficients that ``_pack`` reads."""
+    return b"".join((c + (1 << (8 * size - 1))).to_bytes(size, "little") for c in coeffs)
 
 
 def _unpack(x: int, size: int) -> list:
@@ -78,8 +87,7 @@ def _class_data(n: int) -> tuple:
         tpoly = tuple((2 * k - n, c) for k, c in enumerate(_unpack(brackets, size)) if c)
         q = _unpack(d_packed // brackets, size)
         step = gcd(*(k for k, c in enumerate(q) if c)) or 1
-        digits = b"".join((c + (1 << (8 * size - 1))).to_bytes(size, "little") for c in q[::step])
-        out.append((nu, nu.z_factor(), tpoly, 2 * step, sum(map(abs, q)), digits))
+        out.append((nu, nu.z_factor(), tpoly, 2 * step, sum(map(abs, q)), _digits(q[::step], size)))
     deg = sum(k * (n // k) for k in range(1, n + 1))
     d_n = tuple((2 * k - deg, c) for k, c in enumerate(_unpack(d_packed, size)) if c)
     return lcm(*(entry[1] for entry in out)), d_n, size, tuple(out)
@@ -103,7 +111,39 @@ def _unscale(qe: int, ram: int) -> int:
     return qe // ram
 
 
-def character_bracket_sum(n: int, weights, ram: int = 1) -> RationalQT:
+@lru_cache(maxsize=None)
+def _hook_cofactor(n: int, hooks: tuple) -> tuple:
+    """(X-digits as in ``_class_data``, lowest q-exponent, l1) of the cofactor
+    C = D_n / prod_h [h] over the sorted hook lengths ``hooks``, and prod_h [h]
+    as an {exponent: coeff} dict.
+
+    C is a product of brackets: the hooks of A with length divisible by k
+    are as many as the k-rim hooks that can be stripped off A one after
+    another (Macdonald, I.1 Ex. 8), so at most |A| // k, and when the
+    colors' total size is at most n no bracket of D_n is used up.  Its
+    coefficients then fit _class_data's slot like D_n's.
+    """
+    size, mult = _class_data(n)[2], Counter(hooks)
+    powers = {k: n // k - mult[k] for k in range(1, n + 1)}
+    coeffs = _unpack(prod(((1 << (8 * size * k)) - 1) ** e for k, e in powers.items()), size)
+    low = -sum(k * e for k, e in powers.items())
+    return _digits(coeffs, size), low, sum(map(abs, coeffs)), _brackets(mult)
+
+
+def _packed_div(x: int, c: int, l1: int, size: int):
+    """The size-byte slots of x / c when c divides x and no slot of the
+    quotient times c can overflow (max |slot| * l1 < 2^(8 size - 1), l1 the
+    sum of |coefficients| of c); else None.  Then the unpacked quotient P
+    has P(B) c(B) = x with no carry between slots, so P * c is x's slots as
+    a polynomial."""
+    quot, rem = divmod(x, c)
+    if rem:
+        return None
+    slots = _unpack(quot, size)
+    return slots if max(map(abs, slots)) * l1 < 1 << (8 * size - 1) else None
+
+
+def character_bracket_sum(n: int, weights, ram: int = 1, *, _colors=()) -> RationalQT:
     """Accumulate sum_mu w_mu(q) * s*_mu over the universal denominator.
 
     ``n`` is at least 1.  ``weights`` maps each partition mu of n to a
@@ -111,23 +151,37 @@ def character_bracket_sum(n: int, weights, ram: int = 1) -> RationalQT:
     coefficient}, scaled by ``ram`` (exponent e stands for q^(e/ram)).  A
     fractional q-exponent surviving the summation raises
     IntegralityViolation.  All p(n) classes enter; ``exact._over_q`` reduces
-    the sum's t-slices against D_n.  ``class_sum_order`` takes one
-    coefficient of the same sum at t = 1 from far fewer classes.
+    the sum's t-slices.  ``class_sum_order`` takes one coefficient of the
+    same sum at t = 1 from far fewer classes.
 
     Kronecker-packed: per class, g_nu and D_n / prod [nu_i] are one int each
     on one exponent lattice (step: the gcd of the actual offsets), multiplied
     once and added into one int per t-degree.  Slots hold the bound sum_nu
     |g_nu|_1 |quotient|_1 (zl / z_nu) max|t-coefficient| with a spare bit.
+
+    ``_colors``, the colors of the link whose value the weights give (total
+    size at most n), lets the sum skip most of the cancellation: by the
+    hook-content formula the value times prod_i prod_{x in A_i} [h(x)] is
+    expected to be Laurent, so each t-degree's int is divided by the packed
+    cofactor D_n / prod [h] (``_hook_cofactor``, ``_packed_div``) and
+    ``_over_q`` gets the quotients over zl prod [h].  When one division is
+    not exact or fails its slot check, the sum goes over zl D_n as without
+    colors; the value is the same either way.
     """
     zl, d_n, qsize, classes = _class_data(n)
+    hooks = tuple(sorted(h for a in _colors for h in a.hook_lengths()))
+    cof = _hook_cofactor(n, hooks) if _colors else None
     rows, bound = [], 0
     for nu, z, tpoly, qstep, l1, digits in classes:
         if g := _class_weight(weights, nu):
             rows.append((g, tpoly, qstep * ram, digits, zl // z))
             bound += sum(map(abs, g.values())) * l1 * (zl // z) * max(abs(c) for _, c in tpoly)
     glow = min((min(g) for g, *_ in rows), default=0)
-    step = gcd(*(gcd(qs, *map(sub, g, repeat(glow))) for g, _, qs, _, _ in rows)) or 1
-    size = max(qsize, (bound.bit_length() + 9) // 8)
+    # the cofactor's exponents are steps of 2 ram apart
+    step = gcd(2 * ram if cof else 0, *(gcd(qs, *map(sub, g, repeat(glow))) for g, _, qs, _, _ in rows)) or 1
+    # spare bits for the quotients, which may outgrow the sum's coefficients
+    spare = 2 * cof[2].bit_length() if cof else 0
+    size = max(qsize, (bound.bit_length() + 9 + spare) // 8)
     acc = {}
     for g, tpoly, qs, digits, mult in rows:
         h = _pack(digits, qsize, size, qs // step) * mult
@@ -135,9 +189,16 @@ def character_bracket_sum(n: int, weights, ram: int = 1) -> RationalQT:
         for te, tc in tpoly:
             acc[te] = acc.get(te, 0) + tc * h
     low = glow + (d_n[0][0] + n) * ram
-    slices = ((te, _unpack(x, size)) for te, x in acc.items())
-    ns = {te: {_unscale(low + step * k, ram): c for k, c in enumerate(s) if c} for te, s in slices if any(s)}
-    return _over_q(ns, {e: c * zl for e, c in d_n})
+    if cof:
+        digits, clow, l1, hook_den = cof
+        c = _pack(digits, qsize, size, 2 * ram // step)
+        quots = {te: _packed_div(x, c, l1, size) for te, x in acc.items()}
+    if cof and None not in quots.values():
+        slots, low, den = quots, low - clow * ram, hook_den
+    else:
+        slots, den = {te: _unpack(x, size) for te, x in acc.items()}, dict(d_n)
+    ns = {te: {_unscale(low + step * k, ram): c for k, c in enumerate(s) if c} for te, s in slots.items() if any(s)}
+    return _over_q(ns, {e: c * zl for e, c in den.items()})
 
 
 def class_sum_order(n: int, weights, j: int, ram: int = 1) -> tuple:
@@ -171,7 +232,7 @@ def unknot_value(lam: Partition) -> RationalQT:
     """Colored invariant of the zero-framed unknot (the s* evaluation)."""
     if lam.size == 0:
         return RationalQT.one()
-    return character_bracket_sum(lam.size, {lam: {0: 1}})
+    return character_bracket_sum(lam.size, {lam: {0: 1}}, _colors=(lam,))
 
 
 # -- plethysm coefficients ---------------------------------------------

@@ -130,7 +130,7 @@ def _torus_value(m: int, n: int, colors: tuple) -> RationalQT:
     weights, n_total, (qe, te) = _torus_weights(m, n, colors)
     if n_total == 0:
         return RationalQT.one()
-    return character_bracket_sum(n_total, weights, ram=m) * LaurentQT.monomial(1, qe, te)
+    return character_bracket_sum(n_total, weights, ram=m, _colors=colors) * LaurentQT.monomial(1, qe, te)
 
 
 def colored_homfly_torus(spec: TorusLinkSpec) -> ColoredInvariant:

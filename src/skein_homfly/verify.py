@@ -21,7 +21,7 @@ from .exact import LaurentQT, RationalQT, limit_at_one, q_bracket, t_power
 from .hecke import (
     all_permutations,
     normalized_homfly_of_closure,
-    perm_cycle_type,
+    perm_cycle_count,
     perm_length,
     torus_braid_word,
 )
@@ -285,7 +285,7 @@ def verify_hook_character_identity(config: GridConfig = None, threads=None) -> V
 
 def _check_parity(d: int):
     for pi in all_permutations(d):
-        if (perm_length(pi) + perm_cycle_type(pi).length - d) % 2:
+        if (perm_length(pi) + perm_cycle_count(pi) - d) % 2:
             return (str(pi), f"parity {d % 2}", "parity mismatch")
     return None
 

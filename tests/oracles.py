@@ -11,8 +11,10 @@ D_n as a LaurentQT, the q = 1 special polynomial H from the full
 two-variable ratio (the route ``special.special_H``'s leading coefficients
 replaced), the Markov trace reduced by ``RationalQT.simplified`` and a
 division by delta (the route ``exact._over_q`` replaced), the hook length
-formula for character degrees, and a floating-point evaluation of Laurent
-polynomials for numeric sanity checks.
+formula for character degrees, the inversion count and the cycle type of a
+permutation as first written (the parity sweep counts both more cheaply),
+and a floating-point evaluation of Laurent polynomials for numeric sanity
+checks.
 None of this feeds a computed result of the package.
 """
 
@@ -272,6 +274,33 @@ def jacobi_trudi_schur(lam: Partition, nvars: int, kind: str = "h") -> dict:
             else:
                 total[e] = s
     return total
+
+
+# -- permutation statistics by their first definitions ----------------------
+
+
+def perm_inversions_by_index(pi: tuple) -> int:
+    """Inversion count over index pairs i < j."""
+    n = len(pi)
+    return sum(1 for i in range(n) for j in range(i + 1, n) if pi[i] > pi[j])
+
+
+def perm_cycle_type(pi: tuple) -> Partition:
+    """The cycle lengths of pi, largest first."""
+    n = len(pi)
+    seen = [False] * n
+    lens = []
+    for i in range(n):
+        if seen[i]:
+            continue
+        c = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = pi[j]
+            c += 1
+        lens.append(c)
+    return Partition(sorted(lens, reverse=True))
 
 
 # -- Hecke algebra products and quasi-idempotents --------------------------

@@ -15,7 +15,7 @@ from skein_homfly.characters import character
 from skein_homfly.exact import LaurentQT
 from skein_homfly.partitions import Partition, partitions_of
 from skein_homfly.special import special_delta, special_H
-from skein_homfly.torus import TorusLinkSpec
+from skein_homfly.torus import TorusLinkSpec, colored_homfly
 
 P = Partition
 q, t = sp.symbols("q t")
@@ -74,3 +74,24 @@ def test_single_box_H_recomputed_independently():
     independent = sp.cancel(sp.expand(num).subs(q, 1) / sp.expand(den).subs(q, 1))
     mine = special_H(TorusLinkSpec(2, 3, 1, (a,))).value
     assert sp.expand(independent - _laurent_to_sympy(mine)) == 0
+
+
+def _sympy_poly(p: LaurentQT) -> sp.Poly:
+    # a normalized part has integer content and exponents >= 0 here
+    return sp.Poly.from_dict({(int(qe), te): int(c) for (qe, te), c in p.terms.items()}, q, t)
+
+
+def test_reduced_values_share_no_factor():
+    # the class sum's bracket cancellation leaves numerator and denominator
+    # coprime: their gcd in Z[q, t] is a constant, so a later canonical
+    # reduction (by cyclotomic factors) leaves these values' text as it is
+    knots = [(m, n, a) for m, n in ((2, 3), (3, 4), (2, -3), (2, 5)) for d in (2, 3) for a in partitions_of(d)]
+    knots += [(2, 3, a) for a in partitions_of(4)]
+    specs = [TorusLinkSpec(m, n, 1, (a,)) for m, n, a in knots]
+    pairs = ((P((1,)), P((1,))), (P((2,)), P((1,))), (P((1, 1)), P((1,))))
+    specs += [TorusLinkSpec(1, n, 2, colors) for n in (1, 2) for colors in pairs]
+    for spec in specs:
+        value = colored_homfly(spec).value
+        assert not value.is_laurent(), spec
+        gcd = sp.gcd(_sympy_poly(value.num), _sympy_poly(value.den))
+        assert gcd.is_ground, (spec, gcd)

@@ -14,7 +14,7 @@ from skein_homfly.hecke import (
     framed_homfly_of_closure,
     markov_trace,
     normalized_homfly_of_closure,
-    perm_cycle_type,
+    perm_cycle_count,
     perm_length,
     torus_braid_word,
 )
@@ -28,6 +28,8 @@ from oracles import (
     markov_trace_simplified,
     negative_symmetrizer,
     normalized_closure_by_delta,
+    perm_cycle_type,
+    perm_inversions_by_index,
     positive_symmetrizer,
     reduced_word,
 )
@@ -224,6 +226,32 @@ def test_permutation_helpers():
     assert perm_length((2, 1, 0)) == 3
     assert perm_cycle_type((1, 0, 2)) == P((2, 1))
     assert perm_cycle_type((1, 2, 0)) == P((3,))
+
+
+def test_permutation_counts_match_first_definitions():
+    # the parity sweep's counts against the index-pair inversion count and
+    # the length of the cycle type, on every permutation of degree <= 6
+    for n in range(7):
+        for pi in all_permutations(n):
+            assert perm_length(pi) == perm_inversions_by_index(pi), pi
+            assert perm_cycle_count(pi) == perm_cycle_type(pi).length, pi
+
+
+def test_constructors_check_permutations():
+    with pytest.raises(ValueError, match=r"not a permutation of 0\.\.2"):
+        HeckeElement(3, {(0, 0, 1): 1})
+    with pytest.raises(ValueError, match="not a permutation"):
+        HeckeElement(3, {(0, 1): 1})
+    with pytest.raises(ValueError, match="not a permutation"):
+        HeckeElement.basis((1, 1, 0))
+    # a generator applied to checked keys gives the element the checking
+    # constructor builds, zero coefficients dropped
+    x = HeckeElement(3, {(0, 1, 2): 1, (1, 0, 2): LaurentQT.monomial(1, 1)})
+    for i, sign in ((1, 1), (1, -1), (2, 1), (2, -1)):
+        y = apply_generator(x, i, sign)
+        assert y == HeckeElement(3, y.terms) and all(not c.is_zero() for c in y.terms.values())
+    # (w_s - z) s = w_s z + 1 - z w_s: the w_s coefficient cancels to zero
+    assert apply_generator(HeckeElement(2, {(1, 0): 1, (0, 1): -Z}), 1, 1).terms == {(0, 1): LaurentQT.one()}
 
 
 def _random_words(count, seed):

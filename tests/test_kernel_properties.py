@@ -2,7 +2,9 @@
 ``exact._udiv``, and of what is built on it: ``exact._exact_div`` (products
 against ``LaurentQT`` multiplication, quotients against the products they
 came from, and the inexact cases) and the vanishing orders of
-``exact.expand_series`` against the full ``truncated_series``."""
+``exact.expand_series`` against the full ``truncated_series``.  Also the
+packed division of the class sums, ``schur._packed_div``, against quotients
+too wide for their slots."""
 
 import random
 from fractions import Fraction
@@ -20,6 +22,7 @@ from skein_homfly.exact import (
     expand_series,
     truncated_series,
 )
+from skein_homfly.schur import _packed_div
 
 CASES = 300
 
@@ -185,3 +188,48 @@ def test_expand_series_rejects_bad_input():
         expand_series(f, "x")
     with pytest.raises(ZeroFunction):
         expand_series(RationalQT(LaurentQT.zero(), f.den), "q")
+
+
+def _dense(d: dict) -> list:
+    """The coefficients of a dict on exponents 0.., lowest first."""
+    return [d.get(e, 0) for e in range(max(d) + 1)]
+
+
+def test_packed_div_never_unpacks_a_quotient_too_wide_for_its_slot():
+    # X = P C with every coefficient of X inside a one-byte slot, where
+    # P = Q (1 + y + ... + y^(m-1))^k and C = (y - 1)^k R often has P's
+    # coefficients outside it.  The big-int quotient X(B) / C(B) is P(B)
+    # either way; unpacked into bytes a wide P wraps around, and only the
+    # slot check tells.  So the result is exactly P or None
+    rng = random.Random(1107)
+    size, half = 1, 1 << 7
+    wide = narrow = unpacked = 0
+    while wide < CASES or narrow < CASES:
+        k, m = rng.randint(1, 3), rng.randint(2, 12)
+        q, r = ({rng.randint(0, 3): rng.randint(-3, 3) or 1 for _ in range(rng.randint(1, 2))} for _ in range(2))
+        c = _umul(r, _umul_power({1: 1, 0: -1}, k))
+        p = _umul(q, _umul_power({e: 1 for e in range(m)}, k))
+        x = _umul(p, c)
+        if not p or not x or max(map(abs, x.values())) >= half:
+            continue
+        out = _packed_div(_packed(_dense(x), size), _packed(_dense(c), size), sum(map(abs, c.values())), size)
+        if max(map(abs, p.values())) >= half:
+            wide += 1
+            assert out is None, (p, c)
+        else:
+            narrow += 1
+            unpacked += out is not None
+            assert out is None or _dense({e: v for e, v in enumerate(out) if v}) == _dense(p), (p, c)
+    # the check is conservative, but most narrow quotients pass it
+    assert unpacked > narrow // 2
+
+
+def _umul_power(a: dict, k: int) -> dict:
+    out = {0: 1}
+    for _ in range(k):
+        out = _umul(out, a)
+    return out
+
+
+def _packed(coeffs: list, size: int) -> int:
+    return sum(v << (8 * size * e) for e, v in enumerate(coeffs))

@@ -115,23 +115,29 @@ def test_order_sum_rejects_surviving_fractional_exponent():
         class_sum_order(1, {box: {1: 1}}, 1, ram=2)
 
 
-def _class_sum_cases():
-    """(label, weights, n, ram) of torus values, unknots and synthetic sums."""
+def _colored_sums():
+    """(label, weights, n, ram, colors) of torus values and unknots."""
     knots = [(m, n, d) for m, n in ((2, 3), (3, 2), (2, -3), (2, 5)) for d in (1, 2, 3)]
     knots += [(3, 4, d) for d in (1, 2, 3, 4)] + [(4, 5, d) for d in (1, 2, 3)]
     for m, n, d in knots:
         for a in partitions_of(d):
-            yield (f"T({m},{n})[{a}]", *_torus_weights(m, n, (a,))[:2], m)
+            yield (f"T({m},{n})[{a}]", *_torus_weights(m, n, (a,))[:2], m, (a,))
     colors = [c for d in (0, 1, 2) for c in partitions_of(d)]
     for m, n in ((1, 1), (1, 2), (2, 3)):
         for a in colors:
             for b in colors:
                 weights, size, _ = _torus_weights(m, n, (a, b))
                 if size:
-                    yield (f"T({m},{n})[{a};{b}]", weights, size, m)
+                    yield (f"T({m},{n})[{a};{b}]", weights, size, m, (a, b))
     for size in range(1, 9):
         for lam in partitions_of(size):
-            yield (f"unknot {lam}", {lam: {0: 1}}, size, 1)
+            yield (f"unknot {lam}", {lam: {0: 1}}, size, 1, (lam,))
+
+
+def _class_sum_cases():
+    """(label, weights, n, ram) of torus values, unknots and synthetic sums."""
+    for label, weights, n, ram, _ in _colored_sums():
+        yield label, weights, n, ram
     # no class survives: every g_nu vanishes
     yield ("no weight", {}, 3, 1)
     # +-10^40 weights: wide slots, negative slots borrowing from their
@@ -160,6 +166,52 @@ def test_packed_class_sum_matches_dict_oracle(monkeypatch):
         value = RationalQT(_unslice(ns, 0, 1), _unslice({0: den}, 0, 1))
         assert str(value) == str(oracle), label
         assert value.num.terms == oracle.num.terms and value.den.terms == oracle.den.terms, label
+
+
+def _record_dens(monkeypatch):
+    dens = []
+    over_q = schur._over_q
+    monkeypatch.setattr(schur, "_over_q", lambda ns, den: dens.append(den) or over_q(ns, den))
+    return dens
+
+
+def _q_dict(p: LaurentQT) -> dict:
+    return {qe: c for (qe, _), c in p.terms.items()}
+
+
+def test_hook_route_matches_universal_denominator_route(monkeypatch):
+    # with its colors every sum here goes to _over_q over zl times the hook
+    # product and ends in the text and the term dicts of the zl * D_n route
+    dens = _record_dens(monkeypatch)
+    for label, weights, n, ram, colors in _colored_sums():
+        dens.clear()
+        hooked = character_bracket_sum(n, weights, ram, _colors=colors)
+        plain = character_bracket_sum(n, weights, ram)
+        zl = schur._class_data(n)[0]
+        hooks = LaurentQT.monomial(zl)
+        for h in (h for a in colors for h in a.hook_lengths()):
+            hooks = hooks * q_bracket(h)
+        assert dens == [_q_dict(hooks), _q_dict(universal_denominator(n) * zl)], label
+        assert str(hooked) == str(plain), label
+        assert hooked.num.terms == plain.num.terms and hooked.den.terms == plain.den.terms, label
+
+
+def test_hook_route_falls_back_to_universal_denominator(monkeypatch):
+    # colors whose hook product is not the value's denominator: the unknot
+    # (3) and T(2,3)[(3)] with the hooks 3, 1, 1 of (2,1), which leave [2]
+    # of s*_(3)'s [1][2][3] behind; both fall back to the zl * D_n route
+    dens = _record_dens(monkeypatch)
+    for label, weights, n, ram in (
+        ("unknot (3)", {P((3,)): {0: 1}}, 3, 1),
+        ("T(2,3)[(3)]", *_torus_weights(2, 3, (P((3,)),))[:2], 2),
+    ):
+        dens.clear()
+        hooked = character_bracket_sum(n, weights, ram, _colors=(P((2, 1)),))
+        plain = character_bracket_sum(n, weights, ram)
+        zl = schur._class_data(n)[0]
+        assert dens == [_q_dict(universal_denominator(n) * zl)] * 2, label
+        assert str(hooked) == str(plain), label
+        assert hooked.num.terms == plain.num.terms and hooked.den.terms == plain.den.terms, label
 
 
 def test_packed_class_sum_rejects_surviving_fractional_exponent():
