@@ -641,13 +641,14 @@ def _cancel(ns: dict, ds: dict) -> tuple:
     return ns, ds
 
 
-def _over_q(ns: dict, den: dict) -> RationalQT:
-    """The t-slices ns ({t-exponent: {q-exponent: coeff}}) over the q-only
-    den, after ``_cancel`` strips their shared brackets; zero when ns is empty."""
+def _over_q(ns: dict, den: dict, r: int = 1) -> RationalQT:
+    """The t-slices ns ({t-exponent: {q-exponent * r: coeff}}) over the
+    q-only den on the same lattice r, after ``_cancel`` strips their shared
+    brackets; zero when ns is empty."""
     if not ns:
         return RationalQT(0)
     ns, ds = _cancel(ns, {0: den})
-    return RationalQT(_unslice(ns, 0, 1), _unslice(ds, 0, 1))
+    return RationalQT(_unslice(ns, 0, r), _unslice(ds, 0, r))
 
 
 def _exact_div(a: LaurentQT, b: LaurentQT):

@@ -17,6 +17,18 @@ t^(-writhe) sum_pi c_pi U_pi over z^(n-1); each builds one RationalQT at
 the end through ``exact._over_q``, with no delta and no RationalQT
 division.  This path never touches the plethysm machinery, so it
 cross-validates the torus formula on uncolored specializations.
+
+Inside, the structure constants involve q alone, so a braid's image has
+coefficients in Z[q, q^-1], kept as plain {q-exponent: int} dicts:
+``_apply`` multiplies by z as two shifted copies and a subtraction, and
+``_trace_perm`` returns the t-slices {t-exponent: {q-exponent: int}} that
+``exact._over_q`` takes.  The closures run from the braid word to
+``_over_q`` on these dicts alone.  LaurentQT stays at the boundary:
+``HeckeElement``, ``apply_generator`` and ``element_of_braid`` carry
+LaurentQT coefficients, and ``markov_trace`` cuts its argument's
+coefficients into t-slices once, on their common q-lattice (the lcm of
+the q-exponent denominators), so a fractional q-exponent keeps its exact
+value through the division.
 """
 
 from __future__ import annotations
@@ -28,9 +40,7 @@ from itertools import permutations as _permutations
 from operator import index
 
 from .errors import IndexOutOfRange
-from .exact import LaurentQT, RationalQT, _brackets, _over_q, _slices, q_bracket, t_bracket, t_power
-
-_Z = q_bracket(1)
+from .exact import LaurentQT, RationalQT, _brackets, _lattice, _over_q, _slices
 
 
 # -- permutations in one-line, zero-indexed form -----------------------
@@ -199,74 +209,160 @@ def apply_generator(x: HeckeElement, i: int, sign: int = 1) -> HeckeElement:
 
     In the permutation-braid basis: when the swap raises length the basis
     element just extends; otherwise s^2 = z*s + 1 (resp. s^-1 = s - z)
-    re-expands the product.
+    re-expands the product.  The generator acts on q alone, so each
+    t-exponent of the coefficients goes through ``_apply`` on its own.
     """
     n = x.n
     if not 1 <= i <= n - 1:
         raise IndexOutOfRange(f"generator index {i} outside 1..{n - 1}")
-    p = i - 1
-    out = {}
-
-    def _add(pi, c):
-        out[pi] = out[pi] + c if pi in out else c
-
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +-1, got {sign}")
+    by_t = {}
     for pi, c in x.terms.items():
-        tau = pi[:p] + (pi[p + 1], pi[p]) + pi[p + 2:]
-        raises = pi[p] < pi[p + 1]
-        if sign > 0 and not raises:
-            _add(pi, c * _Z)
-        _add(tau, c)
-        if sign < 0 and raises:
-            _add(pi, -(c * _Z))
-    return HeckeElement._of_permutations(n, out)
+        for (qe, te), v in c.terms.items():
+            by_t.setdefault(te, {}).setdefault(pi, {})[qe] = v
+    out = {}
+    for te, terms in by_t.items():
+        for pi, c in _apply(terms, i - 1, sign).items():
+            out.setdefault(pi, {}).update({(qe, te): v for qe, v in c.items()})
+    return HeckeElement._of_permutations(n, {pi: LaurentQT(c) for pi, c in out.items()})
 
 
 def element_of_braid(w: BraidWord) -> HeckeElement:
     """Image of a braid word in the Hecke algebra, folded left to right."""
-    x = HeckeElement.identity(w.strands)
+    terms = _word_terms(w)
+    return HeckeElement._of_permutations(
+        w.strands, {pi: LaurentQT({(qe, 0): v for qe, v in c.items()}) for pi, c in terms.items()}
+    )
+
+
+# -- the integer kernel --------------------------------------------------
+
+
+def _apply(terms: dict, p: int, sign: int) -> dict:
+    """{permutation: {q-exponent: coeff}} right-multiplied by the generator
+    swapping positions p and p + 1 (sign -1: its inverse).
+
+    Each term moves to its swapped permutation; where the swap lowers the
+    length (raises it, for the inverse) the term also stays, times sign * z:
+    two shifted copies of its coefficient, one subtracted.  The result
+    shares the coefficient dicts it moved; no coefficient dict is ever
+    mutated, so cached ones may be passed in.
+    """
+    out = {}
+    stays = []
+    for pi, c in terms.items():
+        a, b = pi[p], pi[p + 1]
+        out[pi[:p] + (b, a) + pi[p + 2:]] = c
+        if (a > b) == (sign > 0):
+            stays.append((pi, c))
+    for pi, c in stays:
+        acc = dict(out.get(pi, ()))
+        get = acc.get
+        # sign * (q - q^-1) * c
+        for e, v in c.items():
+            acc[e + sign] = get(e + sign, 0) + v
+            acc[e - sign] = get(e - sign, 0) - v
+        if acc := {e: v for e, v in acc.items() if v}:
+            out[pi] = acc
+        else:
+            del out[pi]
+    return out
+
+
+def _word_terms(w: BraidWord) -> dict:
+    """``element_of_braid`` in the integer kernel: {permutation: {q-exponent: int}}."""
+    terms = {perm_identity(w.strands): {0: 1}}
     for i, s in w.letters:
-        x = apply_generator(x, i, s)
-    return x
+        terms = _apply(terms, i - 1, s)
+    return terms
+
+
+def _mul_into(out: dict, a: dict, b: dict, r: int = 1) -> dict:
+    """Add a * b to out, all {t-exponent: {q-exponent: coeff}}, b's
+    q-exponents scaled by r onto a's lattice; zero terms are kept."""
+    for ta, sa in a.items():
+        for tb, sb in b.items():
+            acc = out.setdefault(ta + tb, {})
+            get = acc.get
+            for eb, vb in sb.items():
+                eb *= r
+                for ea, va in sa.items():
+                    acc[ea + eb] = get(ea + eb, 0) + va * vb
+    return out
+
+
+def _nonzero(slices: dict) -> dict:
+    """slices without zero terms and empty slices."""
+    out = {}
+    for te, s in slices.items():
+        if s := {e: v for e, v in s.items() if v}:
+            out[te] = s
+    return out
+
+
+#: t - t^-1 and t * z as t-slices
+_T_BRACKET = {1: {0: 1}, -1: {0: -1}}
+_T_Z = {1: {1: 1, -1: -1}}
 
 
 # -- the Markov trace --------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _trace_perm(n: int, pi: tuple) -> LaurentQT:
-    """U_pi = z^(n-1) * tr_n(w_pi) / delta, a Laurent polynomial since z * delta = t - t^-1."""
+def _trace_perm(n: int, pi: tuple) -> dict:
+    """U_pi = z^(n-1) * tr_n(w_pi) / delta, a Laurent polynomial since
+    z * delta = t - t^-1, as {t-exponent: {q-exponent: int}}.  Callers
+    must not mutate it: it is the cached object."""
     if n == 1:
-        return LaurentQT.one()
+        return {0: {0: 1}}
     if pi[n - 1] == n - 1:
-        return t_bracket(1) * _trace_perm(n - 1, pi[: n - 1])
+        return _nonzero(_mul_into({}, _T_BRACKET, _trace_perm(n - 1, pi[: n - 1])))
     j = pi.index(n - 1)
     alpha = list(pi)
     for p in range(j, n - 1):
         alpha[p], alpha[p + 1] = alpha[p + 1], alpha[p]
     assert alpha[n - 1] == n - 1
-    x = HeckeElement.basis(tuple(alpha[: n - 1]))
     # pi = w_alpha * s_{n-1} * (s_{n-2} ... s_{j+1}) with additive lengths
+    terms = {tuple(alpha[: n - 1]): {0: 1}}
     for i in range(n - 2, j, -1):
-        x = apply_generator(x, i, 1)
-    return t_power(1) * _Z * _fold(x)
+        terms = _apply(terms, i - 1, 1)
+    return _nonzero(_mul_into({}, _T_Z, _fold(n - 1, {pi: {0: c} for pi, c in terms.items()})))
 
 
-def _fold(x: HeckeElement) -> LaurentQT:
-    """sum_pi c_pi U_pi = z^(n-1) * tr_n(x) / delta."""
-    return sum((c * _trace_perm(x.n, pi) for pi, c in x.terms.items()), LaurentQT.zero())
+def _fold(n: int, terms: dict, r: int = 1) -> dict:
+    """sum_pi c_pi U_pi = z^(n-1) * tr_n(x) / delta, each c_pi given as
+    t-slices on the q-lattice r."""
+    out = {}
+    for pi, c in terms.items():
+        _mul_into(out, c, _trace_perm(n, pi), r)
+    return _nonzero(out)
+
+
+def _framed(n: int, terms: dict, r: int = 1) -> RationalQT:
+    """(t - t^-1) sum_pi c_pi U_pi over z^n: the framed closure, with c_pi
+    as in ``_fold``."""
+    return _over_q(_nonzero(_mul_into({}, _T_BRACKET, _fold(n, terms, r))), _brackets({1: n}, r), r)
 
 
 def markov_trace(x: HeckeElement) -> RationalQT:
-    """Framed invariant of the closure of x, extended linearly."""
-    return _over_q(_slices(t_bracket(1) * _fold(x), 0, 1), _brackets({1: x.n}))
+    """Framed invariant of the closure of x, extended linearly.
+
+    The coefficients enter the kernel once, as t-slices on their common
+    q-lattice, so fractional q-exponents are kept exactly.
+    """
+    r = _lattice(0, *x.terms.values())
+    return _framed(x.n, {pi: _slices(c, 0, r) for pi, c in x.terms.items()}, r)
 
 
 def framed_homfly_of_closure(w: BraidWord) -> RationalQT:
     """Bracket of the braid closure: the Markov trace of its Hecke image."""
-    return markov_trace(element_of_braid(w))
+    return _framed(w.strands, {pi: {0: c} for pi, c in _word_terms(w).items()})
 
 
 def normalized_homfly_of_closure(w: BraidWord) -> RationalQT:
-    """Writhe-corrected invariant divided by the unknot value."""
-    total = t_power(-w.writhe) * _fold(element_of_braid(w))
-    return _over_q(_slices(total, 0, 1), _brackets({1: w.strands - 1}))
+    """Writhe-corrected invariant divided by the unknot value:
+    t^(-writhe) sum_pi c_pi U_pi over z^(n-1)."""
+    te = -w.writhe
+    total = _fold(w.strands, {pi: {te: c} for pi, c in _word_terms(w).items()})
+    return _over_q(total, _brackets({1: w.strands - 1}))

@@ -180,10 +180,11 @@ def _check_symmetry(spec, q_target: str):
     w = colored_homfly(spec).value
     wt = colored_homfly(spec.conjugate_colors()).value
     if q_target == "q^-1":
-        sign = -1 if sum(c.size for c in spec.all_colors()) % 2 else 1
+        odd = sum(c.size for c in spec.all_colors()) % 2
     else:
-        sign = -1 if sum(c.k_invariant() for c in spec.all_colors()) % 2 else 1
-    if w.substituted(q=q_target) != wt * sign:
+        odd = sum(c.k_invariant() for c in spec.all_colors()) % 2
+    # a negation, not a RationalQT product with -1 that renormalizes
+    if w.substituted(q=q_target) != (-wt if odd else wt):
         return (str(spec), f"{q_target} image matches transposed colors", "mismatch")
     return None
 

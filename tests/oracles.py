@@ -10,7 +10,9 @@ class sum accumulated term by term in dicts (the route the packed
 D_n as a LaurentQT, the q = 1 special polynomial H from the full
 two-variable ratio (the route ``special.special_H``'s leading coefficients
 replaced), the Markov trace reduced by ``RationalQT.simplified`` and a
-division by delta (the route ``exact._over_q`` replaced), the hook length
+division by delta (the route ``exact._over_q`` replaced) on a generator
+action in LaurentQT products (the route the integer kernel of
+``hecke._apply`` replaced), the hook length
 formula for character degrees, the inversion count and the cycle type of a
 permutation as first written (the parity sweep counts both more cheaply),
 and a floating-point evaluation of Laurent polynomials for numeric sanity
@@ -42,7 +44,7 @@ from skein_homfly.hecke import (
     HeckeElement,
     all_permutations,
     apply_generator,
-    element_of_braid,
+    perm_identity,
     perm_length,
 )
 from skein_homfly.partitions import Partition, partitions_of
@@ -138,6 +140,30 @@ def special_H_full_route(spec) -> LaurentQT:
 # -- the Markov trace over z^n, reduced by simplified() ---------------------
 
 
+def apply_generator_laurent(x: HeckeElement, i: int, sign: int = 1) -> HeckeElement:
+    """Right multiplication by the i-th generator (sign -1: its inverse),
+    s^2 = z*s + 1 and s^-1 = s - z expanded in LaurentQT products."""
+    p = i - 1
+    out = {}
+    for pi, c in x.terms.items():
+        tau = pi[:p] + (pi[p + 1], pi[p]) + pi[p + 2:]
+        raises = pi[p] < pi[p + 1]
+        if sign > 0 and not raises:
+            out[pi] = out.get(pi, LaurentQT.zero()) + c * q_bracket(1)
+        out[tau] = out.get(tau, LaurentQT.zero()) + c
+        if sign < 0 and raises:
+            out[pi] = out.get(pi, LaurentQT.zero()) - c * q_bracket(1)
+    return HeckeElement(x.n, out)  # the constructor drops zero coefficients
+
+
+def element_of_braid_laurent(w: BraidWord) -> HeckeElement:
+    """The braid word's Hecke image, folded by ``apply_generator_laurent``."""
+    x = HeckeElement(w.strands, {perm_identity(w.strands): LaurentQT.one()})
+    for i, s in w.letters:
+        x = apply_generator_laurent(x, i, s)
+    return x
+
+
 @lru_cache(maxsize=None)
 def _trace_perm_over_z(n: int, pi: tuple) -> LaurentQT:
     """z^n * tr_n(w_pi), the base case z * delta = t - t^-1."""
@@ -153,7 +179,7 @@ def _trace_perm_over_z(n: int, pi: tuple) -> LaurentQT:
     x = HeckeElement.basis(tuple(alpha[: n - 1]))
     # pi = w_alpha * s_{n-1} * (s_{n-2} ... s_{j+1}) with additive lengths
     for i in range(n - 2, j, -1):
-        x = apply_generator(x, i, 1)
+        x = apply_generator_laurent(x, i, 1)
     total = sum((c * _trace_perm_over_z(n - 1, sigma) for sigma, c in x.terms.items()), LaurentQT.zero())
     return t_power(1) * q_bracket(1) * total
 
@@ -166,7 +192,7 @@ def markov_trace_simplified(x: HeckeElement) -> RationalQT:
 
 def normalized_closure_by_delta(w: BraidWord) -> RationalQT:
     """The framed closure times t^-writhe, divided by delta and simplified."""
-    bracket = markov_trace_simplified(element_of_braid(w))
+    bracket = markov_trace_simplified(element_of_braid_laurent(w))
     return (bracket * RationalQT(t_power(-w.writhe)) / delta()).simplified()
 
 

@@ -1,5 +1,7 @@
+import copy
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +15,7 @@ from skein_homfly.hecke import (
     element_of_braid,
     framed_homfly_of_closure,
     markov_trace,
+    _trace_perm,
     normalized_homfly_of_closure,
     perm_cycle_count,
     perm_length,
@@ -22,6 +25,8 @@ from skein_homfly.partitions import Partition
 from skein_homfly.torus import uncolored_homfly_torus_knot
 
 from oracles import (
+    apply_generator_laurent,
+    element_of_braid_laurent,
     hecke_multiply,
     hecke_scaled,
     idempotent_scalars,
@@ -66,6 +71,8 @@ def test_generator_inverse():
 def test_generator_index_checked():
     with pytest.raises(IndexOutOfRange):
         apply_generator(HeckeElement.identity(2), 2, 1)
+    with pytest.raises(ValueError, match="sign must be"):
+        apply_generator(HeckeElement.identity(2), 1, 2)
 
 
 def test_empty_word_is_identity():
@@ -282,3 +289,86 @@ def test_trace_reduction_matches_simplified_route(monkeypatch):
         w, p = uncolored_homfly_torus_knot(m, n)
         assert framed_homfly_of_closure(word) == RationalQT(t_power(n * (m - 1))) * w
         assert normalized_homfly_of_closure(word) == p
+
+
+def _key(value):
+    return str(value), sorted(value.num.terms.items()), sorted(value.den.terms.items())
+
+
+def _random_laurent(rng, q_steps=(1,)):
+    """A few terms with t-exponents, Fraction coefficients and q-exponents
+    on the given steps."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        qe = rng.randint(-3, 3) * Fraction(rng.choice(q_steps))
+        terms[(qe, rng.randint(-2, 2))] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    return LaurentQT(terms)
+
+
+def _random_element(rng, n, q_steps=(1,)):
+    perms = list(all_permutations(n))
+    return HeckeElement(n, {pi: _random_laurent(rng, q_steps) for pi in rng.sample(perms, min(len(perms), 5))})
+
+
+def test_integer_fold_matches_laurent_oracle_on_long_conjugated_words():
+    # 5-strand words g b g^-1 of 12-24 letters, longer than the words of
+    # test_trace_reduction_matches_simplified_route, against the LaurentQT
+    # fold reduced by simplified() and a division by delta
+    rng = random.Random(1607)
+    for _ in range(24):
+        g = [(rng.randint(1, 4), rng.choice((1, -1))) for _ in range(rng.randint(4, 8))]
+        b = [(rng.randint(1, 4), rng.choice((1, -1))) for _ in range(rng.randint(4, 8))]
+        w = BraidWord(5, tuple(g + b + [(i, -s) for i, s in reversed(g)]))
+        assert 12 <= len(w.letters) <= 24
+        assert _key(normalized_homfly_of_closure(w)) == _key(normalized_closure_by_delta(w)), w
+        assert _key(framed_homfly_of_closure(w)) == _key(markov_trace_simplified(element_of_braid_laurent(w))), w
+
+
+def test_markov_trace_of_general_coefficients_matches_oracle():
+    # coefficients with t-exponents, Fraction coefficients and, on the second
+    # round, q-exponents on the lattices 1/2 and 1/3
+    rng = random.Random(1608)
+    for q_steps in ((1,), (1, Fraction(1, 2), Fraction(1, 3))):
+        for _ in range(25):
+            x = _random_element(rng, rng.randint(1, 4), q_steps)
+            assert _key(markov_trace(x)) == _key(markov_trace_simplified(x)), x
+
+
+def test_markov_trace_keeps_fractional_q_exponents():
+    # the trace is linear, so q^(1/2) w_id on two strands gives q^(1/2) delta^2
+    half = LaurentQT.monomial(1, Fraction(1, 2))
+    value = markov_trace(HeckeElement(2, {(0, 1): half}))
+    assert value == RationalQT(half) * delta() * delta()
+    assert str(value.num) == "1*q^5/2*t^0 - 2*q^5/2*t^2 + 1*q^5/2*t^4"
+    assert markov_trace(HeckeElement(2, {})) == RationalQT(0)
+
+
+def test_public_results_keep_laurent_coefficients():
+    rng = random.Random(1609)
+    for _ in range(20):
+        n = rng.randint(2, 4)
+        x = _random_element(rng, n, (1, Fraction(1, 2)))
+        i, sign = rng.randint(1, n - 1), rng.choice((1, -1))
+        y = apply_generator(x, i, sign)
+        assert y == apply_generator_laurent(x, i, sign)
+        assert all(isinstance(c, LaurentQT) and not c.is_zero() for c in y.terms.values())
+    for w in _random_words(40, 1610):
+        x = element_of_braid(w)
+        assert x == element_of_braid_laurent(w), w
+        assert all(isinstance(c, LaurentQT) for c in x.terms.values())
+
+
+def test_trace_perm_cache_entries_are_never_mutated():
+    # the closures and markov_trace read the cached nested dicts; two folds
+    # over elements on these permutations, with coefficient 1 among others,
+    # must leave every entry as it was
+    entries = {pi: _trace_perm(4, pi) for pi in all_permutations(4)}
+    before = copy.deepcopy(entries)
+    word = BraidWord(4, ((1, 1), (2, 1), (3, 1), (1, 1), (2, 1), (1, -1)))
+    assert set(element_of_braid(word).terms) == {(2, 3, 1, 0), (3, 2, 1, 0)}
+    for _ in range(2):
+        framed_homfly_of_closure(word)
+        normalized_homfly_of_closure(word)
+        markov_trace(HeckeElement(4, {pi: LaurentQT.monomial(Fraction(1, 3), Fraction(1, 2), 1) for pi in entries}))
+    assert all(_trace_perm(4, pi) is entry for pi, entry in entries.items())
+    assert entries == before
