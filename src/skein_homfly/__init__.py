@@ -11,7 +11,6 @@ from .characters import (
     character,
     character_table,
     hook_character_identity,
-    verify_orthogonality,
 )
 from .exact import (
     LaurentQT,
@@ -123,7 +122,6 @@ __all__ = [
     "uncolored_homfly_torus_knot",
     "unknot_value",
     "verify_lowest_term",
-    "verify_orthogonality",
     "verify_permutation_parity",
     "verify_symmetry_neg_q_inverse",
     "verify_symmetry_q_inverse",

@@ -95,20 +95,6 @@ def _build_table(n: int) -> CharacterTable:
     return CharacterTable(n, parts, values)
 
 
-def verify_orthogonality(n: int, table: CharacterTable = None) -> bool:
-    """Exact column orthogonality: sum_A chi_A(mu) chi_A(nu) = z_mu delta_{mu,nu}."""
-    if table is None:
-        table = character_table(n)
-    parts = table.index
-    for mu in parts:
-        zmu = mu.z_factor()
-        for nu in parts:
-            s = sum(table.values[(lam, mu)] * table.values[(lam, nu)] for lam in parts)
-            if s != (zmu if mu == nu else 0):
-                return False
-    return True
-
-
 def hook_character_identity(b: Partition) -> bool:
     """Check the hook generating identity for the class of cycle type b.
 

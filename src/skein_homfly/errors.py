@@ -34,7 +34,8 @@ class NonCoprime(SkeinError):
 
 
 class IntegralityViolation(SkeinError):
-    """Fractional q-exponents survived a summation that must be integral.
+    """A quantity that must be an integer is not: a plethysm coefficient, or
+    a twist exponent n k_mu / m whose mu has k_mu not divisible by m.
 
     This signals an internal bug, never an expected outcome on valid input.
     """

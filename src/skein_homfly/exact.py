@@ -2,13 +2,12 @@
 
 The coefficient domain is the rationals (stdlib ``fractions.Fraction``,
 stored as plain ``int`` whenever the denominator is 1).  q-exponents may be
-exact rationals, while t-exponents are always integers.  The class sums
-carry the m-th roots of twist monomials as integer exponents on a scaled
-lattice and check that they cancel (``schur._unscale``), so fractional
-q-exponents reach LaurentQT only from callers who build them.  The
-constructor is the one place that drops zero coefficients and stores
-integral values as ``int``; it rejects any other scalar, such as a float,
-which would break exactness.  The arithmetic accumulates raw sums and
+exact rationals, while t-exponents are always integers.  The torus twist
+exponents (n/m) k_mu are integers term by term (``torus._torus_weights``),
+so fractional q-exponents reach LaurentQT only from callers who build
+them.  The constructor is the one place that drops zero coefficients and
+stores integral values as ``int``; it rejects any other scalar, such as a
+float, which would break exactness.  The arithmetic accumulates raw sums and
 constructs once.
 
 Limits at q=1 or t=1 come from exact vanishing orders, never from a
@@ -470,6 +469,13 @@ class TruncSeries:
         return None
 
 
+def _variable_index(variable: str) -> int:
+    """0 for "q", 1 for "t"; ValueError for anything else."""
+    if variable not in ("q", "t"):
+        raise ValueError("variable must be 'q' or 't'")
+    return 0 if variable == "q" else 1
+
+
 def truncated_series(p: LaurentQT, variable: str, order: int) -> TruncSeries:
     """Expand p around variable = 1 through eps^order, exactly.
 
@@ -478,8 +484,7 @@ def truncated_series(p: LaurentQT, variable: str, order: int) -> TruncSeries:
     this: the limits take exact vanishing orders (``expand_series``), and
     this full expansion is the tests' reference for them.
     """
-    if variable not in ("q", "t"):
-        raise ValueError("variable must be 'q' or 't'")
+    _variable_index(variable)
     levels = [dict() for _ in range(order + 1)]
     for (qe, te), c in p.terms.items():
         if variable == "q":
@@ -514,11 +519,9 @@ def expand_series(f: RationalQT, variable: str):
     if the numerator is identically zero (its vanishing order would be the
     +infinity sentinel).
     """
+    idx = _variable_index(variable)
     if f.num.is_zero():
         raise ZeroFunction("numerator is identically zero")
-    if variable not in ("q", "t"):
-        raise ValueError("variable must be 'q' or 't'")
-    idx = 0 if variable == "q" else 1
     parts = []
     for p in (f.num, f.den):
         r = _lattice(idx, p)
@@ -539,6 +542,7 @@ def limit_at_one(f: RationalQT, variable: str) -> RationalQT:
     Raises LimitDoesNotExist on a pole and returns zero when the numerator
     vanishes faster.
     """
+    _variable_index(variable)
     if f.num.is_zero():
         return RationalQT(LaurentQT.zero())
     on, od, ln, ld = expand_series(f, variable)

@@ -13,12 +13,12 @@ accumulated over one universal denominator
 which every per-class bracket product divides, so summation never leaves a
 single fraction.  The sum is Kronecker-packed (Harvey, J. Symbolic Comput.
 2009): one integer coefficient per fixed-width slot of a big int, so each
-class costs one big-int product.  When the caller names the colors, one
-big-int division per t-degree takes the sum down to the colors' hook
-denominator prod [h(x)] (the hook-content formula: Macdonald, Symmetric
-Functions and Hall Polynomials, I.3 Ex. 4), falling back to D_n when it is
-not exact.  Its t-slices go to ``exact._over_q``, the reduction the Markov
-trace shares, which cancels what is left and builds one RationalQT.
+class costs one big-int product.  One big-int division per t-degree
+takes the sum down to the colors' hook denominator prod [h(x)] (the
+hook-content formula: Macdonald, Symmetric Functions and Hall Polynomials,
+I.3 Ex. 4), falling back to D_n when it is not exact.  Its t-slices go to
+``exact._over_q``, the reduction the Markov trace shares, which cancels
+what is left and builds one RationalQT.
 ``class_sum_order`` takes one coefficient at t = e^h from the classes with
 few parts, on exact.py's dict kernel.
 """
@@ -94,7 +94,7 @@ def _class_data(n: int) -> tuple:
 
 
 def _class_weight(weights, nu: Partition) -> dict:
-    """g_nu = sum_mu w_mu chi_mu(nu), on the weights' scaled exponent lattice."""
+    """g_nu = sum_mu w_mu chi_mu(nu) as an {exponent: coeff} dict."""
     g = {}
     for mu, w in weights.items():
         chi = character(mu, nu)
@@ -102,13 +102,6 @@ def _class_weight(weights, nu: Partition) -> dict:
             for e, c in w.items():
                 g[e] = g.get(e, 0) + chi * c
     return {e: c for e, c in g.items() if c}
-
-
-def _unscale(qe: int, ram: int) -> int:
-    """A scaled q-exponent as an integer; IntegralityViolation if it is not one."""
-    if qe % ram:
-        raise IntegralityViolation(f"fractional q-exponent {Fraction(qe, ram)} survived summation")
-    return qe // ram
 
 
 @lru_cache(maxsize=None)
@@ -143,69 +136,64 @@ def _packed_div(x: int, c: int, l1: int, size: int):
     return slots if max(map(abs, slots)) * l1 < 1 << (8 * size - 1) else None
 
 
-def character_bracket_sum(n: int, weights, ram: int = 1, *, _colors=()) -> RationalQT:
+def character_bracket_sum(n: int, weights, colors) -> RationalQT:
     """Accumulate sum_mu w_mu(q) * s*_mu over the universal denominator.
 
     ``n`` is at least 1.  ``weights`` maps each partition mu of n to a
-    univariate q-polynomial given as {scaled exponent -> integer
-    coefficient}, scaled by ``ram`` (exponent e stands for q^(e/ram)).  A
-    fractional q-exponent surviving the summation raises
-    IntegralityViolation.  All p(n) classes enter; ``exact._over_q`` reduces
-    the sum's t-slices.  ``class_sum_order`` takes one coefficient of the
-    same sum at t = 1 from far fewer classes.
+    univariate q-polynomial given as {integer exponent -> integer
+    coefficient}.  All p(n) classes enter; ``exact._over_q`` reduces the
+    sum's t-slices.  ``class_sum_order`` takes one coefficient of the same
+    sum at t = 1 from far fewer classes.
 
     Kronecker-packed: per class, g_nu and D_n / prod [nu_i] are one int each
     on one exponent lattice (step: the gcd of the actual offsets), multiplied
     once and added into one int per t-degree.  Slots hold the bound sum_nu
     |g_nu|_1 |quotient|_1 (zl / z_nu) max|t-coefficient| with a spare bit.
 
-    ``_colors``, the colors of the link whose value the weights give (total
-    size at most n), lets the sum skip most of the cancellation: by the
-    hook-content formula the value times prod_i prod_{x in A_i} [h(x)] is
-    expected to be Laurent, so each t-degree's int is divided by the packed
-    cofactor D_n / prod [h] (``_hook_cofactor``, ``_packed_div``) and
-    ``_over_q`` gets the quotients over zl prod [h].  When one division is
-    not exact or fails its slot check, the sum goes over zl D_n as without
-    colors; the value is the same either way.
+    ``colors``, the colors of the link whose value the weights give (total
+    size at most n; ``()`` stands for a hook product of 1), let the sum skip
+    most of the cancellation: by the hook-content formula the value times
+    prod_i prod_{x in A_i} [h(x)] is expected to be Laurent, so each
+    t-degree's int is divided by the packed cofactor D_n / prod [h]
+    (``_hook_cofactor``, ``_packed_div``) and ``_over_q`` gets the quotients
+    over zl prod [h].  When one division is not exact or fails its slot
+    check, the sum goes over zl D_n; the value is the same either way.
     """
     zl, d_n, qsize, classes = _class_data(n)
-    hooks = tuple(sorted(h for a in _colors for h in a.hook_lengths()))
-    cof = _hook_cofactor(n, hooks) if _colors else None
+    hooks = tuple(sorted(h for a in colors for h in a.hook_lengths()))
+    cdigits, clow, cl1, hook_den = _hook_cofactor(n, hooks)
     rows, bound = [], 0
     for nu, z, tpoly, qstep, l1, digits in classes:
         if g := _class_weight(weights, nu):
-            rows.append((g, tpoly, qstep * ram, digits, zl // z))
+            rows.append((g, tpoly, qstep, digits, zl // z))
             bound += sum(map(abs, g.values())) * l1 * (zl // z) * max(abs(c) for _, c in tpoly)
     glow = min((min(g) for g, *_ in rows), default=0)
-    # the cofactor's exponents are steps of 2 ram apart
-    step = gcd(2 * ram if cof else 0, *(gcd(qs, *map(sub, g, repeat(glow))) for g, _, qs, _, _ in rows)) or 1
+    # the cofactor's exponents are steps of 2 apart
+    step = gcd(2, *(gcd(qs, *map(sub, g, repeat(glow))) for g, _, qs, _, _ in rows))
     # spare bits for the quotients, which may outgrow the sum's coefficients
-    spare = 2 * cof[2].bit_length() if cof else 0
-    size = max(qsize, (bound.bit_length() + 9 + spare) // 8)
+    size = max(qsize, (bound.bit_length() + 9 + 2 * cl1.bit_length()) // 8)
     acc = {}
     for g, tpoly, qs, digits, mult in rows:
         h = _pack(digits, qsize, size, qs // step) * mult
         h *= sum(c << (8 * size * ((e - glow) // step)) for e, c in g.items())
         for te, tc in tpoly:
             acc[te] = acc.get(te, 0) + tc * h
-    low = glow + (d_n[0][0] + n) * ram
-    if cof:
-        digits, clow, l1, hook_den = cof
-        c = _pack(digits, qsize, size, 2 * ram // step)
-        quots = {te: _packed_div(x, c, l1, size) for te, x in acc.items()}
-    if cof and None not in quots.values():
-        slots, low, den = quots, low - clow * ram, hook_den
+    low = glow + d_n[0][0] + n
+    c = _pack(cdigits, qsize, size, 2 // step)
+    quots = {te: _packed_div(x, c, cl1, size) for te, x in acc.items()}
+    if None not in quots.values():
+        slots, low, den = quots, low - clow, hook_den
     else:
         slots, den = {te: _unpack(x, size) for te, x in acc.items()}, dict(d_n)
-    ns = {te: {_unscale(low + step * k, ram): c for k, c in enumerate(s) if c} for te, s in slots.items() if any(s)}
+    ns = {te: {low + step * k: c for k, c in enumerate(s) if c} for te, s in slots.items() if any(s)}
     return _over_q(ns, {e: c * zl for e, c in den.items()})
 
 
-def class_sum_order(n: int, weights, j: int, ram: int = 1) -> tuple:
+def class_sum_order(n: int, weights, j: int) -> tuple:
     """[h^j] of sum_mu w_mu(q) * s*_mu at t = e^h, as (numerator, denominator).
 
-    Both are {q-exponent: integer} dicts; ``weights`` and ``ram`` are as in
-    ``character_bracket_sum``, and so is the IntegralityViolation check.
+    Both are {q-exponent: integer} dicts; ``weights`` are as in
+    ``character_bracket_sum``.
     Each t^p - t^-p = 2 sinh(ph) is odd in h, so class nu enters at orders
     l(nu), l(nu) + 2, ...: only the classes with l(nu) <= j and l(nu) = j
     (mod 2) are summed.  The h^j coefficient of a class's t-bracket product
@@ -220,11 +208,11 @@ def class_sum_order(n: int, weights, j: int, ram: int = 1) -> tuple:
     for nu in classes:
         mult = _multiplicities(nu)
         f = sum(c * te**j for te, c in _brackets(mult).items()) * (zl // nu.z_factor())
-        qco = _brackets({p: e - mult.get(p, 0) for p, e in powers.items()}, ram)
+        qco = _brackets({p: e - mult.get(p, 0) for p, e in powers.items()})
         for qe, c in _umul(_class_weight(weights, nu), qco).items():
             num[qe] = num.get(qe, 0) + f * c
     den = _umul({0: factorial(j) * zl}, _brackets(powers))
-    return {_unscale(qe, ram): c for qe, c in num.items() if c}, den
+    return {qe: c for qe, c in num.items() if c}, den
 
 
 @lru_cache(maxsize=None)
@@ -232,7 +220,7 @@ def unknot_value(lam: Partition) -> RationalQT:
     """Colored invariant of the zero-framed unknot (the s* evaluation)."""
     if lam.size == 0:
         return RationalQT.one()
-    return character_bracket_sum(lam.size, {lam: {0: 1}}, _colors=(lam,))
+    return character_bracket_sum(lam.size, {lam: {0: 1}}, (lam,))
 
 
 # -- plethysm coefficients ---------------------------------------------

@@ -90,14 +90,14 @@ def special_H(spec) -> SpecialPolynomial:
 
 
 def _delta_torus(spec: TorusLinkSpec) -> LaurentQT:
-    weights, n_total, (qe, _) = _torus_weights(spec.m, spec.n, spec.colors)
+    weights, n_total, _ = _torus_weights(spec.m, spec.n, spec.colors)
     # s*_A vanishes at t = 1 once per cell of content 0: d(A), the Durfee size
     orders = [sum(1 for i, p in enumerate(a.parts) if p > i) for a in spec.colors]
     k = sum(orders)
     for j in range(k):
-        if class_sum_order(n_total, weights, j, spec.m)[0]:
+        if class_sum_order(n_total, weights, j)[0]:
             raise LimitDoesNotExist(f"numerator vanishes to order {j} < denominator order {k} at t=1")
-    num, den = class_sum_order(n_total, weights, k, spec.m)
+    num, den = class_sum_order(n_total, weights, k)
     if not num:
         return LaurentQT.zero()
     for a, d in zip(spec.colors, orders):
@@ -106,17 +106,18 @@ def _delta_torus(spec: TorusLinkSpec) -> LaurentQT:
     out = _udiv(num, den)
     if out is None:
         raise ValueError("value is not a Laurent polynomial")
-    return LaurentQT({(e + qe, 0): c for e, c in out.items()})
+    return LaurentQT({(e, 0): c for e, c in out.items()})
 
 
 def special_delta(spec) -> SpecialPolynomial:
     """t->1 limit of the invariant over the unknot normalization, limit-first.
 
     At t = e^h the unknot s*_A vanishes to order d(A), its Durfee size: the
-    value is q^(-mn k_A) [h^k] V / prod [h^d(A)] s*_A, k = sum d(A), from the
-    classes with at most k parts.  A link whose lower orders do not vanish
-    raises LimitDoesNotExist; a disjoint union gives the product of its
-    components' values.
+    value is [h^k] V / prod [h^d(A)] s*_A, k = sum d(A), V the torus class
+    sum with the prefactor's q-power in its weights, from the classes with
+    at most k parts.  A link whose lower orders do not vanish raises
+    LimitDoesNotExist; a disjoint union gives the product of its components'
+    values.
     """
     return SpecialPolynomial("delta", "q", _per_component(spec, _delta_torus), spec)
 
@@ -191,8 +192,3 @@ def format_delta_basis(p: LaurentQT) -> str:
         else:
             parts.append(("- " if c < 0 else "+ ") + body)
     return " ".join(parts)
-
-
-def compose_q_power(p: LaurentQT, d: int) -> LaurentQT:
-    """Substitute q -> q^d into a univariate q-polynomial."""
-    return LaurentQT({(qe * d, te): c for (qe, te), c in p.terms.items()})

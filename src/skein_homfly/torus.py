@@ -8,8 +8,8 @@ by partitions A^1..A^L is
       * sum over mu of C^mu_{A^1..A^L} * q^((n/m) k_mu) * s*_mu(q, t)
 
 where C^mu are the plethysm coefficients and k_mu the framing exponent.
-The fractional twist exponents q^((n/m) k_mu) must cancel to integer
-powers in the sum; this is asserted on every public value.
+Every twist exponent (n/m) k_mu with C^mu != 0 is an integer, term by term
+(``_torus_weights``), so the class sums see integer q-exponents only.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .errors import NonCoprime
+from .errors import IntegralityViolation, NonCoprime
 from .exact import LaurentQT, RationalQT, delta
 from .partitions import Partition, PartitionVector
 from .schur import character_bracket_sum, plethysm_coefficients, unknot_value
@@ -117,20 +117,33 @@ class ColoredInvariant:
 
 
 def _torus_weights(m: int, n: int, colors: tuple):
-    """(twist weights {mu: {n k_mu: C^mu}} at ram = m, degree, (qe, te) of the prefactor q^qe t^te)."""
+    """(weights {mu: {n k_mu / m - m n sum k_A: C^mu}}, degree, te): the twist
+    weights with the prefactor's q-power folded in, and the prefactor's
+    t-exponent te = -n (m - 1) sum |A|.
+
+    Each exponent is an integer.  By Littlewood's rule for s_A(x^m) (Proc.
+    R. Soc. A 209, 1951) every mu with C^mu != 0 has an empty m-core, so mu
+    is tiled by m-ribbons; the contents of one ribbon are m consecutive
+    integers, whose sum is divisible by m, so m divides k_mu = 2 sum c(x).
+    A mu that breaks this raises IntegralityViolation.
+    """
     expansion = plethysm_coefficients(m, colors)
-    weights = {mu: {n * mu.k_invariant(): c} for mu, c in expansion.coeffs.items()}
-    k_sum = sum(a.k_invariant() for a in colors)
-    d_sum = sum(a.size for a in colors)
-    return weights, expansion.degree, (-m * n * k_sum, -n * (m - 1) * d_sum)
+    shift = m * n * sum(a.k_invariant() for a in colors)
+    weights = {}
+    for mu, c in expansion.coeffs.items():
+        k, rem = divmod(mu.k_invariant(), m)
+        if rem:
+            raise IntegralityViolation(f"k = {mu.k_invariant()} of {mu} is not divisible by m = {m}")
+        weights[mu] = {n * k - shift: c}
+    return weights, expansion.degree, -n * (m - 1) * sum(a.size for a in colors)
 
 
 @lru_cache(maxsize=None)
 def _torus_value(m: int, n: int, colors: tuple) -> RationalQT:
-    weights, n_total, (qe, te) = _torus_weights(m, n, colors)
+    weights, n_total, te = _torus_weights(m, n, colors)
     if n_total == 0:
         return RationalQT.one()
-    return character_bracket_sum(n_total, weights, ram=m, _colors=colors) * LaurentQT.monomial(1, qe, te)
+    return character_bracket_sum(n_total, weights, colors) * LaurentQT.monomial(1, 0, te)
 
 
 def colored_homfly_torus(spec: TorusLinkSpec) -> ColoredInvariant:

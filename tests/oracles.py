@@ -9,14 +9,15 @@ class sum accumulated term by term in dicts (the route the packed
 ``schur.character_bracket_sum`` replaced) and its universal denominator
 D_n as a LaurentQT, the q = 1 special polynomial H from the full
 two-variable ratio (the route ``special.special_H``'s leading coefficients
-replaced), the Markov trace reduced by ``RationalQT.simplified`` and a
-division by delta (the route ``exact._over_q`` replaced) on a generator
-action in LaurentQT products (the route the integer kernel of
-``hecke._apply`` replaced), the hook length
-formula for character degrees, the inversion count and the cycle type of a
-permutation as first written (the parity sweep counts both more cheaply),
-and a floating-point evaluation of Laurent polynomials for numeric sanity
-checks.
+replaced), the substitution q -> q^d that the Alexander checks compare
+with, the Markov trace reduced by ``RationalQT.simplified`` and a division
+by delta (the route ``exact._over_q`` replaced) on a generator action in
+LaurentQT products (the route the integer kernel of ``hecke._apply``
+replaced), the hook length formula for character degrees, exact column
+orthogonality of a character table, the inversion count and the cycle
+type of a permutation as first written (the parity sweep counts both more
+cheaply), and a floating-point evaluation of Laurent polynomials for
+numeric sanity checks.
 None of this feeds a computed result of the package.
 """
 
@@ -26,6 +27,7 @@ from functools import cache, lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial, lcm
 
+from skein_homfly.characters import CharacterTable, character_table
 from skein_homfly.exact import (
     LaurentQT,
     RationalQT,
@@ -48,7 +50,7 @@ from skein_homfly.hecke import (
     perm_length,
 )
 from skein_homfly.partitions import Partition, partitions_of
-from skein_homfly.schur import _class_data, _class_weight, _unscale, unknot_value
+from skein_homfly.schur import _class_data, _class_weight, unknot_value
 from skein_homfly.torus import colored_homfly
 
 
@@ -94,7 +96,7 @@ def _dict_class_data(n: int) -> tuple:
     return lcm(*(z for _, z, _, _ in classes)), d_n, tuple(classes)
 
 
-def character_bracket_sum_dict(n: int, weights, ram: int = 1) -> RationalQT:
+def character_bracket_sum_dict(n: int, weights) -> RationalQT:
     """``schur.character_bracket_sum`` one dict term at a time, every q-term
     of g_nu * D_n / prod [nu_i] scattered into every t-degree: the value it
     cuts into t-slices for ``exact._over_q``."""
@@ -104,8 +106,7 @@ def character_bracket_sum_dict(n: int, weights, ram: int = 1) -> RationalQT:
         g = _class_weight(weights, nu)
         if not g:
             continue
-        qscaled = {e * ram: c for e, c in qco}
-        h = _umul(g, qscaled)
+        h = _umul(g, dict(qco))
         mult = zl // z
         for te, tc in tpoly:
             f = tc * mult
@@ -116,8 +117,7 @@ def character_bracket_sum_dict(n: int, weights, ram: int = 1) -> RationalQT:
                     num.pop(key, None)
                 else:
                     num[key] = s
-    terms = {(_unscale(qe, ram), te): c for (qe, te), c in num.items()}
-    return RationalQT(LaurentQT(terms), LaurentQT({(e, 0): c for e, c in d_n.items()}) * zl)
+    return RationalQT(LaurentQT(num), LaurentQT({(e, 0): c for e, c in d_n.items()}) * zl)
 
 
 def universal_denominator(n: int) -> LaurentQT:
@@ -135,6 +135,11 @@ def special_H_full_route(spec) -> LaurentQT:
     for a in spec.all_colors():
         den = den * unknot_value(a)
     return limit_at_one((colored_homfly(spec).value / den).simplified(), "q").as_laurent()
+
+
+def compose_q_power(p: LaurentQT, d: int) -> LaurentQT:
+    """Substitute q -> q^d into a univariate q-polynomial."""
+    return LaurentQT({(qe * d, te): c for (qe, te), c in p.terms.items()})
 
 
 # -- the Markov trace over z^n, reduced by simplified() ---------------------
@@ -196,7 +201,7 @@ def normalized_closure_by_delta(w: BraidWord) -> RationalQT:
     return (bracket * RationalQT(t_power(-w.writhe)) / delta()).simplified()
 
 
-# -- character degrees -------------------------------------------------------
+# -- character degrees and orthogonality ------------------------------------
 
 
 def dimension(lam: Partition) -> int:
@@ -207,6 +212,20 @@ def dimension(lam: Partition) -> int:
     for h in lam.hook_lengths():
         d //= h
     return d
+
+
+def verify_orthogonality(n: int, table: CharacterTable = None) -> bool:
+    """Exact column orthogonality: sum_A chi_A(mu) chi_A(nu) = z_mu delta_{mu,nu}."""
+    if table is None:
+        table = character_table(n)
+    parts = table.index
+    for mu in parts:
+        zmu = mu.z_factor()
+        for nu in parts:
+            s = sum(table.values[(lam, mu)] * table.values[(lam, nu)] for lam in parts)
+            if s != (zmu if mu == nu else 0):
+                return False
+    return True
 
 
 # -- Jacobi-Trudi determinants -------------------------------------------

@@ -7,12 +7,13 @@ stated tolerances are wall-clock budgets, asserted where given.
 
 import time
 
-from skein_homfly.characters import verify_orthogonality
+from oracles import compose_q_power, verify_orthogonality
+
 from skein_homfly.exact import LaurentQT, RationalQT, delta, limit_at_one, q_bracket, t_power
 from skein_homfly.hecke import framed_homfly_of_closure, torus_braid_word
 from skein_homfly.partitions import EMPTY, Partition, partitions_of
 from skein_homfly.schur import unknot_value
-from skein_homfly.special import alexander_torus, compose_q_power, format_delta_basis, special_delta
+from skein_homfly.special import alexander_torus, format_delta_basis, special_delta
 from skein_homfly.torus import TorusLinkSpec, colored_homfly_torus, uncolored_homfly_torus_knot
 from skein_homfly.verify import (
     verify_hook_character_identity,

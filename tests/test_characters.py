@@ -8,13 +8,12 @@ from skein_homfly.characters import (
     character,
     character_table,
     hook_character_identity,
-    verify_orthogonality,
 )
 from skein_homfly.errors import BoundExceeded, SizeMismatch
 from skein_homfly.exact import LaurentQT, _exact_div, q_bracket
 from skein_homfly.partitions import Partition, partitions_of
 
-from oracles import _poly_mul_multi, dimension, jacobi_trudi_schur, power_sum_poly
+from oracles import _poly_mul_multi, dimension, jacobi_trudi_schur, power_sum_poly, verify_orthogonality
 
 P = Partition
 

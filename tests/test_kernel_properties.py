@@ -20,6 +20,7 @@ from skein_homfly.exact import (
     _udiv,
     _umul,
     expand_series,
+    limit_at_one,
     truncated_series,
 )
 from skein_homfly.schur import _packed_div
@@ -188,6 +189,11 @@ def test_expand_series_rejects_bad_input():
         expand_series(f, "x")
     with pytest.raises(ZeroFunction):
         expand_series(RationalQT(LaurentQT.zero(), f.den), "q")
+    # the variable is checked before the numerator
+    with pytest.raises(ValueError, match="variable must be"):
+        expand_series(RationalQT(LaurentQT.zero(), f.den), "banana")
+    with pytest.raises(ValueError, match="variable must be"):
+        limit_at_one(RationalQT(0), "banana")
 
 
 def _dense(d: dict) -> list:

@@ -1,7 +1,7 @@
 from types import SimpleNamespace
 
 import pytest
-from oracles import special_H_full_route
+from oracles import compose_q_power, special_H_full_route
 
 from skein_homfly.errors import LimitDoesNotExist, NonCoprime
 from skein_homfly.exact import LaurentQT, RationalQT, limit_at_one, q_bracket
@@ -10,7 +10,6 @@ from skein_homfly.schur import unknot_value
 from skein_homfly.special import (
     SpecialPolynomial,
     alexander_torus,
-    compose_q_power,
     delta_basis,
     format_delta_basis,
     special_H,

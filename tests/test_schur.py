@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from skein_homfly import schur
+from skein_homfly import schur, torus
 from skein_homfly.exact import (
     LaurentQT,
     RationalQT,
@@ -105,59 +105,50 @@ def test_unknot_order_sum_matches_hook_content_leading_term():
             assert RationalQT(_q_poly(num), _q_poly(den)) == lead, lam
 
 
-def test_order_sum_rejects_surviving_fractional_exponent():
-    box = P((1,))
-    # weight q^(2/2) = q: integral, the single-box leading term 2 / [1] times q
-    num, den = class_sum_order(1, {box: {2: 1}}, 1, ram=2)
-    assert RationalQT(_q_poly(num), _q_poly(den)) == RationalQT(LaurentQT.monomial(2, 1), q_bracket(1))
-    # weight q^(1/2) alone: nothing can cancel it
-    with pytest.raises(IntegralityViolation):
-        class_sum_order(1, {box: {1: 1}}, 1, ram=2)
-
-
 def _colored_sums():
-    """(label, weights, n, ram, colors) of torus values and unknots."""
+    """(label, weights, n, colors) of torus values and unknots."""
     knots = [(m, n, d) for m, n in ((2, 3), (3, 2), (2, -3), (2, 5)) for d in (1, 2, 3)]
     knots += [(3, 4, d) for d in (1, 2, 3, 4)] + [(4, 5, d) for d in (1, 2, 3)]
     for m, n, d in knots:
         for a in partitions_of(d):
-            yield (f"T({m},{n})[{a}]", *_torus_weights(m, n, (a,))[:2], m, (a,))
+            yield (f"T({m},{n})[{a}]", *_torus_weights(m, n, (a,))[:2], (a,))
     colors = [c for d in (0, 1, 2) for c in partitions_of(d)]
     for m, n in ((1, 1), (1, 2), (2, 3)):
         for a in colors:
             for b in colors:
                 weights, size, _ = _torus_weights(m, n, (a, b))
                 if size:
-                    yield (f"T({m},{n})[{a};{b}]", weights, size, m, (a, b))
+                    yield (f"T({m},{n})[{a};{b}]", weights, size, (a, b))
     for size in range(1, 9):
         for lam in partitions_of(size):
-            yield (f"unknot {lam}", {lam: {0: 1}}, size, 1, (lam,))
+            yield (f"unknot {lam}", {lam: {0: 1}}, size, (lam,))
 
 
 def _class_sum_cases():
-    """(label, weights, n, ram) of torus values, unknots and synthetic sums."""
-    for label, weights, n, ram, _ in _colored_sums():
-        yield label, weights, n, ram
+    """(label, weights, n) of torus values, unknots and synthetic sums."""
+    for label, weights, n, _ in _colored_sums():
+        yield label, weights, n
     # no class survives: every g_nu vanishes
-    yield ("no weight", {}, 3, 1)
+    yield ("no weight", {}, 3)
     # +-10^40 weights: wide slots, negative slots borrowing from their
     # neighbours, and class terms that cancel across classes
     big = 10**40
-    yield ("wide", {P((2, 1)): {0: big, 4: -big}, P((3,)): {0: -big, 2: 1}, P((1, 1, 1)): {2: big + 1}}, 3, 1)
-    yield ("wide ram 2", {P((3, 1)): {0: big, 2: -big}, P((2, 2)): {2: big}, P((4,)): {4: -big}}, 4, 2)
+    yield ("wide", {P((2, 1)): {0: big, 4: -big}, P((3,)): {0: -big, 2: 1}, P((1, 1, 1)): {2: big + 1}}, 3)
+    # odd exponent offsets at n = 4: the packing lattice has step 1
+    yield ("wide n = 4", {P((3, 1)): {0: big, 1: -big}, P((2, 2)): {1: big}, P((4,)): {2: -big}}, 4)
 
 
 def test_packed_class_sum_matches_dict_oracle(monkeypatch):
-    # the packed sum hands _over_q the dict loop's value as t-slices over
-    # zl * D_n: the same text and the same term dicts, so every cancelled
-    # result is the same too
+    # without colors (a hook product of 1) the packed sum hands _over_q the
+    # dict loop's value as t-slices over zl * D_n: the same text and the
+    # same term dicts, so every cancelled result is the same too
     handed = []
     over_q = schur._over_q
     monkeypatch.setattr(schur, "_over_q", lambda ns, den: handed.append((ns, den)) or over_q(ns, den))
-    for label, weights, n, ram in _class_sum_cases():
+    for label, weights, n in _class_sum_cases():
         handed.clear()
-        result = character_bracket_sum(n, weights, ram)
-        oracle = character_bracket_sum_dict(n, weights, ram)
+        result = character_bracket_sum(n, weights, ())
+        oracle = character_bracket_sum_dict(n, weights)
         (ns, den), = handed
         if not ns:
             # no slice is left of a zero sum
@@ -183,10 +174,10 @@ def test_hook_route_matches_universal_denominator_route(monkeypatch):
     # with its colors every sum here goes to _over_q over zl times the hook
     # product and ends in the text and the term dicts of the zl * D_n route
     dens = _record_dens(monkeypatch)
-    for label, weights, n, ram, colors in _colored_sums():
+    for label, weights, n, colors in _colored_sums():
         dens.clear()
-        hooked = character_bracket_sum(n, weights, ram, _colors=colors)
-        plain = character_bracket_sum(n, weights, ram)
+        hooked = character_bracket_sum(n, weights, colors)
+        plain = character_bracket_sum(n, weights, ())
         zl = schur._class_data(n)[0]
         hooks = LaurentQT.monomial(zl)
         for h in (h for a in colors for h in a.hook_lengths()):
@@ -201,27 +192,25 @@ def test_hook_route_falls_back_to_universal_denominator(monkeypatch):
     # (3) and T(2,3)[(3)] with the hooks 3, 1, 1 of (2,1), which leave [2]
     # of s*_(3)'s [1][2][3] behind; both fall back to the zl * D_n route
     dens = _record_dens(monkeypatch)
-    for label, weights, n, ram in (
-        ("unknot (3)", {P((3,)): {0: 1}}, 3, 1),
-        ("T(2,3)[(3)]", *_torus_weights(2, 3, (P((3,)),))[:2], 2),
+    for label, weights, n in (
+        ("unknot (3)", {P((3,)): {0: 1}}, 3),
+        ("T(2,3)[(3)]", *_torus_weights(2, 3, (P((3,)),))[:2]),
     ):
         dens.clear()
-        hooked = character_bracket_sum(n, weights, ram, _colors=(P((2, 1)),))
-        plain = character_bracket_sum(n, weights, ram)
+        hooked = character_bracket_sum(n, weights, (P((2, 1)),))
+        plain = character_bracket_sum(n, weights, ())
         zl = schur._class_data(n)[0]
         assert dens == [_q_dict(universal_denominator(n) * zl)] * 2, label
         assert str(hooked) == str(plain), label
         assert hooked.num.terms == plain.num.terms and hooked.den.terms == plain.den.terms, label
 
 
-def test_packed_class_sum_rejects_surviving_fractional_exponent():
-    box = P((1,))
-    assert character_bracket_sum(1, {box: {2: 1}}, ram=2) == delta() * LaurentQT.monomial(1, 1)
-    # weight q^(1/2) alone: nothing can cancel it
-    with pytest.raises(IntegralityViolation):
-        character_bracket_sum(1, {box: {1: 1}}, ram=2)
-    with pytest.raises(IntegralityViolation):
-        character_bracket_sum_dict(1, {box: {1: 1}}, ram=2)
+def test_torus_weights_reject_k_not_divisible_by_m(monkeypatch):
+    # k of (4, 2) is 10, which 3 does not divide: no plethysm of s_A(x^3)
+    # can have it in its support, so a twist weight q^(10 n / 3) is a bug
+    monkeypatch.setattr(torus, "plethysm_coefficients", lambda m, colors: SchurExpansion(6, {P((4, 2)): 1}))
+    with pytest.raises(IntegralityViolation, match=r"\(4,2\)"):
+        _torus_weights(3, 2, (P((2,)),))
 
 
 def test_universal_denominator_divisibility():
@@ -322,6 +311,27 @@ def test_plethysm_evaluation_at_ones():
                 lhs += c * sum(jacobi_trudi_schur(mu, nvars).values())
             rhs = sum(jacobi_trudi_schur(a, nvars).values())
             assert lhs == rhs, a
+
+
+def test_plethysm_support_has_k_divisible_by_m():
+    # Littlewood: every mu in the support of prod s_A(x^m) has an empty
+    # m-core, so it is tiled by m-ribbons of m consecutive contents each;
+    # m = 1 divides every k
+    singles = [(m, (a,)) for m in range(2, 6) for d in range(1, 12 // m + 1) for a in partitions_of(d)]
+    pairs = [
+        (m, (a, b))
+        for m in range(2, 6)
+        for da in range(1, 10 // m)
+        for db in range(1, 10 // m - da + 1)
+        for a in partitions_of(da)
+        for b in partitions_of(db)
+    ]
+    terms = 0
+    for m, colors in singles + pairs:
+        for mu in plethysm_coefficients(m, colors).coeffs:
+            assert mu.k_invariant() % m == 0, (m, colors, mu)
+            terms += 1
+    assert terms > 1000
 
 
 def test_plethysm_accepts_partition_vector():

@@ -195,9 +195,18 @@ def test_single_box_link_specialization():
 
 
 def test_mirror_image_by_negative_twists():
-    w_pos = colored_homfly_torus(TorusLinkSpec(2, 3, 1, (P((2,)),))).value
-    w_neg = colored_homfly_torus(TorusLinkSpec(2, -3, 1, (P((2,)),))).value
-    assert w_neg == w_pos.substituted(q="q^-1", t="t^-1")
+    # W(T(m, -n)) = W(T(m, n))(q^-1, t^-1); the twist weights are n k_mu / m
+    # with m | k_mu, so a negative n must not round them
+    cells = [((2, 3), (P((2,)),))]
+    for m, n in ((3, 4), (3, 2), (4, 3)):
+        cells += [((m, n), (a,)) for d in range(1, 9 // m + 1) for a in partitions_of(d)]
+    for n in (1, 2):
+        cells += [((1, n), (a, b)) for a in (P((1,)), P((2,))) for b in (P((1,)), P((1, 1)))]
+    assert len(cells) == 24
+    for (m, n), colors in cells:
+        w_pos = colored_homfly_torus(TorusLinkSpec(m, n, len(colors), colors)).value
+        w_neg = colored_homfly_torus(TorusLinkSpec(m, -n, len(colors), colors)).value
+        assert w_neg == w_pos.substituted(q="q^-1", t="t^-1"), (m, n, colors)
 
 
 # -- integrality ---------------------------------------------------------------
