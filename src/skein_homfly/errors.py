@@ -9,10 +9,6 @@ class SkeinError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class FractionalExponentSign(SkeinError):
-    """A sign-flipping substitution hit a genuinely fractional exponent."""
-
-
 class ZeroFunction(SkeinError):
     """Series expansion of an identically-zero numerator was requested."""
 

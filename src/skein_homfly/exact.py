@@ -1,14 +1,13 @@
 """Exact sparse Laurent arithmetic in (q, t) and limits from vanishing orders.
 
 The coefficient domain is the rationals (stdlib ``fractions.Fraction``,
-stored as plain ``int`` whenever the denominator is 1).  q-exponents may be
-exact rationals, while t-exponents are always integers.  The torus twist
-exponents (n/m) k_mu are integers term by term (``torus._torus_weights``),
-so fractional q-exponents reach LaurentQT only from callers who build
-them.  The constructor is the one place that drops zero coefficients and
-stores integral values as ``int``; it rejects any other scalar, such as a
-float, which would break exactness.  The arithmetic accumulates raw sums and
-constructs once.
+stored as plain ``int`` whenever the denominator is 1).  Both exponents are
+integers: the torus twist exponents (n/m) k_mu are integers term by term
+(``torus._torus_weights``), and no other computation makes a fractional
+one.  The constructor is the one place that drops zero coefficients and
+stores integral values as ``int``; it rejects a non-integral exponent and
+any other scalar, such as a float, which would break exactness.  The
+arithmetic accumulates raw sums and constructs once.
 
 Limits at q=1 or t=1 come from exact vanishing orders, never from a
 polynomial gcd: ``expand_series`` divides numerator and denominator by
@@ -21,11 +20,9 @@ Exact quotients run on one kernel of {int exponent -> coefficient} dicts:
 ``_udiv`` divides exactly or reports that it cannot, ``_exact_div`` divides
 two LaurentQTs by Kronecker substitution and one ``_udiv``, and ``_cancel``
 strips the brackets shared by slices.  ``_slices`` cuts a LaurentQT into one
-dict per exponent of the other variable, a fractional exponent e entering as
-the integer e * r (r from ``_lattice``, the lcm of the exponent
-denominators); ``_unslice`` rebuilds it.  ``_over_q`` is the one reduction
-that the class sums and the Markov traces share: t-slices over a q-only
-denominator, ``_cancel``, then one RationalQT.
+dict per exponent of the other variable; ``_unslice`` rebuilds it.
+``_over_q`` is the one reduction that the class sums and the Markov traces
+share: t-slices over a q-only denominator, ``_cancel``, then one RationalQT.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import FractionalExponentSign, LimitDoesNotExist, ZeroFunction
+from .errors import LimitDoesNotExist, ZeroFunction
 
 
 def _canon(x, name: str):
@@ -45,6 +42,13 @@ def _canon(x, name: str):
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
     raise ValueError(f"{name} must be an int or a Fraction: {x!r}")
+
+
+def _exponent(x, name: str) -> int:
+    """x as a plain int; ValueError naming x when it is not an integer."""
+    if type(x := _canon(x, name)) is not int:
+        raise ValueError(f"{name} must be an integer: {x}")
+    return x
 
 
 def _fmt_rational(x) -> str:
@@ -71,11 +75,9 @@ class LaurentQT:
                 if type(c) is not int:
                     c = _canon(c, "coefficient")
                 if type(qe) is not int:
-                    qe = _canon(qe, "q-exponent")
+                    qe = _exponent(qe, "q-exponent")
                 if type(te) is not int:
-                    te = _canon(te, "t-exponent")
-                    if type(te) is not int:
-                        raise ValueError(f"t-exponent must be an integer: {te}")
+                    te = _exponent(te, "t-exponent")
                 if c == 0:
                     continue
                 clean[(qe, te)] = c
@@ -192,13 +194,13 @@ class LaurentQT:
 def canonical_text(p: LaurentQT) -> str:
     """Deterministic text form: terms sorted by (q_exp, t_exp) ascending.
 
-    Example: ``-1*q^-3*t^2 + 2*q^1/2*t^0``.
+    Example: ``-1*q^-3*t^2 + 2*q^1*t^0``.
     """
     if p.is_zero():
         return "0"
     parts = []
     for i, ((qe, te), c) in enumerate(p.sorted_terms()):
-        body = f"{_fmt_rational(abs(c))}*q^{_fmt_rational(qe)}*t^{_fmt_rational(te)}"
+        body = f"{_fmt_rational(abs(c))}*q^{qe}*t^{te}"
         if i == 0:
             parts.append(("-" if c < 0 else "") + body)
         else:
@@ -232,8 +234,7 @@ def substitute(p: LaurentQT, q: str = "q", t: str = "t") -> LaurentQT:
     """Map q and t to signed monomials of themselves.
 
     ``q`` is one of "q", "q^-1", "-q", "-q^-1"; ``t`` is "t" or "t^-1".
-    A sign on q contributes (-1)^a to the coefficient of q^a t^b and
-    requires a to be an integer.
+    A sign on q contributes (-1)^a to the coefficient of q^a t^b.
     """
     try:
         qs, qi = _Q_TARGETS[q]
@@ -242,13 +243,8 @@ def substitute(p: LaurentQT, q: str = "q", t: str = "t") -> LaurentQT:
         raise ValueError(f"unsupported substitution target: {e.args[0]!r}") from None
     out = {}
     for (qe, te), c in p.terms.items():
-        if qs < 0:
-            if not isinstance(qe, int):
-                raise FractionalExponentSign(
-                    f"cannot apply q -> {q} to fractional exponent {qe}"
-                )
-            if qe % 2:
-                c = -c
+        if qs < 0 and qe % 2:
+            c = -c
         out[(qe * qi, te * ti)] = c
     return LaurentQT(out)
 
@@ -257,24 +253,20 @@ def substitute(p: LaurentQT, q: str = "q", t: str = "t") -> LaurentQT:
 
 
 def laurent_to_json(p: LaurentQT) -> list:
-    """Serialize as records {qn, qd, t, cn, cd} in canonical order."""
+    """Serialize as records {qn, qd, t, cn, cd} in canonical order.
+
+    The q-exponent is the integer qn; qd is always 1, kept so that records
+    keep their shape.
+    """
     out = []
     for (qe, te), c in p.sorted_terms():
-        qf = Fraction(qe)
         cf = Fraction(c)
-        out.append(
-            {
-                "qn": qf.numerator,
-                "qd": qf.denominator,
-                "t": te,
-                "cn": cf.numerator,
-                "cd": cf.denominator,
-            }
-        )
+        out.append({"qn": qe, "qd": 1, "t": te, "cn": cf.numerator, "cd": cf.denominator})
     return out
 
 
 def laurent_from_json(records) -> LaurentQT:
+    """Inverse of ``laurent_to_json``; ValueError when qn/qd is not an integer."""
     return LaurentQT({(Fraction(r["qn"], r["qd"]), r["t"]): Fraction(r["cn"], r["cd"]) for r in records})
 
 
@@ -296,9 +288,10 @@ class RationalQT:
     def __init__(self, num: LaurentQT, den: LaurentQT = None):
         if den is None:
             den = LaurentQT.one()
-        if isinstance(num, (int, Fraction)):
+        # a scalar part goes through LaurentQT's check, so a float is a ValueError
+        if not isinstance(num, LaurentQT):
             num = LaurentQT({(0, 0): num})
-        if isinstance(den, (int, Fraction)):
+        if not isinstance(den, LaurentQT):
             den = LaurentQT({(0, 0): den})
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
@@ -403,7 +396,7 @@ class RationalQT:
         """Cancel bracket factors v^k - v^-k shared by num and den.
 
         Content reduction, not general gcd: for each variable both parts are
-        cut once into slices on its exponent lattice, ``_cancel`` strips the
+        cut once into slices along its exponents, ``_cancel`` strips the
         shared brackets, and each part is rebuilt once.  A Laurent value comes
         back in its Laurent form, with a monomial denominator.  No computation
         path calls this; it reduces values that users and tests build.
@@ -412,11 +405,10 @@ class RationalQT:
         if num.is_zero():
             return self
         for idx in (0, 1):
-            r = _lattice(idx, num, den)
-            ns, ds = _slices(num, idx, r), _slices(den, idx, r)
+            ns, ds = _slices(num, idx), _slices(den, idx)
             ns, dc = _cancel(ns, ds)
             if dc is not ds:
-                num, den = _unslice(ns, idx, r), _unslice(dc, idx, r)
+                num, den = _unslice(ns, idx), _unslice(dc, idx)
         out = _exact_div(num, den)
         return RationalQT(num, den) if out is None else RationalQT(out)
 
@@ -479,8 +471,8 @@ def _variable_index(variable: str) -> int:
 def truncated_series(p: LaurentQT, variable: str, order: int) -> TruncSeries:
     """Expand p around variable = 1 through eps^order, exactly.
 
-    Each term c * v^e contributes c * binom(e, k) at eps^k; the binomial is
-    generalized, so e may be any exact rational.  No computation path calls
+    Each term c * v^e contributes c * binom(e, k) at eps^k, the generalized
+    binomial for a negative integer e.  No computation path calls
     this: the limits take exact vanishing orders (``expand_series``), and
     this full expansion is the tests' reference for them.
     """
@@ -498,12 +490,10 @@ def truncated_series(p: LaurentQT, variable: str, order: int) -> TruncSeries:
             # binom(e, j) vanishes for every j > k once e = k
             if k == order or step == 0:
                 break
-            if isinstance(running, int) and isinstance(step, int):
+            if isinstance(running, int):
                 running = running * step // (k + 1)
             else:
                 running = running * step / (k + 1)
-                if isinstance(running, Fraction) and running.denominator == 1:
-                    running = int(running)
     return TruncSeries(variable, order, tuple(LaurentQT(lv) for lv in levels))
 
 
@@ -511,24 +501,22 @@ def expand_series(f: RationalQT, variable: str):
     """Vanishing orders and leading coefficients of num and den at variable = 1.
 
     Returns (order_num, order_den, leading_num, leading_den), the leading
-    coefficients Laurent polynomials in the other variable.  On the
-    variable's lattice r each slice of a part is a Laurent polynomial in
-    u = v^(1/r): the order k is how often u - 1 divides every slice, and
-    since u - 1 = eps/r + O(eps^2) at v = 1 + eps, the leading coefficient
-    is each quotient slice's value at u = 1 over r^k.  Raises ZeroFunction
-    if the numerator is identically zero (its vanishing order would be the
-    +infinity sentinel).
+    coefficients Laurent polynomials in the other variable.  Each slice of a
+    part is a Laurent polynomial in v: the order k is how often v - 1
+    divides every slice, and since v - 1 = eps at v = 1 + eps, the leading
+    coefficient is each quotient slice's value at v = 1, the sum of its
+    coefficients.  Raises ZeroFunction if the numerator is identically zero
+    (its vanishing order would be the +infinity sentinel).
     """
     idx = _variable_index(variable)
     if f.num.is_zero():
         raise ZeroFunction("numerator is identically zero")
     parts = []
     for p in (f.num, f.den):
-        r = _lattice(idx, p)
-        slices, k = _slices(p, idx, r), 0
+        slices, k = _slices(p, idx), 0
         while (quot := _div_slices(slices, {1: 1, 0: -1})) is not None:
             slices, k = quot, k + 1
-        lead = {((0, o) if idx == 0 else (o, 0)): Fraction(sum(cs.values()), r**k) for o, cs in slices.items()}
+        lead = {((0, o) if idx == 0 else (o, 0)): sum(cs.values()) for o, cs in slices.items()}
         parts.append((k, LaurentQT(lead)))
     (on, ln), (od, ld) = parts
     return on, od, ln, ld
@@ -567,12 +555,12 @@ def _umul(a: dict, b: dict) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
-def _brackets(powers: dict, scale: int = 1) -> dict:
-    """prod_p (v^(p scale) - v^-(p scale))^powers[p] as an {exponent: coeff} dict."""
+def _brackets(powers: dict) -> dict:
+    """prod_p (v^p - v^-p)^powers[p] as an {exponent: coeff} dict."""
     out = {0: 1}
     for p, e in powers.items():
         for _ in range(e):
-            out = _umul(out, {p * scale: 1, -p * scale: -1})
+            out = _umul(out, {p: 1, -p: -1})
     return out
 
 
@@ -603,23 +591,18 @@ def _udiv(a: dict, b: dict):
     return None if any(rem[:span]) else out
 
 
-def _lattice(idx: int, *parts: LaurentQT) -> int:
-    """lcm of the exponent denominators at key position idx (0 = q, 1 = t)."""
-    return lcm(*(key[idx].denominator for p in parts for key in p.terms))
-
-
-def _slices(p: LaurentQT, idx: int, r: int) -> dict:
-    """Cut p into {other exponent: {exponent * r: coeff}} along key position idx."""
+def _slices(p: LaurentQT, idx: int) -> dict:
+    """Cut p into {other exponent: {exponent: coeff}} along key position idx
+    (0 = q, 1 = t)."""
     out = {}
     for key, c in p.terms.items():
-        out.setdefault(key[1 - idx], {})[int(key[idx] * r)] = c
+        out.setdefault(key[1 - idx], {})[key[idx]] = c
     return out
 
 
-def _unslice(slices: dict, idx: int, r: int) -> LaurentQT:
+def _unslice(slices: dict, idx: int) -> LaurentQT:
     """Inverse of ``_slices``."""
-    items = ((o, e if r == 1 else Fraction(e, r), c) for o, cs in slices.items() for e, c in cs.items())
-    return LaurentQT({((e, o) if idx == 0 else (o, e)): c for o, e, c in items})
+    return LaurentQT({((e, o) if idx == 0 else (o, e)): c for o, cs in slices.items() for e, c in cs.items()})
 
 
 def _div_slices(slices: dict, divisor: dict):
@@ -645,37 +628,32 @@ def _cancel(ns: dict, ds: dict) -> tuple:
     return ns, ds
 
 
-def _over_q(ns: dict, den: dict, r: int = 1) -> RationalQT:
-    """The t-slices ns ({t-exponent: {q-exponent * r: coeff}}) over the
-    q-only den on the same lattice r, after ``_cancel`` strips their shared
-    brackets; zero when ns is empty."""
+def _over_q(ns: dict, den: dict) -> RationalQT:
+    """The t-slices ns ({t-exponent: {q-exponent: coeff}}) over the q-only
+    den, after ``_cancel`` strips their shared brackets; zero when ns is
+    empty."""
     if not ns:
         return RationalQT(0)
     ns, ds = _cancel(ns, {0: den})
-    return RationalQT(_unslice(ns, 0, r), _unslice(ds, 0, r))
+    return RationalQT(_unslice(ns, 0), _unslice(ds, 0))
 
 
 def _exact_div(a: LaurentQT, b: LaurentQT):
     """a / b for any LaurentQTs; None when b does not divide a.
 
-    Kronecker substitution q^(i/r) t^j -> v^(i + w j), i the steps on the
-    common q-lattice r above each operand's lowest q-exponent and w one more
-    than a's q-span, is a ring map, one-to-one on offsets below w.  So a
-    univariate quotient whose offsets stay <= span(a) - span(b) is the
-    quotient, and any other offset, or no univariate quotient, proves there
-    is none.
+    Kronecker substitution q^i t^j -> v^(i + w j), i the offset above each
+    operand's lowest q-exponent and w one more than a's q-span, is a ring
+    map, one-to-one on offsets below w.  So a univariate quotient whose
+    offsets stay <= span(a) - span(b) is the quotient, and any other offset,
+    or no univariate quotient, proves there is none.
     """
     if b.is_zero():
         raise ZeroDivisionError("exact division by zero")
     if a.is_zero():
         return LaurentQT.zero()
-    r = _lattice(0, a, b)
     (lo_a, hi_a), (lo_b, hi_b) = ((min(e), max(e)) for e in (a.exponents("q"), b.exponents("q")))
-    w, room = int((hi_a - lo_a) * r) + 1, int((hi_a - lo_a - hi_b + lo_b) * r)
-    kron = ({int((e - lo) * r) + w * t: c for (e, t), c in p.terms.items()}
-            for p, lo in ((a, lo_a), (b, lo_b)))
+    w, room = hi_a - lo_a + 1, hi_a - lo_a - hi_b + lo_b
+    kron = ({e - lo + w * t: c for (e, t), c in p.terms.items()} for p, lo in ((a, lo_a), (b, lo_b)))
     if room < 0 or (out := _udiv(*kron)) is None or any(e % w > room for e in out):
         return None
-    base = int((lo_a - lo_b) * r)
-    qs = ((base + e % w, e // w, c) for e, c in out.items())
-    return LaurentQT({(k if r == 1 else Fraction(k, r), te): c for k, te, c in qs})
+    return LaurentQT({(lo_a - lo_b + e % w, e // w): c for e, c in out.items()})

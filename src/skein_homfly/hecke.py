@@ -26,9 +26,7 @@ coefficients in Z[q, q^-1], kept as plain {q-exponent: int} dicts:
 ``_over_q`` on these dicts alone.  LaurentQT stays at the boundary:
 ``HeckeElement``, ``apply_generator`` and ``element_of_braid`` carry
 LaurentQT coefficients, and ``markov_trace`` cuts its argument's
-coefficients into t-slices once, on their common q-lattice (the lcm of
-the q-exponent denominators), so a fractional q-exponent keeps its exact
-value through the division.
+coefficients into t-slices once.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from itertools import permutations as _permutations
 from operator import index
 
 from .errors import IndexOutOfRange
-from .exact import LaurentQT, RationalQT, _brackets, _lattice, _over_q, _slices
+from .exact import LaurentQT, RationalQT, _brackets, _over_q, _slices
 
 
 # -- permutations in one-line, zero-indexed form -----------------------
@@ -278,15 +276,14 @@ def _word_terms(w: BraidWord) -> dict:
     return terms
 
 
-def _mul_into(out: dict, a: dict, b: dict, r: int = 1) -> dict:
-    """Add a * b to out, all {t-exponent: {q-exponent: coeff}}, b's
-    q-exponents scaled by r onto a's lattice; zero terms are kept."""
+def _mul_into(out: dict, a: dict, b: dict) -> dict:
+    """Add a * b to out, all {t-exponent: {q-exponent: coeff}}; zero terms
+    are kept."""
     for ta, sa in a.items():
         for tb, sb in b.items():
             acc = out.setdefault(ta + tb, {})
             get = acc.get
             for eb, vb in sb.items():
-                eb *= r
                 for ea, va in sa.items():
                     acc[ea + eb] = get(ea + eb, 0) + va * vb
     return out
@@ -330,29 +327,25 @@ def _trace_perm(n: int, pi: tuple) -> dict:
     return _nonzero(_mul_into({}, _T_Z, _fold(n - 1, {pi: {0: c} for pi, c in terms.items()})))
 
 
-def _fold(n: int, terms: dict, r: int = 1) -> dict:
+def _fold(n: int, terms: dict) -> dict:
     """sum_pi c_pi U_pi = z^(n-1) * tr_n(x) / delta, each c_pi given as
-    t-slices on the q-lattice r."""
+    t-slices."""
     out = {}
     for pi, c in terms.items():
-        _mul_into(out, c, _trace_perm(n, pi), r)
+        _mul_into(out, c, _trace_perm(n, pi))
     return _nonzero(out)
 
 
-def _framed(n: int, terms: dict, r: int = 1) -> RationalQT:
+def _framed(n: int, terms: dict) -> RationalQT:
     """(t - t^-1) sum_pi c_pi U_pi over z^n: the framed closure, with c_pi
     as in ``_fold``."""
-    return _over_q(_nonzero(_mul_into({}, _T_BRACKET, _fold(n, terms, r))), _brackets({1: n}, r), r)
+    return _over_q(_nonzero(_mul_into({}, _T_BRACKET, _fold(n, terms))), _brackets({1: n}))
 
 
 def markov_trace(x: HeckeElement) -> RationalQT:
-    """Framed invariant of the closure of x, extended linearly.
-
-    The coefficients enter the kernel once, as t-slices on their common
-    q-lattice, so fractional q-exponents are kept exactly.
-    """
-    r = _lattice(0, *x.terms.values())
-    return _framed(x.n, {pi: _slices(c, 0, r) for pi, c in x.terms.items()}, r)
+    """Framed invariant of the closure of x, extended linearly; the
+    coefficients enter the kernel once, as t-slices."""
+    return _framed(x.n, {pi: _slices(c, 0) for pi, c in x.terms.items()})
 
 
 def framed_homfly_of_closure(w: BraidWord) -> RationalQT:

@@ -159,12 +159,11 @@ def delta_basis(p: LaurentQT):
         raise ValueError("delta basis applies to univariate q-polynomials")
     rem = dict(p.terms)
     coeffs = {}
-    while rem:
+    # anything left besides the constant pairs up or is asymmetric
+    while rem.keys() - {(0, 0)}:
         top = max(e for e, _ in rem)
-        if top == 0:
-            break
         c = rem[(top, 0)]
-        if rem.get((-top, 0)) != c:
+        if top <= 0 or rem.get((-top, 0)) != c:
             raise ValueError("polynomial is not symmetric under q -> 1/q")
         coeffs[top] = c
         for key in ((top, 0), (-top, 0)):

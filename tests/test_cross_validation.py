@@ -52,7 +52,7 @@ def _w_sym(m, n, a):
 def _laurent_to_sympy(p: LaurentQT):
     total = sp.Integer(0)
     for (qe, te), c in p.terms.items():
-        total += sp.Rational(Fraction(c)) * q ** sp.Rational(Fraction(qe)) * t**te
+        total += sp.Rational(Fraction(c)) * q**qe * t**te
     return total
 
 

@@ -285,6 +285,12 @@ def test_delta_basis_rejects_asymmetric():
         delta_basis(q_bracket(2))
     with pytest.raises(ValueError):
         delta_basis(LaurentQT({(1, 1): 1, (-1, -1): 1}))
+    # terms below q^0 left once the top exponent reaches 0
+    for p in (LaurentQT({(0, 0): 1, (-2, 0): 1}), LaurentQT({(0, 0): 1, (-2, 0): 1, (-3, 0): 2})):
+        with pytest.raises(ValueError, match="not symmetric"):
+            delta_basis(p)
+        with pytest.raises(ValueError, match="not symmetric"):
+            format_delta_basis(p)
 
 
 def test_counterexample_formatted():
