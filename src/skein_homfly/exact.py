@@ -1,13 +1,14 @@
 """Exact sparse Laurent arithmetic in (q, t) and limits from vanishing orders.
 
-The coefficient domain is the rationals (stdlib ``fractions.Fraction``,
-stored as plain ``int`` whenever the denominator is 1).  Both exponents are
-integers: the torus twist exponents (n/m) k_mu are integers term by term
-(``torus._torus_weights``), and no other computation makes a fractional
-one.  The constructor is the one place that drops zero coefficients and
-stores integral values as ``int``; it rejects a non-integral exponent and
-any other scalar, such as a float, which would break exactness.  The
-arithmetic accumulates raw sums and constructs once.
+Coefficients and both exponents are integers.  Every plethysm coefficient
+is an integer (Littlewood), each colored value is a Laurent polynomial over
+Z divided by the colors' hook brackets, and the torus twist exponents
+(n/m) k_mu are integers term by term (``torus._torus_weights``); a quotient
+lives in RationalQT, whose two parts are integer Laurent polynomials.  The
+constructor is the one place that drops zero coefficients and stores
+integers as ``int``; it rejects anything non-integral, such as a float or
+the Fraction 1/2, which would break exactness.  The arithmetic accumulates
+raw sums and constructs once.
 
 Limits at q=1 or t=1 come from exact vanishing orders, never from a
 polynomial gcd: ``expand_series`` divides numerator and denominator by
@@ -28,34 +29,17 @@ share: t-slices over a q-only denominator, ``_cancel``, then one RationalQT.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import LimitDoesNotExist, ZeroFunction
 
 
-def _canon(x, name: str):
-    """x as a plain int when integral (an int subclass such as bool included),
-    else as a Fraction; ValueError naming x when it is neither."""
-    if isinstance(x, int):
-        return int(x)
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else x
-    raise ValueError(f"{name} must be an int or a Fraction: {x!r}")
-
-
-def _exponent(x, name: str) -> int:
-    """x as a plain int; ValueError naming x when it is not an integer."""
-    if type(x := _canon(x, name)) is not int:
+def _integer(x, name: str) -> int:
+    """x as a plain int: an int (a bool included) or anything else with
+    denominator 1, such as Fraction(4, 2); ValueError naming x otherwise."""
+    if getattr(x, "denominator", None) != 1:
         raise ValueError(f"{name} must be an integer: {x}")
-    return x
-
-
-def _fmt_rational(x) -> str:
-    """Print an int or Fraction as "a" or "a/b"."""
-    if isinstance(x, Fraction) and x.denominator != 1:
-        return f"{x.numerator}/{x.denominator}"
-    return str(int(x))
+    return int(x)
 
 
 class LaurentQT:
@@ -73,11 +57,11 @@ class LaurentQT:
         if terms:
             for (qe, te), c in terms.items():
                 if type(c) is not int:
-                    c = _canon(c, "coefficient")
+                    c = _integer(c, "coefficient")
                 if type(qe) is not int:
-                    qe = _exponent(qe, "q-exponent")
+                    qe = _integer(qe, "q-exponent")
                 if type(te) is not int:
-                    te = _exponent(te, "t-exponent")
+                    te = _integer(te, "t-exponent")
                 if c == 0:
                     continue
                 clean[(qe, te)] = c
@@ -110,7 +94,7 @@ class LaurentQT:
         return sorted(self.terms.items(), key=lambda kv: (kv[0][0], kv[0][1]))
 
     def exponents(self, variable: str):
-        idx = 0 if variable == "q" else 1
+        idx = _variable_index(variable)
         return [k[idx] for k in self.terms]
 
     # -- ring operations ----------------------------------------------
@@ -140,7 +124,7 @@ class LaurentQT:
         return NotImplemented if other is NotImplemented else (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return LaurentQT({k: c * other for k, c in self.terms.items()})
         if not isinstance(other, LaurentQT):
             return NotImplemented
@@ -157,10 +141,10 @@ class LaurentQT:
         if not isinstance(e, int):
             raise TypeError("exponent must be an integer")
         if e < 0:
-            if len(self.terms) != 1:
-                raise ValueError("negative power of a non-monomial")
+            if list(self.terms.values()) not in ([1], [-1]):
+                raise ValueError("negative power of a non-unit")
             ((qe, te), c), = self.terms.items()
-            return LaurentQT({(qe * e, te * e): Fraction(c) ** e})
+            return LaurentQT({(qe * e, te * e): c ** -e})
         result = LaurentQT.one()
         base = self
         while e:
@@ -174,7 +158,7 @@ class LaurentQT:
     def _coerce(self, other):
         if isinstance(other, LaurentQT):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return LaurentQT({(0, 0): other})
         return NotImplemented
 
@@ -200,7 +184,7 @@ def canonical_text(p: LaurentQT) -> str:
         return "0"
     parts = []
     for i, ((qe, te), c) in enumerate(p.sorted_terms()):
-        body = f"{_fmt_rational(abs(c))}*q^{qe}*t^{te}"
+        body = f"{abs(c)}*q^{qe}*t^{te}"
         if i == 0:
             parts.append(("-" if c < 0 else "") + body)
         else:
@@ -255,19 +239,27 @@ def substitute(p: LaurentQT, q: str = "q", t: str = "t") -> LaurentQT:
 def laurent_to_json(p: LaurentQT) -> list:
     """Serialize as records {qn, qd, t, cn, cd} in canonical order.
 
-    The q-exponent is the integer qn; qd is always 1, kept so that records
-    keep their shape.
+    The q-exponent is the integer qn and the coefficient the integer cn; qd
+    and cd are always 1, kept so that records keep their shape.
     """
-    out = []
-    for (qe, te), c in p.sorted_terms():
-        cf = Fraction(c)
-        out.append({"qn": qe, "qd": 1, "t": te, "cn": cf.numerator, "cd": cf.denominator})
-    return out
+    return [{"qn": qe, "qd": 1, "t": te, "cn": c, "cd": 1} for (qe, te), c in p.sorted_terms()]
+
+
+def _ratio(n, d, name: str) -> int:
+    """n/d as an int when d divides n (4/2 reads as 2); ValueError naming it
+    otherwise."""
+    value, rem = divmod(n, d)
+    if rem:
+        raise ValueError(f"{name} must be an integer: {n}/{d}")
+    return value
 
 
 def laurent_from_json(records) -> LaurentQT:
-    """Inverse of ``laurent_to_json``; ValueError when qn/qd is not an integer."""
-    return LaurentQT({(Fraction(r["qn"], r["qd"]), r["t"]): Fraction(r["cn"], r["cd"]) for r in records})
+    """Inverse of ``laurent_to_json``; ValueError when qn/qd or cn/cd is not
+    an integer."""
+    return LaurentQT(
+        {(_ratio(r["qn"], r["qd"], "q-exponent"), r["t"]): _ratio(r["cn"], r["cd"], "coefficient") for r in records}
+    )
 
 
 # -- rational functions -----------------------------------------------
@@ -277,7 +269,7 @@ class RationalQT:
     """Quotient of two LaurentQT values; the field where limits live.
 
     Normalization shifts a common monomial so the collective minimal
-    exponent in each variable is 0, scales both parts to coprime integer
+    exponent in each variable is 0, divides both parts by their integer
     content, and gives the denominator a positive leading coefficient.
     Equality is by cross-multiplication unless the term dicts are identical,
     so representatives that differ by a common factor still compare equal.
@@ -313,7 +305,9 @@ class RationalQT:
         return self.num.is_zero()
 
     def is_laurent(self) -> bool:
-        return len(self.den.terms) == 1
+        """True when the denominator is a monomial with coefficient 1, so the
+        value is a Laurent polynomial over Z."""
+        return list(self.den.terms.values()) == [1]
 
     def as_laurent(self) -> LaurentQT:
         """The value as a LaurentQT when the denominator divides the numerator, else ValueError."""
@@ -324,7 +318,7 @@ class RationalQT:
     def _coerce(self, other):
         if isinstance(other, RationalQT):
             return other
-        if isinstance(other, (LaurentQT, int, Fraction)):
+        if isinstance(other, (LaurentQT, int)):
             return RationalQT(other)
         return NotImplemented
 
@@ -414,18 +408,14 @@ class RationalQT:
 
 
 def _normalize_pair(num: LaurentQT, den: LaurentQT):
-    """Shift to collective minimal exponents 0, then scale to coprime integer
-    content with a positive denominator lead, in integers on the term dicts.
-    A pair already in that form is returned as it is."""
+    """Shift to collective minimal exponents 0, then divide by the integer
+    content, signed so that the denominator lead is positive.  A pair already
+    in that form is returned as it is."""
     parts = (num.terms, den.terms)
     qmin = min(qe for p in parts for qe, _ in p)
     tmin = min(te for p in parts for _, te in p)
-    scale = lcm(*(c.denominator for p in parts for c in p.values()))
-    if qmin or tmin or scale != 1:
-        parts = tuple(
-            {(qe - qmin, te - tmin): c.numerator * (scale // c.denominator) for (qe, te), c in p.items()}
-            for p in parts
-        )
+    if qmin or tmin:
+        parts = tuple({(qe - qmin, te - tmin): c for (qe, te), c in p.items()} for p in parts)
     content = gcd(*parts[0].values(), *parts[1].values())
     if den.terms[max(den.terms)] < 0:
         content = -content
@@ -472,11 +462,14 @@ def truncated_series(p: LaurentQT, variable: str, order: int) -> TruncSeries:
     """Expand p around variable = 1 through eps^order, exactly.
 
     Each term c * v^e contributes c * binom(e, k) at eps^k, the generalized
-    binomial for a negative integer e.  No computation path calls
-    this: the limits take exact vanishing orders (``expand_series``), and
-    this full expansion is the tests' reference for them.
+    binomial for a negative integer e, an integer too.  ValueError for a
+    negative order.  No computation path calls this: the limits take exact
+    vanishing orders (``expand_series``), and this full expansion is the
+    tests' reference for them.
     """
     _variable_index(variable)
+    if order < 0:
+        raise ValueError(f"order must be >= 0: {order}")
     levels = [dict() for _ in range(order + 1)]
     for (qe, te), c in p.terms.items():
         if variable == "q":
@@ -490,10 +483,7 @@ def truncated_series(p: LaurentQT, variable: str, order: int) -> TruncSeries:
             # binom(e, j) vanishes for every j > k once e = k
             if k == order or step == 0:
                 break
-            if isinstance(running, int):
-                running = running * step // (k + 1)
-            else:
-                running = running * step / (k + 1)
+            running = running * step // (k + 1)
     return TruncSeries(variable, order, tuple(LaurentQT(lv) for lv in levels))
 
 
@@ -565,14 +555,17 @@ def _brackets(powers: dict) -> dict:
 
 
 def _udiv(a: dict, b: dict):
-    """a / b for nonzero univariate dicts; None when the division is not exact.
+    """a / b for nonzero univariate dicts; None when b does not divide a over
+    the integers.
 
     Dense synthetic division from the top exponent down.  The quotient's
     exponents lie in min(a) - min(b) .. max(a) - max(b); each quotient term
     costs len(b) - 1 updates of the remainder list, so the work is linear in
     the dividend for a fixed divisor.  The division is exact when the
-    remainder left in the lowest max(b) - min(b) slots is zero.  Quotient
-    coefficients are ``int`` when integral, ``Fraction`` otherwise.
+    remainder left in the lowest max(b) - min(b) slots is zero.  A quotient
+    coefficient that is not an integer also gives None; by Gauss's lemma it
+    cannot occur in an exact division by a primitive divisor, such as a
+    bracket product or v - 1.
     """
     lo_a, hi_b = min(a), max(b)
     span = hi_b - min(b)
@@ -585,7 +578,9 @@ def _udiv(a: dict, b: dict):
     out = {}
     for j in range(len(rem) - 1, span - 1, -1):
         if r := rem[j]:
-            c = out[base + j] = Fraction(r, lead) if r % lead else r // lead
+            if r % lead:
+                return None
+            c = out[base + j] = r // lead
             for off, nc in tail:
                 rem[j + off] += c * nc
     return None if any(rem[:span]) else out

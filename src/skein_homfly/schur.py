@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product, repeat
 from math import factorial, gcd, lcm, prod
@@ -250,19 +249,18 @@ class SchurExpansion:
 
 @lru_cache(maxsize=None)
 def _plethysm_cached(m: int, colors: tuple) -> SchurExpansion:
+    """The expansion in integers: each color's weights chi/z_B are scaled by
+    the lcm of z_B over the partitions B of its degree, and one ``divmod`` by
+    the product of those lcms ends the sum; IntegralityViolation when it
+    leaves a remainder."""
     degrees = [a.size for a in colors]
     n = m * sum(degrees)
     if n == 0:
         return SchurExpansion(0, {Partition(()): 1})
+    zls = [lcm(*(b.z_factor() for b in partitions_of(d))) for d in degrees]
     acc = {}
     for combo in product(*(partitions_of(d) for d in degrees)):
-        w = Fraction(1)
-        for a, b in zip(colors, combo):
-            chi = character(a, b)
-            if chi == 0:
-                w = 0
-                break
-            w *= Fraction(chi, b.z_factor())
+        w = prod(character(a, b) * (zl // b.z_factor()) for a, b, zl in zip(colors, combo, zls))
         if w == 0:
             continue
         rho = Partition(sorted((m * p for b in combo for p in b), reverse=True))
@@ -270,13 +268,13 @@ def _plethysm_cached(m: int, colors: tuple) -> SchurExpansion:
             chi = character(mu, rho)
             if chi:
                 acc[mu] = acc.get(mu, 0) + w * chi
-    out = {}
+    scale, out = prod(zls), {}
     for mu, c in acc.items():
-        if c == 0:
-            continue
-        if c.denominator != 1:
-            raise IntegralityViolation(f"non-integer plethysm coefficient {c} at {mu}")
-        out[mu] = int(c)
+        coeff, rem = divmod(c, scale)
+        if rem:
+            raise IntegralityViolation(f"non-integer plethysm coefficient {c}/{scale} at {mu}")
+        if coeff:
+            out[mu] = coeff
     return SchurExpansion(n, out)
 
 

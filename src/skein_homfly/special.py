@@ -25,7 +25,6 @@ from .exact import (
     LaurentQT,
     RationalQT,
     _exact_div,
-    _fmt_rational,
     _udiv,
     _umul,
     expand_series,
@@ -181,11 +180,11 @@ def format_delta_basis(p: LaurentQT) -> str:
     const, coeffs = delta_basis(p)
     parts = []
     if const != 0 or not coeffs:
-        parts.append(_fmt_rational(const))
+        parts.append(str(const))
     for d in sorted(coeffs):
         c = coeffs[d]
         mag = abs(c)
-        body = f"D_{d}" if mag == 1 else f"{_fmt_rational(mag)}*D_{d}"
+        body = f"D_{d}" if mag == 1 else f"{mag}*D_{d}"
         if not parts:
             parts.append(("-" if c < 0 else "") + body)
         else:

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,10 +29,7 @@ from oracles import evaluate
 
 # -- hypothesis strategies ------------------------------------------------
 
-coeffs = st.one_of(
-    st.integers(min_value=-9, max_value=9),
-    st.fractions(min_value=-5, max_value=5, max_denominator=6),
-)
+coeffs = st.integers(min_value=-9, max_value=9)
 exponents = st.integers(min_value=-4, max_value=4)
 
 
@@ -63,9 +64,14 @@ def test_half_exponents_multiply():
 
 def test_pow_and_negative_monomial_pow():
     assert q_bracket(1) ** 2 == LaurentQT({(2, 0): 1, (0, 0): -2, (-2, 0): 1})
-    assert LaurentQT.monomial(2, 1, 1) ** -1 == LaurentQT.monomial(Fraction(1, 2), -1, -1)
+    assert LaurentQT.monomial(1, 1, 1) ** -1 == LaurentQT.monomial(1, -1, -1)
+    assert LaurentQT.monomial(-1, 2, -1) ** -3 == LaurentQT.monomial(-1, -6, 3)
+    assert all(type(c) is int for c in (LaurentQT.monomial(-1, 2) ** -3).terms.values())
     with pytest.raises(ValueError):
         (q_bracket(1)) ** -1
+    # 1/2 is not an integer coefficient
+    with pytest.raises(ValueError, match="non-unit"):
+        LaurentQT.monomial(2, 1, 1) ** -1
 
 
 @settings(max_examples=150)
@@ -75,9 +81,9 @@ def test_ring_axioms(a, b, c):
     assert a + b == b + a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
-    # every result is canonical: no zero coefficient stored, integral ones as int
-    for r in ((a + b) + c, a - a, a * (b - b), a * b + a * c, a * 0, a * Fraction(3, 2)):
-        assert all(v != 0 and (type(v) is int or v.denominator != 1) for v in r.terms.values())
+    # every result is canonical: no zero coefficient stored, each one an int
+    for r in ((a + b) + c, a - a, a * (b - b), a * b + a * c, a * 0, a * -3):
+        assert all(v != 0 and type(v) is int for v in r.terms.values())
 
 
 # -- substitution ----------------------------------------------------------
@@ -124,12 +130,13 @@ def test_canonical_text_example():
 
 
 def test_json_round_trip():
-    p = LaurentQT({(-3, 2): -1, (1, 0): Fraction(2, 3), (0, 0): 7})
+    p = LaurentQT({(-3, 2): -1, (1, 0): 12, (0, 0): 7})
     records = laurent_to_json(p)
     assert records == sorted(records, key=lambda r: (r["qn"], r["t"]))
-    # qd is always 1, kept so that records keep their shape
+    # qd and cd are always 1, kept so that records keep their shape
     assert [list(r) for r in records] == [["qn", "qd", "t", "cn", "cd"]] * 3
-    assert all(r["qd"] == 1 for r in records)
+    assert all(r["qd"] == r["cd"] == 1 for r in records)
+    assert [r["cn"] for r in records] == [-1, 7, 12]
     assert laurent_from_json(records) == p
     # a non-integral t-exponent is rejected, not truncated
     with pytest.raises(ValueError, match="t-exponent"):
@@ -138,9 +145,9 @@ def test_json_round_trip():
 
 def test_constructor_rejects_inexact_scalars():
     # a float would be stored as given and printed truncated through int()
-    with pytest.raises(ValueError, match="q-exponent must be an int or a Fraction: 1.5"):
+    with pytest.raises(ValueError, match="q-exponent must be an integer: 1.5"):
         LaurentQT({(1.5, 0): 1})
-    with pytest.raises(ValueError, match="coefficient must be an int or a Fraction: 0.5"):
+    with pytest.raises(ValueError, match="coefficient must be an integer: 0.5"):
         LaurentQT({(0, 0): 0.5})
     with pytest.raises(ValueError, match="coefficient"):
         LaurentQT({(1, 0): 1, (0, 0): 0.0})
@@ -151,10 +158,36 @@ def test_constructor_rejects_inexact_scalars():
     assert (qe, te, c) == (1, 0, 1)
     assert (type(qe), type(te), type(c)) == (int, int, int)
     # RationalQT's scalar parts go through the same check
-    with pytest.raises(ValueError, match="coefficient must be an int or a Fraction: 1.5"):
+    with pytest.raises(ValueError, match="coefficient must be an integer: 1.5"):
         RationalQT(1.5)
-    with pytest.raises(ValueError, match="coefficient must be an int or a Fraction: 0.5"):
+    with pytest.raises(ValueError, match="coefficient must be an integer: 0.5"):
         RationalQT(LaurentQT.one(), 0.5)
+
+
+def test_constructor_rejects_fractional_coefficients():
+    with pytest.raises(ValueError, match="coefficient must be an integer: 1/2"):
+        LaurentQT({(0, 0): Fraction(1, 2)})
+    with pytest.raises(ValueError, match="coefficient must be an integer: -2/3"):
+        RationalQT(LaurentQT.one(), Fraction(-2, 3))
+    with pytest.raises(ValueError, match="coefficient must be an integer: 1/2"):
+        laurent_from_json([{"qn": 0, "qd": 1, "t": 0, "cn": 1, "cd": 2}])
+    # a whole Fraction, in a term or in a record, is stored as that int
+    (c,) = LaurentQT({(0, 0): Fraction(4, 2)}).terms.values()
+    assert (c, type(c)) == (2, int)
+    assert laurent_from_json([{"qn": 0, "qd": 1, "t": 0, "cn": -6, "cd": 3}]) == LaurentQT.monomial(-2)
+    # a Fraction operand is not a coefficient either
+    for value in (LaurentQT.one(), RationalQT.one()):
+        with pytest.raises(TypeError):
+            value * Fraction(1, 2)
+        with pytest.raises(TypeError):
+            Fraction(1, 2) + value
+
+
+def test_import_loads_no_rational_arithmetic():
+    # coefficients are integers, so the package never needs the fractions module
+    code = "import sys, skein_homfly; sys.exit('fractions' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_constructor_rejects_fractional_exponents():
@@ -300,6 +333,9 @@ def test_truncated_series_shape():
     assert s.order == 3 and len(s.coeffs) == 4
     assert s.coeffs[0].is_zero()
     assert s.coeffs[1] == LaurentQT.monomial(4)
+    # a negative order would read as the expansion of zero
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        truncated_series(q_bracket(1), "q", -2)
 
 
 # -- rational normalization -------------------------------------------------
@@ -341,6 +377,13 @@ def test_rational_normal_form_minimal_exponents():
     assert qmin == 0 and tmin == 0
 
 
+def test_exponents_rejects_unknown_variable():
+    p = LaurentQT({(2, 5): 1})
+    assert (p.exponents("q"), p.exponents("t")) == ([2], [5])
+    with pytest.raises(ValueError, match="variable must be 'q' or 't'"):
+        p.exponents("x")
+
+
 def test_rational_normal_form_content_and_sign_without_shift():
     # exponents already at 0 and integer coefficients: content and sign still normalize
     num = LaurentQT({(0, 0): 2, (1, 1): 4})
@@ -380,6 +423,18 @@ def test_as_laurent_folds_monomial_denominator():
     f = RationalQT(q_bracket(1) * q_bracket(1), q_bracket(1)).simplified()
     assert f.is_laurent()
     assert f.as_laurent() == q_bracket(1)
+
+
+def test_half_is_a_quotient_not_a_laurent_polynomial():
+    half = RationalQT(1, 2)
+    assert not half.is_laurent()
+    assert str(half) == "(1*q^0*t^0) / (2*q^0*t^0)"
+    assert half * 2 == 1
+    with pytest.raises(ValueError, match="not a Laurent polynomial"):
+        half.as_laurent()
+    # a monomial denominator with coefficient 1 is Laurent
+    assert RationalQT(3, t_power(2) * -1).is_laurent()
+    assert str(RationalQT(3, t_power(2) * -1)) == "-3*q^0*t^-2"
 
 
 def test_as_laurent_divides_by_any_denominator():

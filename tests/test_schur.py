@@ -1,8 +1,8 @@
-from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from skein_homfly import schur, torus
+from skein_homfly import schur, torus, verify
 from skein_homfly.exact import (
     LaurentQT,
     RationalQT,
@@ -49,16 +49,12 @@ def test_empty_color_is_one():
 
 def test_two_box_row():
     # 1/2 [ delta^2 + (t^2 - t^-2)/(q^2 - q^-2) ] from the 2-symbol table
-    expected = delta() * delta() * Fraction(1, 2) + RationalQT(
-        t_bracket(2), q_bracket(2)
-    ) * Fraction(1, 2)
+    expected = (delta() * delta() + RationalQT(t_bracket(2), q_bracket(2))) / 2
     assert unknot_value(P((2,))) == expected
 
 
 def test_two_box_column():
-    expected = delta() * delta() * Fraction(1, 2) - RationalQT(
-        t_bracket(2), q_bracket(2)
-    ) * Fraction(1, 2)
+    expected = (delta() * delta() - RationalQT(t_bracket(2), q_bracket(2))) / 2
     assert unknot_value(P((1, 1))) == expected
 
 
@@ -205,6 +201,30 @@ def test_hook_route_falls_back_to_universal_denominator(monkeypatch):
         assert hooked.num.terms == plain.num.terms and hooked.den.terms == plain.den.terms, label
 
 
+def test_class_sums_take_the_hook_route(monkeypatch):
+    # the torus knots and links of the thm72 grid in perfbench/grids/sweeps.json
+    # and the unknots with |A| <= 6: every t-degree divides exactly by the
+    # packed hook cofactor and passes the slot check, so no sum falls back
+    # to zl * D_n
+    calls, fallbacks = 0, 0
+    packed_div = schur._packed_div
+
+    def counted(*args):
+        nonlocal calls, fallbacks
+        out = packed_div(*args)
+        calls, fallbacks = calls + 1, fallbacks + (out is None)
+        return out
+
+    monkeypatch.setattr(schur, "_packed_div", counted)
+    grid = verify.GridConfig.load(Path(__file__).parents[1] / "perfbench" / "grids" / "sweeps.json")
+    for spec in verify._symmetry_grid(grid):
+        weights, n, _ = _torus_weights(spec.m, spec.n, spec.colors)
+        character_bracket_sum(n, weights, spec.colors)
+    for lam in (lam for size in range(1, 7) for lam in partitions_of(size)):
+        character_bracket_sum(lam.size, {lam: {0: 1}}, (lam,))
+    assert calls > 0 and fallbacks == 0
+
+
 def test_torus_weights_reject_k_not_divisible_by_m(monkeypatch):
     # k of (4, 2) is 10, which 3 does not divide: no plethysm of s_A(x^3)
     # can have it in its support, so a twist weight q^(10 n / 3) is a bug
@@ -240,6 +260,14 @@ def test_plethysm_identity_on_single_row():
 def test_plethysm_product_of_boxes():
     e = plethysm_coefficients(1, (P((1,)), P((1,))))
     assert e.coeffs == {P((2,)): 1, P((1, 1)): 1}
+
+
+def test_plethysm_rejects_a_non_integer_coefficient(monkeypatch):
+    # with chi_A = 1 on the class (1,1) alone the weight of (2) is 1/z = 1/2,
+    # so every coefficient of the integer sum leaves a remainder
+    monkeypatch.setattr(schur, "character", lambda lam, nu: int(nu == P((1, 1))))
+    with pytest.raises(IntegralityViolation, match="non-integer plethysm coefficient 1/2 at"):
+        schur._plethysm_cached.__wrapped__(1, (P((2,)),))
 
 
 def test_plethysm_hook_support_for_single_box():
