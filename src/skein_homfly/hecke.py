@@ -33,9 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, starmap
 from itertools import permutations as _permutations
-from operator import index
+from operator import gt, index
 
 from .errors import IndexOutOfRange
 from .exact import LaurentQT, RationalQT, _brackets, _over_q, _slices
@@ -50,7 +50,7 @@ def perm_identity(n: int) -> tuple:
 
 def perm_length(pi: tuple) -> int:
     """Coxeter length = inversion count."""
-    return sum(a > b for a, b in combinations(pi, 2))
+    return sum(starmap(gt, combinations(pi, 2)))
 
 
 def perm_cycle_count(pi: tuple) -> int:

@@ -32,7 +32,7 @@ from itertools import product, repeat
 from math import factorial, gcd, lcm, prod
 from operator import sub
 
-from .characters import character
+from .characters import _beta_mask, _char
 from .errors import IntegralityViolation
 from .exact import RationalQT, _brackets, _over_q, _umul
 from .partitions import Partition, PartitionVector, partitions_of
@@ -94,10 +94,9 @@ def _class_data(n: int) -> tuple:
 
 def _class_weight(weights, nu: Partition) -> dict:
     """g_nu = sum_mu w_mu chi_mu(nu) as an {exponent: coeff} dict."""
-    g = {}
+    g, cycle = {}, nu.parts
     for mu, w in weights.items():
-        chi = character(mu, nu)
-        if chi:
+        if chi := _char(_beta_mask(mu.parts), cycle):
             for e, c in w.items():
                 g[e] = g.get(e, 0) + chi * c
     return {e: c for e, c in g.items() if c}
@@ -135,7 +134,7 @@ def _packed_div(x: int, c: int, l1: int, size: int):
     return slots if max(map(abs, slots)) * l1 < 1 << (8 * size - 1) else None
 
 
-def character_bracket_sum(n: int, weights, colors) -> RationalQT:
+def character_bracket_sum(n: int, weights, colors, t_shift: int = 0) -> RationalQT:
     """Accumulate sum_mu w_mu(q) * s*_mu over the universal denominator.
 
     ``n`` is at least 1.  ``weights`` maps each partition mu of n to a
@@ -157,6 +156,8 @@ def character_bracket_sum(n: int, weights, colors) -> RationalQT:
     (``_hook_cofactor``, ``_packed_div``) and ``_over_q`` gets the quotients
     over zl prod [h].  When one division is not exact or fails its slot
     check, the sum goes over zl D_n; the value is the same either way.
+    ``t_shift`` is added to the t-slice keys before ``_over_q``: the sum
+    comes out times t^t_shift with no product.
     """
     zl, d_n, qsize, classes = _class_data(n)
     hooks = tuple(sorted(h for a in colors for h in a.hook_lengths()))
@@ -184,7 +185,9 @@ def character_bracket_sum(n: int, weights, colors) -> RationalQT:
         slots, low, den = quots, low - clow, hook_den
     else:
         slots, den = {te: _unpack(x, size) for te, x in acc.items()}, dict(d_n)
-    ns = {te: {low + step * k: c for k, c in enumerate(s) if c} for te, s in slots.items() if any(s)}
+    ns = {
+        te + t_shift: {low + step * k: c for k, c in enumerate(s) if c} for te, s in slots.items() if any(s)
+    }
     return _over_q(ns, {e: c * zl for e, c in den.items()})
 
 
@@ -258,15 +261,15 @@ def _plethysm_cached(m: int, colors: tuple) -> SchurExpansion:
     if n == 0:
         return SchurExpansion(0, {Partition(()): 1})
     zls = [lcm(*(b.z_factor() for b in partitions_of(d))) for d in degrees]
+    masks = [_beta_mask(a.parts) for a in colors]
     acc = {}
     for combo in product(*(partitions_of(d) for d in degrees)):
-        w = prod(character(a, b) * (zl // b.z_factor()) for a, b, zl in zip(colors, combo, zls))
+        w = prod(_char(k, b.parts) * (zl // b.z_factor()) for k, b, zl in zip(masks, combo, zls))
         if w == 0:
             continue
-        rho = Partition(sorted((m * p for b in combo for p in b), reverse=True))
+        rho = tuple(sorted((m * p for b in combo for p in b), reverse=True))
         for mu in partitions_of(n):
-            chi = character(mu, rho)
-            if chi:
+            if chi := _char(_beta_mask(mu.parts), rho):
                 acc[mu] = acc.get(mu, 0) + w * chi
     scale, out = prod(zls), {}
     for mu, c in acc.items():

@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import IntegralityViolation, NonCoprime
-from .exact import LaurentQT, RationalQT, delta
+from .exact import RationalQT, delta
 from .partitions import Partition, PartitionVector
 from .schur import character_bracket_sum, plethysm_coefficients, unknot_value
 
@@ -143,7 +143,7 @@ def _torus_value(m: int, n: int, colors: tuple) -> RationalQT:
     weights, n_total, te = _torus_weights(m, n, colors)
     if n_total == 0:
         return RationalQT.one()
-    return character_bracket_sum(n_total, weights, colors) * LaurentQT.monomial(1, 0, te)
+    return character_bracket_sum(n_total, weights, colors, te)
 
 
 def colored_homfly_torus(spec: TorusLinkSpec) -> ColoredInvariant:

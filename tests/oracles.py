@@ -14,10 +14,12 @@ with, the Markov trace reduced by ``RationalQT.simplified`` and a division
 by delta (the route ``exact._over_q`` replaced) on a generator action in
 LaurentQT products (the route the integer kernel of ``hecke._apply``
 replaced), the hook length formula for character degrees, exact column
-orthogonality of a character table, the inversion count and the cycle
-type of a permutation as first written (the parity sweep counts both more
-cheaply), and a floating-point evaluation of Laurent polynomials for
-numeric sanity checks.
+orthogonality of a character table, characters by Murnaghan-Nakayama on
+tuple beta-sets (the route the bitmask kernel replaced), the inversion
+count as first written and as bubble sort's swap count, the cycle type of
+a permutation (the parity sweep counts both more cheaply), and a
+floating-point evaluation of Laurent polynomials for numeric sanity
+checks.
 None of this feeds a computed result of the package.
 """
 
@@ -321,6 +323,37 @@ def jacobi_trudi_schur(lam: Partition, nvars: int, kind: str = "h") -> dict:
     return total
 
 
+# -- characters by the tuple beta-set recursion -----------------------------
+
+
+@cache
+def character_reference(lam: tuple, mu: tuple) -> int:
+    """chi_lam(C_mu) by Murnaghan-Nakayama on beta-sets kept as lists (the
+    route the bitmask kernel ``characters._char`` replaced): removing a
+    border strip of length k removes k from one first-column hook length,
+    with sign (-1)^(rows spanned - 1)."""
+    if not mu:
+        return 1
+    k, rest = mu[0], mu[1:]
+    l = len(lam)
+    beta = [lam[i] + l - 1 - i for i in range(l)]
+    beta_set = set(beta)
+    total = 0
+    for b in beta:
+        c = b - k
+        if c < 0 or c in beta_set:
+            continue
+        height = sum(1 for f in beta if c < f < b)
+        new_beta = sorted((beta_set - {b}) | {c}, reverse=True)
+        m = len(new_beta)
+        new_lam = tuple(f - (m - 1 - i) for i, f in enumerate(new_beta))
+        while new_lam and new_lam[-1] == 0:
+            new_lam = new_lam[:-1]
+        term = character_reference(new_lam, rest)
+        total += -term if height % 2 else term
+    return total
+
+
 # -- permutation statistics by their first definitions ----------------------
 
 
@@ -328,6 +361,17 @@ def perm_inversions_by_index(pi: tuple) -> int:
     """Inversion count over index pairs i < j."""
     n = len(pi)
     return sum(1 for i in range(n) for j in range(i + 1, n) if pi[i] > pi[j])
+
+
+def perm_inversions_by_bubble_sort(pi: tuple) -> int:
+    """The number of adjacent swaps bubble sort makes to sort pi."""
+    cur, swaps = list(pi), 0
+    for end in range(len(cur) - 1, 0, -1):
+        for i in range(end):
+            if cur[i] > cur[i + 1]:
+                cur[i], cur[i + 1] = cur[i + 1], cur[i]
+                swaps += 1
+    return swaps
 
 
 def perm_cycle_type(pi: tuple) -> Partition:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from skein_homfly import characters
 from skein_homfly.characters import (
     CharacterTable,
     character,
@@ -13,7 +14,14 @@ from skein_homfly.errors import BoundExceeded, SizeMismatch
 from skein_homfly.exact import LaurentQT, _exact_div, q_bracket
 from skein_homfly.partitions import Partition, partitions_of
 
-from oracles import _poly_mul_multi, dimension, jacobi_trudi_schur, power_sum_poly, verify_orthogonality
+from oracles import (
+    _poly_mul_multi,
+    character_reference,
+    dimension,
+    jacobi_trudi_schur,
+    power_sum_poly,
+    verify_orthogonality,
+)
 
 P = Partition
 
@@ -39,6 +47,19 @@ def test_known_small_values():
     assert character(P((2, 1)), P((1, 1, 1))) == 2
     assert character(P((2, 2)), P((2, 2))) == 2
     assert character(P((3, 1)), P((2, 2))) == -1
+
+
+def test_kernel_matches_tuple_recursion():
+    # the bitmask kernel against the tuple beta-set recursion it replaced,
+    # on every pair of partitions of n <= 12 and the empty pair
+    assert character(P(()), P(())) == character_reference((), ()) == 1
+    start = time.perf_counter()
+    for n in range(1, 13):
+        parts = partitions_of(n)
+        for lam in parts:
+            for mu in parts:
+                assert character(lam, mu) == character_reference(lam.parts, mu.parts), (lam, mu)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_size_mismatch():
@@ -162,6 +183,20 @@ def test_hook_character_identity_exhaustive():
     for d in range(1, 9):
         for b in partitions_of(d):
             assert hook_character_identity(b)
+
+
+def test_hook_character_identity_sees_one_flipped_sign(monkeypatch):
+    # the identity reads each hook character once: one wrong sign breaks it
+    true = characters.character
+
+    def flipped(lam, mu):
+        chi = true(lam, mu)
+        return -chi if lam == P((2, 1, 1)) else chi
+
+    monkeypatch.setattr(characters, "character", flipped)
+    assert not hook_character_identity(P((2, 2)))
+    assert not hook_character_identity(P((1, 1, 1, 1)))
+    assert hook_character_identity(P((3,)))
 
 
 def test_twisted_orthogonality_with_fractional_powers():

@@ -33,6 +33,7 @@ from oracles import (
     negative_symmetrizer,
     normalized_closure_by_delta,
     perm_cycle_type,
+    perm_inversions_by_bubble_sort,
     perm_inversions_by_index,
     positive_symmetrizer,
     reduced_word,
@@ -235,11 +236,12 @@ def test_permutation_helpers():
 
 
 def test_permutation_counts_match_first_definitions():
-    # the parity sweep's counts against the index-pair inversion count and
+    # the parity sweep's counts against the index-pair inversion count,
+    # bubble sort's swap count (one adjacent inverted pair per swap) and
     # the length of the cycle type, on every permutation of degree <= 6
     for n in range(7):
         for pi in all_permutations(n):
-            assert perm_length(pi) == perm_inversions_by_index(pi), pi
+            assert perm_length(pi) == perm_inversions_by_index(pi) == perm_inversions_by_bubble_sort(pi), pi
             assert perm_cycle_count(pi) == perm_cycle_type(pi).length, pi
 
 

@@ -265,7 +265,7 @@ def test_plethysm_product_of_boxes():
 def test_plethysm_rejects_a_non_integer_coefficient(monkeypatch):
     # with chi_A = 1 on the class (1,1) alone the weight of (2) is 1/z = 1/2,
     # so every coefficient of the integer sum leaves a remainder
-    monkeypatch.setattr(schur, "character", lambda lam, nu: int(nu == P((1, 1))))
+    monkeypatch.setattr(schur, "_char", lambda mask, cycle: int(cycle == (1, 1)))
     with pytest.raises(IntegralityViolation, match="non-integer plethysm coefficient 1/2 at"):
         schur._plethysm_cached.__wrapped__(1, (P((2,)),))
 
