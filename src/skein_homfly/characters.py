@@ -34,7 +34,7 @@ def character(lam: Partition, mu: Partition) -> int:
     """chi_lambda evaluated on the conjugacy class of cycle type mu."""
     if lam.size != mu.size:
         raise SizeMismatch(f"|{lam}| = {lam.size} != |{mu}| = {mu.size}")
-    return _char(_beta_mask(lam.parts), mu.parts)
+    return _char(_beta_mask(lam), mu)
 
 
 @lru_cache(maxsize=None)
@@ -98,9 +98,9 @@ def _build_table(n: int) -> CharacterTable:
     parts = partitions_of(n)
     values = {}
     for lam in parts:
-        mask = _beta_mask(lam.parts)
+        mask = _beta_mask(lam)
         for mu in parts:
-            values[(lam, mu)] = _char(mask, mu.parts)
+            values[(lam, mu)] = _char(mask, mu)
     return CharacterTable(n, parts, values)
 
 
@@ -118,4 +118,4 @@ def hook_character_identity(b: Partition) -> bool:
         h = d - 1 - a
         if chi := character(Partition((a + 1,) + (1,) * h), b):
             lhs[a - h] = -chi if h % 2 else chi
-    return lhs == _udiv(_brackets(Counter(b.parts)), {1: 1, -1: -1})  # None when not exact
+    return lhs == _udiv(_brackets(Counter(b)), {1: 1, -1: -1})  # None when not exact

@@ -50,7 +50,7 @@ def _print_rational(value: RationalQT, as_json: bool):
 
 
 def _cmd_torus(args) -> int:
-    spec = TorusLinkSpec(args.m, args.n, args.components, args.colors.components)
+    spec = TorusLinkSpec(args.m, args.n, args.components, args.colors)
     inv = colored_homfly_torus(spec)
     _print_rational(inv.value, args.json)
     return 0
@@ -80,8 +80,7 @@ def _cmd_plethysm(args) -> int:
 
 def _cmd_special(args) -> int:
     if args.colors is not None:
-        colors = args.colors.components
-        spec = TorusLinkSpec(args.m, args.n, len(colors), colors)
+        spec = TorusLinkSpec(args.m, args.n, len(args.colors), args.colors)
     else:
         spec = TorusLinkSpec(args.m, args.n, 1, (args.color,))
     result = special_H(spec) if args.kind == "H" else special_delta(spec)

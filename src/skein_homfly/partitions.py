@@ -8,111 +8,99 @@ torus link invariants.  The two scalar statistics that matter most are
     k(lambda) = sum_j lambda_j*(lambda_j - 2j + 1)   (framing exponent)
 
 with m_j the multiplicity of the part j.
+
+``Partition`` and ``PartitionVector`` are tuple subclasses that check their
+parts on construction: a partition compares, hashes and orders as the plain
+tuple of its parts, so it keys the caches downstream as that tuple does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from operator import index
 
 
-class Partition:
-    """A weakly decreasing sequence of positive integers; () is empty."""
+class Partition(tuple):
+    """A weakly decreasing tuple of positive integers; () is empty.
 
-    __slots__ = ("parts",)
+    A partition is the tuple of its parts: it compares, hashes and orders
+    as that plain tuple, so ``Partition((2, 1)) == (2, 1)``.
+    """
 
-    def __init__(self, parts=()):
+    __slots__ = ()
+
+    def __new__(cls, parts=()):
         parts = tuple(index(p) for p in parts)
         for a, b in zip(parts, parts[1:]):
             if a < b:
                 raise ValueError(f"parts not weakly decreasing: {parts}")
         if parts and parts[-1] < 1:
             raise ValueError(f"parts must be positive: {parts}")
-        object.__setattr__(self, "parts", parts)
+        return super().__new__(cls, parts)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
+    @property
+    def parts(self) -> "Partition":
+        """The partition itself, kept for callers that read ``.parts``."""
+        return self
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
         """Parse the text form "(3,1,1)"; "[]" or "()" denote the empty partition."""
         s = text.strip()
-        if s in ("[]", "()", ""):
+        if s == "[]":
             return cls(())
         if s.startswith("(") and s.endswith(")"):
-            s = s[1:-1]
-        body = s.strip()
-        if not body:
-            return cls(())
-        return cls(int(p) for p in body.split(","))
+            s = s[1:-1].strip()
+        return cls(int(p) for p in s.split(",")) if s else cls(())
 
     def __str__(self):
-        if not self.parts:
+        if not self:
             return "[]"
-        return "(" + ",".join(str(p) for p in self.parts) + ")"
+        return "(" + ",".join(map(str, self)) + ")"
 
     def __repr__(self):
-        return f"Partition({self.parts})"
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __bool__(self):
-        return bool(self.parts)
+        return f"Partition({tuple(self)})"
 
     @property
     def size(self) -> int:
-        return sum(self.parts)
+        return sum(self)
 
     @property
     def length(self) -> int:
-        return len(self.parts)
+        return len(self)
 
     def multiplicity(self, i: int) -> int:
         """Number of parts equal to i."""
-        return self.parts.count(i)
+        return self.count(i)
 
     def z_factor(self) -> int:
         """Order of the centralizer of a permutation with this cycle type."""
         z = 1
-        for j in set(self.parts):
-            m = self.parts.count(j)
+        for j in set(self):
+            m = self.count(j)
             z *= j ** m * factorial(m)
         return z
 
     def k_invariant(self) -> int:
         """Framing exponent sum lambda_j*(lambda_j - 2j + 1); always even."""
-        return sum(p * (p - 2 * j + 1) for j, p in enumerate(self.parts, start=1))
+        return sum(p * (p - 2 * j + 1) for j, p in enumerate(self, start=1))
 
     def conjugate(self) -> "Partition":
         """Transpose of the Young diagram (column lengths)."""
-        if not self.parts:
-            return Partition(())
-        cols = [0] * self.parts[0]
-        for p in self.parts:
+        if not self:
+            return EMPTY
+        cols = [0] * self[0]
+        for p in self:
             for i in range(p):
                 cols[i] += 1
         return Partition(cols)
 
     def hook_lengths(self):
         """Multiset of hook lengths, row by row."""
-        t = self.conjugate().parts
+        t = self.conjugate()
         out = []
-        for i, p in enumerate(self.parts):
+        for i, p in enumerate(self):
             for j in range(p):
                 out.append(p - j + t[j] - i - 1)
         return out
@@ -138,33 +126,32 @@ def _gen_parts(n, max_part):
             yield (first,) + rest
 
 
-@dataclass(frozen=True)
-class PartitionVector:
-    """An ordered tuple of partitions, one per link component."""
+class PartitionVector(tuple):
+    """A non-empty tuple of partitions, one per link component."""
 
-    components: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.components) < 1:
+    def __new__(cls, components):
+        components = tuple(components)
+        if not components:
             raise ValueError("a partition vector has at least one component")
-        object.__setattr__(self, "components", tuple(self.components))
+        return super().__new__(cls, components)
+
+    @property
+    def components(self) -> "PartitionVector":
+        """The vector itself, kept for callers that read ``.components``."""
+        return self
 
     @classmethod
     def parse(cls, text: str) -> "PartitionVector":
         """Parse the semicolon-separated form "(2);(1,1)"."""
-        return cls(tuple(Partition.parse(c) for c in text.split(";")))
+        return cls(Partition.parse(c) for c in text.split(";"))
 
     def __str__(self):
-        return ";".join(str(c) for c in self.components)
+        return ";".join(map(str, self))
 
-    def __iter__(self):
-        return iter(self.components)
-
-    def __len__(self):
-        return len(self.components)
-
-    def __getitem__(self, i):
-        return self.components[i]
+    def __repr__(self):
+        return f"PartitionVector({tuple(self)})"
 
     def conjugate(self) -> "PartitionVector":
-        return PartitionVector(tuple(c.conjugate() for c in self.components))
+        return PartitionVector(c.conjugate() for c in self)

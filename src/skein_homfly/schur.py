@@ -35,11 +35,7 @@ from operator import sub
 from .characters import _beta_mask, _char
 from .errors import IntegralityViolation
 from .exact import RationalQT, _brackets, _over_q, _umul
-from .partitions import Partition, PartitionVector, partitions_of
-
-
-def _multiplicities(nu: Partition) -> dict:
-    return {p: nu.multiplicity(p) for p in nu}
+from .partitions import Partition, partitions_of
 
 
 def _pack(digits: bytes, size: int, wide: int, spread: int) -> int:
@@ -94,9 +90,9 @@ def _class_data(n: int) -> tuple:
 
 def _class_weight(weights, nu: Partition) -> dict:
     """g_nu = sum_mu w_mu chi_mu(nu) as an {exponent: coeff} dict."""
-    g, cycle = {}, nu.parts
+    g = {}
     for mu, w in weights.items():
-        if chi := _char(_beta_mask(mu.parts), cycle):
+        if chi := _char(_beta_mask(mu), nu):
             for e, c in w.items():
                 g[e] = g.get(e, 0) + chi * c
     return {e: c for e, c in g.items() if c}
@@ -208,7 +204,7 @@ def class_sum_order(n: int, weights, j: int) -> tuple:
     zl = lcm(*(nu.z_factor() for nu in classes))
     num = {}
     for nu in classes:
-        mult = _multiplicities(nu)
+        mult = {p: nu.count(p) for p in nu}
         f = sum(c * te**j for te, c in _brackets(mult).items()) * (zl // nu.z_factor())
         qco = _brackets({p: e - mult.get(p, 0) for p, e in powers.items()})
         for qe, c in _umul(_class_weight(weights, nu), qco).items():
@@ -241,7 +237,7 @@ class SchurExpansion:
                 raise ValueError(f"partition {p} has size != {self.degree}")
 
     def sorted_items(self):
-        return sorted(self.coeffs.items(), key=lambda kv: kv[0].parts, reverse=True)
+        return sorted(self.coeffs.items(), reverse=True)
 
     def __getitem__(self, p: Partition) -> int:
         return self.coeffs.get(p, 0)
@@ -261,15 +257,15 @@ def _plethysm_cached(m: int, colors: tuple) -> SchurExpansion:
     if n == 0:
         return SchurExpansion(0, {Partition(()): 1})
     zls = [lcm(*(b.z_factor() for b in partitions_of(d))) for d in degrees]
-    masks = [_beta_mask(a.parts) for a in colors]
+    masks = [_beta_mask(a) for a in colors]
     acc = {}
     for combo in product(*(partitions_of(d) for d in degrees)):
-        w = prod(_char(k, b.parts) * (zl // b.z_factor()) for k, b, zl in zip(masks, combo, zls))
+        w = prod(_char(k, b) * (zl // b.z_factor()) for k, b, zl in zip(masks, combo, zls))
         if w == 0:
             continue
         rho = tuple(sorted((m * p for b in combo for p in b), reverse=True))
         for mu in partitions_of(n):
-            if chi := _char(_beta_mask(mu.parts), rho):
+            if chi := _char(_beta_mask(mu), rho):
                 acc[mu] = acc.get(mu, 0) + w * chi
     scale, out = prod(zls), {}
     for mu, c in acc.items():
@@ -291,6 +287,4 @@ def plethysm_coefficients(m: int, colors) -> SchurExpansion:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if isinstance(colors, PartitionVector):
-        colors = colors.components
     return _plethysm_cached(m, tuple(colors))

@@ -91,7 +91,7 @@ def special_H(spec) -> SpecialPolynomial:
 def _delta_torus(spec: TorusLinkSpec) -> LaurentQT:
     weights, n_total, _ = _torus_weights(spec.m, spec.n, spec.colors)
     # s*_A vanishes at t = 1 once per cell of content 0: d(A), the Durfee size
-    orders = [sum(1 for i, p in enumerate(a.parts) if p > i) for a in spec.colors]
+    orders = [sum(1 for i, p in enumerate(a) if p > i) for a in spec.colors]
     k = sum(orders)
     for j in range(k):
         if class_sum_order(n_total, weights, j)[0]:

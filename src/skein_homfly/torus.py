@@ -20,14 +20,8 @@ from math import gcd
 
 from .errors import IntegralityViolation, NonCoprime
 from .exact import RationalQT, delta
-from .partitions import Partition, PartitionVector
+from .partitions import Partition
 from .schur import character_bracket_sum, plethysm_coefficients, unknot_value
-
-
-def _as_colors(colors) -> tuple:
-    if isinstance(colors, PartitionVector):
-        return colors.components
-    return tuple(colors)
 
 
 @dataclass(frozen=True)
@@ -40,7 +34,7 @@ class TorusLinkSpec:
     colors: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "colors", _as_colors(self.colors))
+        object.__setattr__(self, "colors", tuple(self.colors))
         if self.m < 1:
             raise ValueError("m must be a positive integer")
         if gcd(self.m, abs(self.n)) != 1:
@@ -66,7 +60,7 @@ class UnknotSpec:
     colors: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "colors", _as_colors(self.colors))
+        object.__setattr__(self, "colors", tuple(self.colors))
         if len(self.colors) != 1:
             raise ValueError("the unknot has one component")
 

@@ -162,12 +162,17 @@ def _link_color_vectors(max_total: int):
     return out
 
 
+def _link_twists(config: GridConfig):
+    """(m, n) of each grid link; every sweep over links reads them here."""
+    if any(L != 2 for _, _, L in config.links):
+        raise ValueError("only 2-component links in the default grids")
+    return [(m, n) for m, n, _ in config.links]
+
+
 def _symmetry_grid(config: GridConfig):
     colors = _colors_up_to(config.max_color)
     specs = [TorusLinkSpec(m, n, 1, (a,)) for m, n in config.knots for a in colors]
-    for m, n, L in config.links:
-        if L != 2:
-            raise ValueError("only 2-component links in the default grids")
+    for m, n in _link_twists(config):
         for a, b in _link_color_vectors(config.max_color):
             specs.append(TorusLinkSpec(m, n, 2, (a, b)))
     return specs
@@ -233,7 +238,7 @@ def verify_special_H(config: GridConfig = None, threads=None) -> VerificationRep
         (TorusLinkSpec(m, n, 1, (a,)), bases) for m, n in config.knots for a in [Partition(()), *colors]
     ]
     box = Partition((1,))
-    cases += [(TorusLinkSpec(m, n, 2, (box, box)), bases) for m, n, _ in config.links]
+    cases += [(TorusLinkSpec(m, n, 2, (box, box)), bases) for m, n in _link_twists(config)]
     grid = f"knots={list(config.knots)} |A|<={config.max_color} plus single-box links"
     # with no knot or no non-empty color the sweep would check empty colors and links only
     return _sweep("thm62", grid, _check_H, cases if colors and config.knots else [])

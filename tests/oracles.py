@@ -7,7 +7,9 @@ Hecke-algebra product with the two quasi-idempotent symmetrizers
 t = 1 leading term of a colored unknot from the hook-content product, the
 class sum accumulated term by term in dicts (the route the packed
 ``schur.character_bracket_sum`` replaced) and its universal denominator
-D_n as a LaurentQT, the q = 1 special polynomial H from the full
+D_n as a LaurentQT, torus values by the hook-content formula over the
+plethysm support alone (a third route, sharing only the plethysm with the
+class sums), the q = 1 special polynomial H from the full
 two-variable ratio (the route ``special.special_H``'s leading coefficients
 replaced), the substitution q -> q^d that the Alexander checks compare
 with, the Markov trace reduced by ``RationalQT.simplified`` and a division
@@ -25,6 +27,7 @@ None of this feeds a computed result of the package.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache, lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial, lcm
@@ -34,6 +37,7 @@ from skein_homfly.exact import (
     LaurentQT,
     RationalQT,
     _brackets,
+    _over_q,
     _udiv,
     _umul,
     delta,
@@ -53,7 +57,7 @@ from skein_homfly.hecke import (
 )
 from skein_homfly.partitions import Partition, partitions_of
 from skein_homfly.schur import _class_data, _class_weight, unknot_value
-from skein_homfly.torus import colored_homfly
+from skein_homfly.torus import _torus_weights, colored_homfly
 
 
 # -- colored unknots at t = 1 ---------------------------------------------
@@ -120,6 +124,43 @@ def character_bracket_sum_dict(n: int, weights) -> RationalQT:
                 else:
                     num[key] = s
     return RationalQT(LaurentQT(num), LaurentQT({(e, 0): c for e, c in d_n.items()}) * zl)
+
+
+def _add_slice(acc: dict, te: int, coeffs: dict):
+    row = acc.setdefault(te, {})
+    for qe, c in coeffs.items():
+        row[qe] = row.get(qe, 0) + c
+
+
+def torus_value_by_hook_content(m: int, n: int, colors: tuple) -> RationalQT:
+    """The torus value as t^te sum_mu w_mu s*_mu over the plethysm support,
+    each s*_mu by the hook-content formula (Macdonald, Symmetric Functions
+    and Hall Polynomials, I.3 Ex. 4)
+
+        s*_mu = prod_{x in mu} (t q^c(x) - t^-1 q^-c(x)) / [h(x)]
+
+    with no class sum and no characters beyond the plethysm's.  Every term
+    goes over P = prod_k [k]^(max_mu mult_mu(k)), the multiple of all the
+    hook products, as t-slices that ``exact._over_q`` reduces."""
+    weights, degree, te = _torus_weights(m, n, colors)
+    if degree == 0:
+        return RationalQT.one()
+    hooks = {mu: Counter(mu.hook_lengths()) for mu in weights}
+    top = {k: max(h[k] for h in hooks.values()) for k in set().union(*hooks.values())}
+    acc = {}
+    for mu, w in weights.items():
+        slices = {te: _umul(w, _brackets({k: e - hooks[mu][k] for k, e in top.items()}))}
+        for i, p in enumerate(mu):
+            for c in range(-i, p - i):  # the contents j - i of row i
+                grown = {}
+                for e, coeffs in slices.items():
+                    _add_slice(grown, e + 1, _umul(coeffs, {c: 1}))
+                    _add_slice(grown, e - 1, _umul(coeffs, {-c: -1}))
+                slices = grown
+        for e, coeffs in slices.items():
+            _add_slice(acc, e, coeffs)
+    ns = {e: s for e, row in acc.items() if (s := {qe: c for qe, c in row.items() if c})}
+    return _over_q(ns, _brackets(top))
 
 
 def universal_denominator(n: int) -> LaurentQT:

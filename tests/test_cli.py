@@ -244,6 +244,17 @@ def test_empty_grid_exit_two(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+def test_three_component_grid_link_exit_two(tmp_path, capsys):
+    # thm62 reads the links too: a 3-component link must not run as a 2-component one
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"links": [[1, 1, 3]], "max_color": 1}))
+    for theorem in ("thm62", "thm71", "thm72"):
+        code, out, err = run_cli(capsys, "verify", "--theorem", theorem, "--grid", str(grid))
+        assert code == 2, theorem
+        assert out == ""
+        assert err == "error: ValueError: only 2-component links in the default grids\n"
+
+
 def _exit_code(capsys, argv):
     # argparse usage errors leave main through SystemExit
     try:

@@ -1,10 +1,14 @@
+import copy
+import pickle
 import random
 from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
+import skein_homfly.partitions as partitions_module
 from skein_homfly.partitions import EMPTY, Partition, PartitionVector, partitions_of
+from skein_homfly.torus import TorusLinkSpec, _torus_value, colored_homfly
 
 
 @st.composite
@@ -119,3 +123,83 @@ def test_partition_vector():
     assert vec.conjugate() == PartitionVector((Partition((1, 1)), Partition((2,))))
     with pytest.raises(ValueError):
         PartitionVector(())
+
+
+def test_partition_is_the_tuple_of_its_parts():
+    p = Partition((2, 1))
+    assert p == (2, 1) and (2, 1) == p and hash(p) == hash((2, 1))
+    assert Partition((1,)) == (1,) and EMPTY == ()
+    assert {p: "x"}[(2, 1)] == "x"
+    # orders like tuples, mixed with plain tuples too
+    assert Partition((2, 1)) < Partition((2, 2)) < (3,)
+    assert sorted([Partition((1, 1)), (2,), Partition((1,))]) == [(1,), (1, 1), (2,)]
+    assert isinstance(p, tuple) and repr(p) == "Partition((2, 1))"
+
+
+def test_parts_and_components_return_the_object():
+    p = Partition((3, 1))
+    v = PartitionVector.parse("(2);(1)")
+    assert p.parts is p
+    assert v.components is v
+    assert v == (Partition((2,)), Partition((1,))) and v == ((2,), (1,))
+    assert repr(v) == "PartitionVector((Partition((2,)), Partition((1,))))"
+
+
+@pytest.mark.parametrize("name", ["parts", "components", "size", "x"])
+def test_attributes_cannot_be_set(name):
+    for obj in (Partition((2, 1)), PartitionVector.parse("(2);(1)")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, ())
+
+
+@pytest.mark.parametrize(
+    "clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy], ids=["pickle", "deepcopy"]
+)
+def test_copies_keep_the_class_and_rerun_the_checks(clone, monkeypatch):
+    p, v = Partition((2, 1)), PartitionVector.parse("(2);(1,1)")
+    seen = []
+    monkeypatch.setattr(partitions_module, "index", lambda x: seen.append(x) or x)
+    q, w = clone(p), clone(v)
+    assert type(q) is Partition and q == p
+    assert type(w) is PartitionVector and w == v and all(type(c) is Partition for c in w)
+    # every part went through the constructor's checks again
+    assert seen == [2, 1, 2, 1, 1]
+
+
+def test_tampered_pickle_is_checked():
+    raw = pickle.dumps(Partition((2, 1)))
+    assert b"K\x02K\x01" in raw
+    with pytest.raises(ValueError, match=r"^parts not weakly decreasing: \(1, 2\)$"):
+        pickle.loads(raw.replace(b"K\x02K\x01", b"K\x01K\x02"))
+
+
+@pytest.mark.parametrize(
+    "parts, error, message",
+    [
+        ((1, 2), ValueError, "parts not weakly decreasing: (1, 2)"),
+        ((2, 0), ValueError, "parts must be positive: (2, 0)"),
+        ((-1,), ValueError, "parts must be positive: (-1,)"),
+        ((2, 1.0), TypeError, "'float' object cannot be interpreted as an integer"),
+    ],
+)
+def test_invalid_parts_keep_their_messages(parts, error, message):
+    with pytest.raises(error) as info:
+        Partition(parts)
+    assert str(info.value) == message
+
+
+def test_empty_partition_vector_rejected():
+    for empty in ((), iter(()), []):
+        with pytest.raises(ValueError, match="^a partition vector has at least one component$"):
+            PartitionVector(empty)
+
+
+def test_vector_and_tuple_colors_share_one_torus_value():
+    # T(1, 29) with colors (2);(1) is computed nowhere else in the suite
+    before = _torus_value.cache_info().misses
+    from_vector = TorusLinkSpec(1, 29, 2, PartitionVector.parse("(2);(1)"))
+    from_tuple = TorusLinkSpec(1, 29, 2, (Partition((2,)), Partition((1,))))
+    assert from_vector == from_tuple and hash(from_vector) == hash(from_tuple)
+    assert colored_homfly(from_vector).value == colored_homfly(from_tuple).value
+    assert _torus_value(1, 29, PartitionVector.parse("(2);(1)")) is colored_homfly(from_tuple).value
+    assert _torus_value.cache_info().misses == before + 1
