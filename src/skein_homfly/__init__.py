@@ -30,7 +30,6 @@ from .exact import (
 from .hecke import (
     BraidWord,
     HeckeElement,
-    apply_generator,
     element_of_braid,
     framed_homfly_of_closure,
     markov_trace,
@@ -90,7 +89,6 @@ __all__ = [
     "UnknotSpec",
     "VerificationReport",
     "alexander_torus",
-    "apply_generator",
     "canonical_text",
     "character",
     "character_table",

@@ -32,6 +32,7 @@ def _table_bound() -> int:
 
 def character(lam: Partition, mu: Partition) -> int:
     """chi_lambda evaluated on the conjugacy class of cycle type mu."""
+    lam, mu = Partition(lam), Partition(mu)
     if lam.size != mu.size:
         raise SizeMismatch(f"|{lam}| = {lam.size} != |{mu}| = {mu.size}")
     return _char(_beta_mask(lam), mu)
@@ -110,6 +111,7 @@ def hook_character_identity(b: Partition) -> bool:
     sum over hooks (a|h) of |b| of chi_(a|h)(C_b) (-1)^h u^(a-h) must equal
     prod_j (u^{b_j} - u^{-b_j}) / (u - u^{-1}), an exact Laurent identity.
     """
+    b = Partition(b)
     d = b.size
     if d < 1:
         raise ValueError("partition must be non-empty")

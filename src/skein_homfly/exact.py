@@ -444,12 +444,6 @@ class TruncSeries:
     order: int
     coeffs: tuple
 
-    def first_nonzero(self):
-        for k, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                return k
-        return None
-
 
 def _variable_index(variable: str) -> int:
     """0 for "q", 1 for "t"; ValueError for anything else."""

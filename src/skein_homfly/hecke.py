@@ -24,9 +24,8 @@ coefficients in Z[q, q^-1], kept as plain {q-exponent: int} dicts:
 ``_trace_perm`` returns the t-slices {t-exponent: {q-exponent: int}} that
 ``exact._over_q`` takes.  The closures run from the braid word to
 ``_over_q`` on these dicts alone.  LaurentQT stays at the boundary:
-``HeckeElement``, ``apply_generator`` and ``element_of_braid`` carry
-LaurentQT coefficients, and ``markov_trace`` cuts its argument's
-coefficients into t-slices once.
+``HeckeElement`` and ``element_of_braid`` carry LaurentQT coefficients,
+and ``markov_trace`` cuts its argument's coefficients into t-slices once.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, starmap
-from itertools import permutations as _permutations
 from operator import gt, index
 
 from .errors import IndexOutOfRange
@@ -65,10 +63,6 @@ def perm_cycle_count(pi: tuple) -> int:
                 seen[j] = True
                 j = pi[j]
     return count
-
-
-def all_permutations(n: int):
-    return _permutations(range(n))
 
 
 # -- braid words -------------------------------------------------------
@@ -170,25 +164,8 @@ class HeckeElement:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", clean)
 
-    @classmethod
-    def _of_permutations(cls, n: int, terms: dict) -> "HeckeElement":
-        """From LaurentQT coefficients on tuple keys already known to be
-        permutations of 0..n-1: zero coefficients are dropped, keys are not
-        checked again."""
-        x = cls(n)
-        object.__setattr__(x, "terms", {pi: c for pi, c in terms.items() if not c.is_zero()})
-        return x
-
     def __setattr__(self, name, value):
         raise AttributeError("HeckeElement is immutable")
-
-    @classmethod
-    def identity(cls, n: int) -> "HeckeElement":
-        return cls(n, {perm_identity(n): LaurentQT.one()})
-
-    @classmethod
-    def basis(cls, pi: tuple) -> "HeckeElement":
-        return cls(len(pi), {tuple(pi): LaurentQT.one()})
 
     def __eq__(self, other):
         return (
@@ -202,35 +179,10 @@ class HeckeElement:
         return f"HeckeElement({self.n}: {body or '0'})"
 
 
-def apply_generator(x: HeckeElement, i: int, sign: int = 1) -> HeckeElement:
-    """Right-multiply by the i-th braid generator or its inverse.
-
-    In the permutation-braid basis: when the swap raises length the basis
-    element just extends; otherwise s^2 = z*s + 1 (resp. s^-1 = s - z)
-    re-expands the product.  The generator acts on q alone, so each
-    t-exponent of the coefficients goes through ``_apply`` on its own.
-    """
-    n = x.n
-    if not 1 <= i <= n - 1:
-        raise IndexOutOfRange(f"generator index {i} outside 1..{n - 1}")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +-1, got {sign}")
-    by_t = {}
-    for pi, c in x.terms.items():
-        for (qe, te), v in c.terms.items():
-            by_t.setdefault(te, {}).setdefault(pi, {})[qe] = v
-    out = {}
-    for te, terms in by_t.items():
-        for pi, c in _apply(terms, i - 1, sign).items():
-            out.setdefault(pi, {}).update({(qe, te): v for qe, v in c.items()})
-    return HeckeElement._of_permutations(n, {pi: LaurentQT(c) for pi, c in out.items()})
-
-
 def element_of_braid(w: BraidWord) -> HeckeElement:
     """Image of a braid word in the Hecke algebra, folded left to right."""
-    terms = _word_terms(w)
-    return HeckeElement._of_permutations(
-        w.strands, {pi: LaurentQT({(qe, 0): v for qe, v in c.items()}) for pi, c in terms.items()}
+    return HeckeElement(
+        w.strands, {pi: LaurentQT({(qe, 0): v for qe, v in c.items()}) for pi, c in _word_terms(w).items()}
     )
 
 

@@ -31,6 +31,8 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts=()):
+        if type(parts) is cls:
+            return parts
         parts = tuple(index(p) for p in parts)
         for a, b in zip(parts, parts[1:]):
             if a < b:
@@ -38,11 +40,6 @@ class Partition(tuple):
         if parts and parts[-1] < 1:
             raise ValueError(f"parts must be positive: {parts}")
         return super().__new__(cls, parts)
-
-    @property
-    def parts(self) -> "Partition":
-        """The partition itself, kept for callers that read ``.parts``."""
-        return self
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
@@ -65,14 +62,6 @@ class Partition(tuple):
     @property
     def size(self) -> int:
         return sum(self)
-
-    @property
-    def length(self) -> int:
-        return len(self)
-
-    def multiplicity(self, i: int) -> int:
-        """Number of parts equal to i."""
-        return self.count(i)
 
     def z_factor(self) -> int:
         """Order of the centralizer of a permutation with this cycle type."""
@@ -132,15 +121,10 @@ class PartitionVector(tuple):
     __slots__ = ()
 
     def __new__(cls, components):
-        components = tuple(components)
+        components = tuple(map(Partition, components))
         if not components:
             raise ValueError("a partition vector has at least one component")
         return super().__new__(cls, components)
-
-    @property
-    def components(self) -> "PartitionVector":
-        """The vector itself, kept for callers that read ``.components``."""
-        return self
 
     @classmethod
     def parse(cls, text: str) -> "PartitionVector":

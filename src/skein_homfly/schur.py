@@ -198,9 +198,9 @@ def class_sum_order(n: int, weights, j: int) -> tuple:
     is sum_te c_te te^j / j!.  The denominator is j! lcm(z_nu) prod_p [p]^e_p,
     e_p the most parts p in one summed class, so e_p <= min(j, n // p).
     """
-    classes = [nu for nu in partitions_of(n) if nu.length <= j and (j - nu.length) % 2 == 0]
+    classes = [nu for nu in partitions_of(n) if len(nu) <= j and (j - len(nu)) % 2 == 0]
     parts = {p for nu in classes for p in nu}
-    powers = {p: max(nu.multiplicity(p) for nu in classes) for p in parts}
+    powers = {p: max(nu.count(p) for nu in classes) for p in parts}
     zl = lcm(*(nu.z_factor() for nu in classes))
     num = {}
     for nu in classes:
@@ -216,6 +216,7 @@ def class_sum_order(n: int, weights, j: int) -> tuple:
 @lru_cache(maxsize=None)
 def unknot_value(lam: Partition) -> RationalQT:
     """Colored invariant of the zero-framed unknot (the s* evaluation)."""
+    lam = Partition(lam)
     if lam.size == 0:
         return RationalQT.one()
     return character_bracket_sum(lam.size, {lam: {0: 1}}, (lam,))
@@ -238,9 +239,6 @@ class SchurExpansion:
 
     def sorted_items(self):
         return sorted(self.coeffs.items(), reverse=True)
-
-    def __getitem__(self, p: Partition) -> int:
-        return self.coeffs.get(p, 0)
 
     def __str__(self):
         return "\n".join(f"{p}: {c}" for p, c in self.sorted_items())
@@ -287,4 +285,4 @@ def plethysm_coefficients(m: int, colors) -> SchurExpansion:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _plethysm_cached(m, tuple(colors))
+    return _plethysm_cached(m, tuple(map(Partition, colors)))

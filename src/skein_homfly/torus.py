@@ -20,7 +20,7 @@ from math import gcd
 
 from .errors import IntegralityViolation, NonCoprime
 from .exact import RationalQT, delta
-from .partitions import Partition
+from .partitions import Partition, PartitionVector
 from .schur import character_bracket_sum, plethysm_coefficients, unknot_value
 
 
@@ -31,38 +31,39 @@ class TorusLinkSpec:
     m: int
     n: int
     L: int
-    colors: tuple
+    colors: PartitionVector
 
     def __post_init__(self):
-        object.__setattr__(self, "colors", tuple(self.colors))
+        colors = tuple(self.colors)
         if self.m < 1:
             raise ValueError("m must be a positive integer")
         if gcd(self.m, abs(self.n)) != 1:
             raise NonCoprime(f"gcd({self.m}, {self.n}) != 1")
-        if self.L < 1 or len(self.colors) != self.L:
+        if self.L < 1 or len(colors) != self.L:
             raise ValueError("need exactly L colors")
+        object.__setattr__(self, "colors", PartitionVector(colors))
 
     def all_colors(self) -> tuple:
         return self.colors
 
     def conjugate_colors(self) -> "TorusLinkSpec":
-        return TorusLinkSpec(self.m, self.n, self.L, tuple(c.conjugate() for c in self.colors))
+        return TorusLinkSpec(self.m, self.n, self.L, self.colors.conjugate())
 
     def __str__(self):
-        cs = ";".join(str(c) for c in self.colors)
-        return f"T({self.m}*{self.L},{self.n}*{self.L})[{cs}]"
+        return f"T({self.m}*{self.L},{self.n}*{self.L})[{self.colors}]"
 
 
 @dataclass(frozen=True)
 class UnknotSpec:
     """Zero-framed unknot with one color; kept distinct from torus specs."""
 
-    colors: tuple
+    colors: PartitionVector
 
     def __post_init__(self):
-        object.__setattr__(self, "colors", tuple(self.colors))
-        if len(self.colors) != 1:
+        colors = tuple(self.colors)
+        if len(colors) != 1:
             raise ValueError("the unknot has one component")
+        object.__setattr__(self, "colors", PartitionVector(colors))
 
     L = 1
 
@@ -70,7 +71,7 @@ class UnknotSpec:
         return self.colors
 
     def conjugate_colors(self) -> "UnknotSpec":
-        return UnknotSpec((self.colors[0].conjugate(),))
+        return UnknotSpec(self.colors.conjugate())
 
     def __str__(self):
         return f"unknot[{self.colors[0]}]"

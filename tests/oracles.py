@@ -50,8 +50,6 @@ from skein_homfly.exact import (
 from skein_homfly.hecke import (
     BraidWord,
     HeckeElement,
-    all_permutations,
-    apply_generator,
     perm_identity,
     perm_length,
 )
@@ -73,7 +71,7 @@ def unknot_leading_term(lam: Partition):
     """
     conj = lam.conjugate()
     d, num, den = 0, LaurentQT.monomial(1), LaurentQT.monomial(1)
-    for i, p in enumerate(lam.parts):
+    for i, p in enumerate(lam):
         for j in range(p):
             if j == i:
                 d += 1
@@ -94,7 +92,7 @@ def _dict_class_data(n: int) -> tuple:
     d_n = _brackets({k: n // k for k in range(1, n + 1)})
     classes = []
     for nu in partitions_of(n):
-        tpoly = _brackets({p: nu.multiplicity(p) for p in nu})
+        tpoly = _brackets({p: nu.count(p) for p in nu})
         qco = dict(d_n)
         for p in nu:
             qco = _udiv(qco, {p: 1, -p: -1})
@@ -224,7 +222,7 @@ def _trace_perm_over_z(n: int, pi: tuple) -> LaurentQT:
     for p in range(j, n - 1):
         alpha[p], alpha[p + 1] = alpha[p + 1], alpha[p]
     assert alpha[n - 1] == n - 1
-    x = HeckeElement.basis(tuple(alpha[: n - 1]))
+    x = HeckeElement(n - 1, {tuple(alpha[: n - 1]): 1})
     # pi = w_alpha * s_{n-1} * (s_{n-2} ... s_{j+1}) with additive lengths
     for i in range(n - 2, j, -1):
         x = apply_generator_laurent(x, i, 1)
@@ -337,10 +335,10 @@ def jacobi_trudi_schur(lam: Partition, nvars: int, kind: str = "h") -> dict:
     else:
         shape = lam
         gen = complete_symmetric_poly
-    l = shape.length
+    l = len(shape)
     if l == 0:
         return {(0,) * nvars: 1}
-    if nvars < lam.length:
+    if nvars < len(lam):
         raise ValueError("need at least l(lambda) variables")
     entries = {}
     for i in range(l):
@@ -472,7 +470,7 @@ def hecke_multiply(x: HeckeElement, y: HeckeElement) -> HeckeElement:
     for pi, c in y.terms.items():
         z = x
         for i in reduced_word(pi):
-            z = apply_generator(z, i, 1)
+            z = apply_generator_laurent(z, i, 1)
         total = hecke_add(total, hecke_scaled(z, c))
     return total
 
@@ -480,7 +478,7 @@ def hecke_multiply(x: HeckeElement, y: HeckeElement) -> HeckeElement:
 def positive_symmetrizer(m: int) -> HeckeElement:
     """Sum of q^length * basis element over the symmetric group on m strands."""
     terms = {}
-    for pi in all_permutations(m):
+    for pi in permutations(range(m)):
         terms[pi] = LaurentQT.monomial(1, perm_length(pi), 0)
     return HeckeElement(m, terms)
 
@@ -488,7 +486,7 @@ def positive_symmetrizer(m: int) -> HeckeElement:
 def negative_symmetrizer(m: int) -> HeckeElement:
     """Sum of (-q)^(-length) * basis element; the alternating companion."""
     terms = {}
-    for pi in all_permutations(m):
+    for pi in permutations(range(m)):
         l = perm_length(pi)
         terms[pi] = LaurentQT.monomial(-1 if l % 2 else 1, -l, 0)
     return HeckeElement(m, terms)

@@ -1,14 +1,20 @@
 import copy
+import os
 import pickle
 import random
+import subprocess
+import sys
 from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
+import skein_homfly
 import skein_homfly.partitions as partitions_module
+from skein_homfly.characters import character, hook_character_identity
 from skein_homfly.partitions import EMPTY, Partition, PartitionVector, partitions_of
-from skein_homfly.torus import TorusLinkSpec, _torus_value, colored_homfly
+from skein_homfly.schur import plethysm_coefficients, unknot_value
+from skein_homfly.torus import TorusLinkSpec, UnknotSpec, _torus_value, colored_homfly
 
 
 @st.composite
@@ -20,10 +26,8 @@ def partitions(draw, max_n=12):
 
 def test_basic_statistics():
     lam = Partition((2, 1, 1))
-    assert lam.size == 4
-    assert lam.length == 3
-    assert lam.multiplicity(1) == 2
-    assert EMPTY.length == 0 and EMPTY.size == 0
+    assert lam.size == 4 and len(lam) == 3 and lam.count(1) == 2
+    assert len(EMPTY) == 0 and EMPTY.size == 0
 
 
 def test_z_factor_values():
@@ -57,12 +61,12 @@ def test_conjugate_involution_and_duality(lam):
     assert lam.conjugate().size == lam.size
     assert lam.k_invariant() + lam.conjugate().k_invariant() == 0
     if lam:
-        assert lam.conjugate()[0] == lam.length
+        assert lam.conjugate()[0] == len(lam)
 
 
 def test_enumeration_order_and_counts():
     assert partitions_of(0) == (EMPTY,)
-    four = [p.parts for p in partitions_of(4)]
+    four = [tuple(p) for p in partitions_of(4)]
     assert four == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert len(partitions_of(4)) == 5
     assert len(partitions_of(10)) == 42
@@ -136,11 +140,8 @@ def test_partition_is_the_tuple_of_its_parts():
     assert isinstance(p, tuple) and repr(p) == "Partition((2, 1))"
 
 
-def test_parts_and_components_return_the_object():
-    p = Partition((3, 1))
+def test_vector_is_the_tuple_of_its_components():
     v = PartitionVector.parse("(2);(1)")
-    assert p.parts is p
-    assert v.components is v
     assert v == (Partition((2,)), Partition((1,))) and v == ((2,), (1,))
     assert repr(v) == "PartitionVector((Partition((2,)), Partition((1,))))"
 
@@ -203,3 +204,64 @@ def test_vector_and_tuple_colors_share_one_torus_value():
     assert colored_homfly(from_vector).value == colored_homfly(from_tuple).value
     assert _torus_value(1, 29, PartitionVector.parse("(2);(1)")) is colored_homfly(from_tuple).value
     assert _torus_value.cache_info().misses == before + 1
+
+
+#: entry points that take partitions, each given its partitions through P
+ENTRY_CALLS = """
+from skein_homfly import *
+for value in (
+    colored_homfly(TorusLinkSpec(2, 3, 1, (P((2,)),))).value,
+    colored_homfly(TorusLinkSpec(1, 2, 2, (P((2,)), P((1, 1))))).value,
+    colored_homfly(UnknotSpec((P((2, 1)),))).value,
+    unknot_value(P((2, 1))),
+    plethysm_coefficients(2, (P((1,)),)),
+    character(P((2, 1)), P((1, 1, 1))),
+    hook_character_identity(P((2, 1))),
+):
+    print(value)
+"""
+
+
+def _fresh_process(prelude: str) -> str:
+    """Stdout of ENTRY_CALLS in a new interpreter, whose caches hold no
+    equal Partition that a plain tuple could hit."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(skein_homfly.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, "-c", prelude + ENTRY_CALLS], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_plain_tuples_give_the_partition_values_in_a_fresh_process():
+    from_partitions = _fresh_process("from skein_homfly import Partition as P\n")
+    assert _fresh_process("P = tuple\n") == from_partitions
+    assert len(from_partitions.splitlines()) == 8
+
+
+def test_plain_tuples_are_checked_as_partitions():
+    v = PartitionVector(((2, 1), (1,)))
+    assert all(type(c) is Partition for c in v)
+    spec = TorusLinkSpec(2, 3, 1, ((2, 1),))
+    assert type(spec.colors) is PartitionVector and type(spec.colors[0]) is Partition
+    assert TorusLinkSpec(2, 3, 1, ((3, 1),)).conjugate_colors().colors == ((2, 1, 1),)
+    assert UnknotSpec(((2,),)).conjugate_colors().colors == ((1, 1),)
+    rising = r"^parts not weakly decreasing: \(1, 2\)$"
+    for call in (
+        lambda: PartitionVector(((1, 2),)),
+        lambda: TorusLinkSpec(2, 3, 1, ((1, 2),)),
+        lambda: UnknotSpec(((1, 2),)),
+        lambda: unknot_value((1, 2)),
+        lambda: plethysm_coefficients(2, ((1, 2),)),
+        lambda: character((1, 2), (2, 1)),
+        lambda: hook_character_identity((1, 2)),
+    ):
+        with pytest.raises(ValueError, match=rising):
+            call()
+
+
+def test_a_partition_passes_through_unchanged():
+    p = Partition((2, 1))
+    assert Partition(p) is p
+    assert PartitionVector((p,))[0] is p

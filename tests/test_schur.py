@@ -64,7 +64,7 @@ def _hook_content_product(lam):
     num = LaurentQT.one()
     den = LaurentQT.one()
     conj = lam.conjugate()
-    for i, p in enumerate(lam.parts):
+    for i, p in enumerate(lam):
         for j in range(p):
             c = j - i
             h = p - j + conj[j] - i - 1
@@ -358,7 +358,7 @@ def test_plethysm_evaluation_at_ones():
             e = plethysm_coefficients(2, (a,))
             lhs = 0
             for mu, c in e.coeffs.items():
-                if mu.length > nvars:
+                if len(mu) > nvars:
                     continue
                 lhs += c * sum(jacobi_trudi_schur(mu, nvars).values())
             rhs = sum(jacobi_trudi_schur(a, nvars).values())
@@ -412,7 +412,7 @@ def test_jt_21_tableau_count():
 def test_jt_h_and_e_variants_agree():
     for n in range(1, 6):
         for lam in partitions_of(n):
-            if lam.length > 6 or lam.conjugate().length > 6:
+            if len(lam) > 6 or len(lam.conjugate()) > 6:
                 continue
             assert jacobi_trudi_schur(lam, 6, "h") == jacobi_trudi_schur(lam, 6, "e"), lam
 

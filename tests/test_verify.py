@@ -121,7 +121,7 @@ def test_empty_sweep_raises():
 
 
 def test_failures_are_reported():
-    bad = VerificationReport("x", "g", 2, ((("case", "want", "got"),)), 0.0)
+    bad = VerificationReport("x", "g", 2, ((("case", "want", "got"),)))
     assert not bad.passed
     assert "FAIL" in bad.summary()
     assert "case" in bad.summary()
