@@ -18,17 +18,20 @@ full expansion ``truncated_series`` is the tests' reference.
 
 Exact quotients run on one kernel of {int exponent -> coefficient} dicts:
 ``_umul`` multiplies, ``_brackets`` forms products of brackets v^k - v^-k,
-``_udiv`` divides exactly or reports that it cannot, ``_exact_div`` divides
-two LaurentQTs by Kronecker substitution and one ``_udiv``, and ``_cancel``
-strips the brackets shared by slices.  ``_slices`` cuts a LaurentQT into one
-dict per exponent of the other variable; ``_unslice`` rebuilds it.
-``_over_q`` is the one reduction that the class sums and the Markov traces
-share: t-slices over a q-only denominator, ``_cancel``, then one RationalQT.
+``_udiv`` divides exactly or reports that it cannot, ``_cyclotomic`` builds
+Phi_d(v^2) on it, ``_exact_div`` divides two LaurentQTs by Kronecker
+substitution and one ``_udiv``, and ``_cancel`` strips the Phi_d(v^2) shared
+by slices: a bracket is v^-k times the pairwise coprime Phi_d(v^2), d | k, so
+any bracket-product quotient reduces to one form.  ``_slices`` cuts a
+LaurentQT into one dict per exponent of the other variable; ``_unslice``
+rebuilds it.  ``_over_q`` is the reduction the class sums and the Markov
+traces share: t-slices over a q-only denominator, ``_cancel``, one RationalQT.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .errors import LimitDoesNotExist, ZeroFunction
@@ -387,13 +390,13 @@ class RationalQT:
         return RationalQT(substitute(self.num, q, t), substitute(self.den, q, t))
 
     def simplified(self) -> "RationalQT":
-        """Cancel bracket factors v^k - v^-k shared by num and den.
+        """Cancel the cyclotomic factors Phi_d(v^2) shared by num and den.
 
         Content reduction, not general gcd: for each variable both parts are
-        cut once into slices along its exponents, ``_cancel`` strips the
-        shared brackets, and each part is rebuilt once.  A Laurent value comes
-        back in its Laurent form, with a monomial denominator.  No computation
-        path calls this; it reduces values that users and tests build.
+        cut once into slices along its exponents, ``_cancel`` strips each
+        shared Phi_d(v^2) with d <= half the den's span (every factor of a
+        bracket product), and each part is rebuilt once; a Laurent value
+        comes back over a monomial.  No computation path calls this.
         """
         num, den = self.num, self.den
         if num.is_zero():
@@ -580,6 +583,17 @@ def _udiv(a: dict, b: dict):
     return None if any(rem[:span]) else out
 
 
+@lru_cache(maxsize=None)
+def _cyclotomic(d: int) -> dict:
+    """Phi_d(v^2) as a shared {exponent: coeff} dict, never mutated: v^2d - 1
+    divided exactly by Phi_e(v^2) for each proper divisor e of d."""
+    out = {2 * d: 1, 0: -1}
+    for e in range(1, d):
+        if d % e == 0:
+            out = _udiv(out, _cyclotomic(e))
+    return out
+
+
 def _slices(p: LaurentQT, idx: int) -> dict:
     """Cut p into {other exponent: {exponent: coeff}} along key position idx
     (0 = q, 1 = t)."""
@@ -606,12 +620,12 @@ def _div_slices(slices: dict, divisor: dict):
 
 
 def _cancel(ns: dict, ds: dict) -> tuple:
-    """Cancel each bracket v^k - v^-k, k from half the span of the nonzero ds
-    down to 1, while it divides every slice of ns and ds (``_slices`` form);
-    the given objects come back when nothing cancelled."""
+    """Cancel each Phi_d(v^2), d from half the span of the nonzero ds down to
+    1, while it divides every slice of ns and ds (``_slices`` form); the
+    given objects come back when nothing cancelled."""
     exps = [e for coeffs in ds.values() for e in coeffs]
-    for k in range((max(exps) - min(exps)) // 2, 0, -1):
-        div = {k: 1, -k: -1}
+    for d in range((max(exps) - min(exps)) // 2, 0, -1):
+        div = _cyclotomic(d)
         while (dd := _div_slices(ds, div)) is not None and (dn := _div_slices(ns, div)) is not None:
             ns, ds = dn, dd
     return ns, ds
@@ -619,7 +633,7 @@ def _cancel(ns: dict, ds: dict) -> tuple:
 
 def _over_q(ns: dict, den: dict) -> RationalQT:
     """The t-slices ns ({t-exponent: {q-exponent: coeff}}) over the q-only
-    den, after ``_cancel`` strips their shared brackets; zero when ns is
+    den, after ``_cancel`` strips their shared Phi_d(q^2); zero when ns is
     empty."""
     if not ns:
         return RationalQT(0)

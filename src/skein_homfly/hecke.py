@@ -76,6 +76,7 @@ class BraidWord:
     letters: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "strands", index(self.strands))
         if self.strands < 1:
             raise ValueError("strands must be >= 1")
         letters = tuple((index(i), index(s)) for i, s in self.letters)

@@ -17,8 +17,8 @@ class costs one big-int product.  One big-int division per t-degree
 takes the sum down to the colors' hook denominator prod [h(x)] (the
 hook-content formula: Macdonald, Symmetric Functions and Hall Polynomials,
 I.3 Ex. 4), falling back to D_n when it is not exact.  Its t-slices go to
-``exact._over_q``, the reduction the Markov trace shares, which cancels
-what is left and builds one RationalQT.
+``exact._over_q`` (shared with the Markov trace), which strips the common
+Phi_d(q^2) and builds one RationalQT, in one form over either denominator.
 ``class_sum_order`` takes one coefficient at t = e^h from the classes with
 few parts, on exact.py's dict kernel.
 """

@@ -82,9 +82,9 @@ def _sympy_poly(p: LaurentQT) -> sp.Poly:
 
 
 def test_reduced_values_share_no_factor():
-    # the class sum's bracket cancellation leaves numerator and denominator
-    # coprime: their gcd in Z[q, t] is a constant, so a later canonical
-    # reduction (by cyclotomic factors) leaves these values' text as it is
+    # the class sum's cyclotomic cancellation leaves numerator and
+    # denominator coprime: their gcd in Z[q, t] is a constant, so no
+    # further reduction could change these values' text
     knots = [(m, n, a) for m, n in ((2, 3), (3, 4), (2, -3), (2, 5)) for d in (2, 3) for a in partitions_of(d)]
     knots += [(2, 3, a) for a in partitions_of(4)]
     specs = [TorusLinkSpec(m, n, 1, (a,)) for m, n, a in knots]

@@ -1,16 +1,20 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from skein_homfly.errors import LimitDoesNotExist, ZeroFunction
 from skein_homfly.exact import (
     LaurentQT,
     RationalQT,
+    _over_q,
+    _slices,
     canonical_text,
     delta,
     expand_series,
@@ -409,6 +413,46 @@ def test_simplified_cancels_brackets():
         assert again.num.terms == value.num.terms and again.den.terms == value.den.terms
         assert list(again.num.terms) == list(value.num.terms)
         assert list(again.den.terms) == list(value.den.terms)
+
+
+def test_reduction_strips_part_of_a_bracket():
+    # (q^2 + 1)(t - t^-1) / (q^2 - q^-2) is q * delta: q^2 + 1 = Phi_2(q^2) is
+    # half of the bracket [2] = q^-2 Phi_1(q^2) Phi_2(q^2), and both routes
+    # strip it, so the value prints as q * delta does
+    expected = str(RationalQT(LaurentQT.monomial(1, 1)) * delta())
+    num = LaurentQT({(2, 0): 1, (0, 0): 1}) * t_bracket(1)
+    assert str(RationalQT(num, q_bracket(2)).simplified()) == expected
+    assert str(_over_q({1: {2: 1, 0: 1}, -1: {2: -1, 0: -1}}, {2: 1, -2: -1})) == expected
+
+
+def _cyclotomic_at_q_squared(d):
+    x = sp.Symbol("x")
+    coeffs = sp.Poly(sp.cyclotomic_poly(d, x), x).all_coeffs()
+    return LaurentQT({(2 * (len(coeffs) - 1 - i), 0): int(c) for i, c in enumerate(coeffs)})
+
+
+def _bracket_product(ks):
+    out = LaurentQT.one()
+    for k in ks:
+        out = out * q_bracket(k)
+    return out
+
+
+def test_one_value_over_two_bracket_products_prints_once():
+    # f Phi_d(q^2) / (c B) with d dividing a bracket of B, and the same value
+    # with one more bracket [j] on both sides: the reductions print one text
+    rng = random.Random(23)
+    for _ in range(200):
+        d = rng.randint(1, 8)
+        ks = [rng.randint(1, 8) for _ in range(rng.randint(0, 3))] + [d * rng.randint(1, 8 // d)]
+        f = LaurentQT({(rng.randint(-3, 3), rng.randint(-2, 2)): rng.randint(-4, 4) or 1 for _ in range(4)})
+        num, den = f * _cyclotomic_at_q_squared(d), _bracket_product(ks) * rng.choice((-3, -2, -1, 1, 2, 3))
+        j = q_bracket(rng.randint(1, 6))
+        texts = set()
+        for n, dd in ((num, den), (num * j, den * j)):
+            assert RationalQT(n, dd) == RationalQT(num, den)
+            texts |= {str(RationalQT(n, dd).simplified()), str(_over_q(_slices(n, 0), _slices(dd, 0)[0]))}
+        assert len(texts) == 1, (d, ks, f, j, texts)
 
 
 @pytest.mark.parametrize("value", [RationalQT.one(), LaurentQT.one()], ids=["rational", "laurent"])

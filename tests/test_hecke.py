@@ -218,6 +218,16 @@ def test_braid_word_parsing():
         BraidWord(3, ((1.9, 1),))
 
 
+def test_braid_word_strands_must_be_an_integer():
+    # a float strand count is rejected when the word is built, not late in
+    # the fold; an integral one is stored as a plain int
+    with pytest.raises(TypeError):
+        BraidWord(2.5, ())
+    word = BraidWord(True, ())
+    assert type(word.strands) is int and word.strands == 1
+    assert normalized_homfly_of_closure(word) == RationalQT.one()
+
+
 def test_braid_word_power_checked_before_expansion():
     # the power is counted against the cap, not built letter by letter first
     tracemalloc.start()

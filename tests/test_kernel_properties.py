@@ -1,5 +1,6 @@
 """Seeded property checks of the univariate dict kernel, ``exact._umul`` and
-``exact._udiv``, and of what is built on it: ``exact._exact_div`` (products
+``exact._udiv``, and of what is built on it: the cyclotomic factors
+``exact._cyclotomic`` against sympy, ``exact._exact_div`` (products
 against ``LaurentQT`` multiplication, quotients against the products they
 came from, and the inexact cases) and the vanishing orders of
 ``exact.expand_series`` against the full ``truncated_series``.  Also the
@@ -9,11 +10,13 @@ too wide for their slots."""
 import random
 
 import pytest
+import sympy as sp
 
 from skein_homfly.errors import ZeroFunction
 from skein_homfly.exact import (
     LaurentQT,
     RationalQT,
+    _cyclotomic,
     _exact_div,
     _udiv,
     _umul,
@@ -89,6 +92,21 @@ def test_udiv_inexact_returns_none():
         # a divisor longer than the dividend
         shorter = {rng.randint(0, span - 1): _coeff(rng) for _ in range(3)}
         assert _udiv(shorter, b) is None
+
+
+def test_cyclotomic_factors_of_brackets():
+    # q^2k - 1 is the product of Phi_d(q^2) over d | k, and each factor is
+    # sympy's Phi_d(u) at u = q^2
+    for k in range(1, 41):
+        product = {0: 1}
+        for d in range(1, k + 1):
+            if k % d == 0:
+                product = _umul(product, _cyclotomic(d))
+        assert product == {2 * k: 1, 0: -1}, k
+    u = sp.Symbol("u")
+    for d in range(1, 41):
+        coeffs = sp.Poly(sp.cyclotomic_poly(d, u), u).all_coeffs()[::-1]
+        assert _cyclotomic(d) == {2 * e: int(c) for e, c in enumerate(coeffs) if c}, d
 
 
 def _laurent(rng, variables):

@@ -226,19 +226,10 @@ def test_class_sums_take_the_hook_route(monkeypatch):
     assert calls > 0 and fallbacks == 0
 
 
-#: the hook-content route leaves Phi_4 = q^2 + 1 in these reduced values,
-#: which greedy bracket cancellation cannot strip, so their text differs
-HOOK_CONTENT_TEXT_MISMATCHES = {
-    "T(1*2,1*2)[(1);(1)]",
-    "T(1*2,2*2)[(1);(1)]",
-    "T(1*2,3*2)[(2,1);(1,1)]",
-}
-
-
 def test_hook_content_route_matches_class_sum():
     # the thm72 grid of perfbench/grids/sweeps.json (30 knots, 10 links)
-    # and T(1,3)[(2,1);(1,1)]: equal values, and equal text but for the
-    # known mismatches
+    # and T(1,3)[(2,1);(1,1)]: equal values and equal text, since the
+    # reduction strips the same cyclotomic factors whatever the denominator
     grid = verify.GridConfig.load(Path(__file__).parents[1] / "perfbench" / "grids" / "sweeps.json")
     specs = verify._symmetry_grid(grid) + [torus.TorusLinkSpec(1, 3, 2, (P((2, 1)), P((1, 1))))]
     assert len(specs) == 41
@@ -246,7 +237,7 @@ def test_hook_content_route_matches_class_sum():
         oracle = torus_value_by_hook_content(spec.m, spec.n, spec.colors)
         value = torus._torus_value(spec.m, spec.n, spec.colors)
         assert oracle == value, spec
-        assert (str(oracle) == str(value)) == (str(spec) not in HOOK_CONTENT_TEXT_MISMATCHES), spec
+        assert str(oracle) == str(value), spec
 
 
 def test_torus_weights_reject_k_not_divisible_by_m(monkeypatch):
