@@ -5,10 +5,13 @@ is an integer (Littlewood), each colored value is a Laurent polynomial over
 Z divided by the colors' hook brackets, and the torus twist exponents
 (n/m) k_mu are integers term by term (``torus._torus_weights``); a quotient
 lives in RationalQT, whose two parts are integer Laurent polynomials.  The
-constructor is the one place that drops zero coefficients and stores
-integers as ``int``; it rejects anything non-integral, such as a float or
+constructor checks every outside input: it drops zero coefficients, stores
+integers as ``int`` and rejects anything non-integral, such as a float or
 the Fraction 1/2, which would break exactness.  The arithmetic accumulates
-raw sums and constructs once.
+raw sums and constructs once.  Terms the kernel makes from checked values
+are already clean (int keys, nonzero int coefficients), so ``LaurentQT._of``
+wraps them without a second pass, and ``RationalQT._of`` normalizes a pair
+on its term dicts and builds each part once.
 
 Limits at q=1 or t=1 come from exact vanishing orders, never from a
 polynomial gcd: ``expand_series`` divides numerator and denominator by
@@ -24,8 +27,9 @@ substitution and one ``_udiv``, and ``_cancel`` strips the Phi_d(v^2) shared
 by slices: a bracket is v^-k times the pairwise coprime Phi_d(v^2), d | k, so
 any bracket-product quotient reduces to one form.  ``_slices`` cuts a
 LaurentQT into one dict per exponent of the other variable; ``_unslice``
-rebuilds it.  ``_over_q`` is the reduction the class sums and the Markov
-traces share: t-slices over a q-only denominator, ``_cancel``, one RationalQT.
+rebuilds its term dict.  ``_over_q`` is the reduction the class sums and the
+Markov traces share: t-slices over a q-only denominator, ``_cancel``, one
+RationalQT.
 """
 
 from __future__ import annotations
@@ -69,6 +73,14 @@ class LaurentQT:
                     continue
                 clean[(qe, te)] = c
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _of(cls, terms: dict) -> "LaurentQT":
+        """A value that owns the clean term dict terms (int keys, nonzero int
+        coefficients), made by the kernel from checked values; no check."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "terms", terms)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentQT is immutable")
@@ -114,7 +126,7 @@ class LaurentQT:
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentQT({k: -c for k, c in self.terms.items()})
+        return LaurentQT._of({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -223,17 +235,23 @@ def substitute(p: LaurentQT, q: str = "q", t: str = "t") -> LaurentQT:
     ``q`` is one of "q", "q^-1", "-q", "-q^-1"; ``t`` is "t" or "t^-1".
     A sign on q contributes (-1)^a to the coefficient of q^a t^b.
     """
+    return LaurentQT._of(_substitute(p.terms, q, t))
+
+
+def _substitute(terms: dict, q: str, t: str) -> dict:
+    """``substitute`` on a term dict: a new clean dict, since the map of
+    exponents is one-to-one."""
     try:
         qs, qi = _Q_TARGETS[q]
         ts, ti = _T_TARGETS[t]
     except KeyError as e:
         raise ValueError(f"unsupported substitution target: {e.args[0]!r}") from None
     out = {}
-    for (qe, te), c in p.terms.items():
+    for (qe, te), c in terms.items():
         if qs < 0 and qe % 2:
             c = -c
         out[(qe * qi, te * ti)] = c
-    return LaurentQT(out)
+    return out
 
 
 # -- JSON wire format -------------------------------------------------
@@ -290,12 +308,25 @@ class RationalQT:
             den = LaurentQT({(0, 0): den})
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            num, den = LaurentQT.zero(), LaurentQT.one()
-        else:
-            num, den = _normalize_pair(num, den)
+        n, d = _normalize_pair(num.terms, den.terms)
+        if n is not num.terms or d is not den.terms:
+            num, den = LaurentQT._of(n), LaurentQT._of(d)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _of(cls, num: dict, den: dict) -> "RationalQT":
+        """num / den from clean term dicts (den not empty) that the new value
+        owns: normalized on the dicts, then one LaurentQT built per part."""
+        return cls._pair(*map(LaurentQT._of, _normalize_pair(num, den)))
+
+    @classmethod
+    def _pair(cls, num: LaurentQT, den: LaurentQT) -> "RationalQT":
+        """The value num / den of a pair already in normal form, as it is."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalQT is immutable")
@@ -334,7 +365,8 @@ class RationalQT:
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalQT(-self.num, self.den)
+        # negating the numerator of a normal pair leaves it normal
+        return RationalQT._pair(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -387,7 +419,7 @@ class RationalQT:
         return f"RationalQT<{self}>"
 
     def substituted(self, q: str = "q", t: str = "t") -> "RationalQT":
-        return RationalQT(substitute(self.num, q, t), substitute(self.den, q, t))
+        return RationalQT._of(_substitute(self.num.terms, q, t), _substitute(self.den.terms, q, t))
 
     def simplified(self) -> "RationalQT":
         """Cancel the cyclotomic factors Phi_d(v^2) shared by num and den.
@@ -405,26 +437,30 @@ class RationalQT:
             ns, ds = _slices(num, idx), _slices(den, idx)
             ns, dc = _cancel(ns, ds)
             if dc is not ds:
-                num, den = _unslice(ns, idx), _unslice(dc, idx)
+                num, den = LaurentQT._of(_unslice(ns, idx)), LaurentQT._of(_unslice(dc, idx))
         out = _exact_div(num, den)
         return RationalQT(num, den) if out is None else RationalQT(out)
 
 
-def _normalize_pair(num: LaurentQT, den: LaurentQT):
-    """Shift to collective minimal exponents 0, then divide by the integer
-    content, signed so that the denominator lead is positive.  A pair already
-    in that form is returned as it is."""
-    parts = (num.terms, den.terms)
+def _normalize_pair(num: dict, den: dict) -> tuple:
+    """The normal form of the term dicts num / den, den not empty: zero over
+    one when num is empty, else shifted to collective minimal exponents 0 and
+    divided by the integer content, signed so that the denominator lead is
+    positive.  A pair already in that form comes back as the given dicts; the
+    callers build one LaurentQT per part from what comes back."""
+    if not num:
+        return num, {(0, 0): 1}
+    parts = (num, den)
     qmin = min(qe for p in parts for qe, _ in p)
     tmin = min(te for p in parts for _, te in p)
     if qmin or tmin:
         parts = tuple({(qe - qmin, te - tmin): c for (qe, te), c in p.items()} for p in parts)
-    content = gcd(*parts[0].values(), *parts[1].values())
-    if den.terms[max(den.terms)] < 0:
+    content = gcd(*num.values(), *den.values())
+    if den[max(den)] < 0:
         content = -content
-    if content == 1 and parts[0] is num.terms:
-        return num, den
-    return tuple(LaurentQT({k: c // content for k, c in p.items()}) for p in parts)
+    if content == 1:
+        return parts
+    return tuple({k: c // content for k, c in p.items()} for p in parts)
 
 
 def delta() -> RationalQT:
@@ -603,9 +639,9 @@ def _slices(p: LaurentQT, idx: int) -> dict:
     return out
 
 
-def _unslice(slices: dict, idx: int) -> LaurentQT:
-    """Inverse of ``_slices``."""
-    return LaurentQT({((e, o) if idx == 0 else (o, e)): c for o, cs in slices.items() for e, c in cs.items()})
+def _unslice(slices: dict, idx: int) -> dict:
+    """Inverse of ``_slices``, as a term dict."""
+    return {((e, o) if idx == 0 else (o, e)): c for o, cs in slices.items() for e, c in cs.items()}
 
 
 def _div_slices(slices: dict, divisor: dict):
@@ -634,11 +670,12 @@ def _cancel(ns: dict, ds: dict) -> tuple:
 def _over_q(ns: dict, den: dict) -> RationalQT:
     """The t-slices ns ({t-exponent: {q-exponent: coeff}}) over the q-only
     den, after ``_cancel`` strips their shared Phi_d(q^2); zero when ns is
-    empty."""
+    empty.  Both hold nonzero coefficients only, and ns no empty slice: the
+    pair is normalized on the term dicts and each part built once."""
     if not ns:
         return RationalQT(0)
     ns, ds = _cancel(ns, {0: den})
-    return RationalQT(_unslice(ns, 0), _unslice(ds, 0))
+    return RationalQT._of(_unslice(ns, 0), _unslice(ds, 0))
 
 
 def _exact_div(a: LaurentQT, b: LaurentQT):
@@ -648,12 +685,18 @@ def _exact_div(a: LaurentQT, b: LaurentQT):
     operand's lowest q-exponent and w one more than a's q-span, is a ring
     map, one-to-one on offsets below w.  So a univariate quotient whose
     offsets stay <= span(a) - span(b) is the quotient, and any other offset,
-    or no univariate quotient, proves there is none.
+    or no univariate quotient, proves there is none.  A monomial b, such as
+    the denominator of every Laurent RationalQT, divides by a key shift.
     """
     if b.is_zero():
         raise ZeroDivisionError("exact division by zero")
     if a.is_zero():
         return LaurentQT.zero()
+    if len(b.terms) == 1:
+        ((bq, bt), bc), = b.terms.items()
+        if any(c % bc for c in a.terms.values()):
+            return None
+        return LaurentQT._of({(qe - bq, te - bt): c // bc for (qe, te), c in a.terms.items()})
     (lo_a, hi_a), (lo_b, hi_b) = ((min(e), max(e)) for e in (a.exponents("q"), b.exponents("q")))
     w, room = hi_a - lo_a + 1, hi_a - lo_a - hi_b + lo_b
     kron = ({e - lo + w * t: c for (e, t), c in p.terms.items()} for p, lo in ((a, lo_a), (b, lo_b)))

@@ -21,16 +21,7 @@ from dataclasses import dataclass
 from math import gcd, prod
 
 from .errors import LimitDoesNotExist, NonCoprime
-from .exact import (
-    LaurentQT,
-    RationalQT,
-    _exact_div,
-    _udiv,
-    _umul,
-    expand_series,
-    q_bracket,
-    t_bracket,
-)
+from .exact import LaurentQT, _brackets, _exact_div, _udiv, _umul, expand_series, q_bracket
 from .schur import class_sum_order
 from .torus import DisjointUnion, TorusLinkSpec, UnknotSpec, _torus_weights, colored_homfly
 
@@ -59,7 +50,9 @@ def _H_torus(spec: TorusLinkSpec) -> LaurentQT:
     if od - on < a:
         return LaurentQT.zero()
     scale = prod(h for c in spec.colors for h in c.hook_lengths()) << a
-    return RationalQT(ln * scale, ld * t_bracket(1) ** a).as_laurent()
+    num = {te: c * scale for (_, te), c in ln.terms.items()}
+    den = _umul({te: c for (_, te), c in ld.terms.items()}, _brackets({1: a}))
+    return _laurent_quotient(num, den, 1)
 
 
 def _per_component(spec, torus_value) -> LaurentQT:
@@ -102,10 +95,16 @@ def _delta_torus(spec: TorusLinkSpec) -> LaurentQT:
     for a, d in zip(spec.colors, orders):
         un, ud = class_sum_order(a.size, {a: {0: 1}}, d)
         num, den = _umul(num, ud), _umul(den, un)
+    return _laurent_quotient(num, den, 0)
+
+
+def _laurent_quotient(num: dict, den: dict, idx: int) -> LaurentQT:
+    """num / den, univariate dicts in the variable at key position idx
+    (0 = q, 1 = t), as a LaurentQT; ValueError when den does not divide num."""
     out = _udiv(num, den)
     if out is None:
         raise ValueError("value is not a Laurent polynomial")
-    return LaurentQT({(e, 0): c for e, c in out.items()})
+    return LaurentQT._of({((e, 0) if idx == 0 else (0, e)): c for e, c in out.items()})
 
 
 def special_delta(spec) -> SpecialPolynomial:

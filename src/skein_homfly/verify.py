@@ -9,12 +9,17 @@ timing, so its text and JSON are the same bytes on every run.  Cases run
 in the calling thread: they are pure Python under the GIL and share the
 package's caches, so threads would not speed them up.  The sweep
 functions still accept ``threads=`` for compatibility; it has no effect.
+Repeated in one process, a sweep takes its torus values from those caches,
+and the parity lemma counts the inversions and cycles of each degree's
+permutations once (``_permutation_classes``), then checks one permutation
+per (inversions, cycles) pair.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from itertools import permutations
 
 from .characters import hook_character_identity
@@ -282,9 +287,21 @@ def verify_hook_character_identity(config: GridConfig = None, threads=None) -> V
     return _sweep("lemma65", f"|B| <= {config.hook_identity_max}", _check_hook_identity, cases)
 
 
-def _check_parity(d: int):
+@lru_cache(maxsize=8)
+def _permutation_classes(d: int) -> dict:
+    """{(inversions, cycles): the first permutation of range(d), in
+    lexicographic order, with that pair}; the sweep caps d at 8."""
+    out = {}
     for pi in permutations(range(d)):
-        if (perm_length(pi) + perm_cycle_count(pi) - d) % 2:
+        out.setdefault((perm_length(pi), perm_cycle_count(pi)), pi)
+    return out
+
+
+def _check_parity(d: int):
+    # parity depends on the pair alone, and the first failing permutation is
+    # the first of its class, so this names the one a full loop would
+    for (inversions, cycles), pi in _permutation_classes(d).items():
+        if (inversions + cycles - d) % 2:
             return (str(pi), f"parity {d % 2}", "parity mismatch")
     return None
 

@@ -56,6 +56,25 @@ def test_exact_div_t_only():
     assert _exact_div(t_bracket(1), t_power(2) * 2) is None
 
 
+def test_exact_div_by_a_monomial_shifts_keys():
+    a = LaurentQT({(2, 1): 6, (-1, 3): -4, (0, 0): 2})
+    for sign in (1, -1):
+        for qe, te in ((0, 0), (3, -2), (-1, 1)):
+            unit = LaurentQT.monomial(sign, qe, te)
+            out = _exact_div(a, unit)
+            assert out.terms == {(x - qe, y - te): sign * c for (x, y), c in a.terms.items()}
+            assert out == a * unit ** -1
+    # a non-unit monomial divides when it divides every coefficient
+    two_q = LaurentQT.monomial(2, 1)
+    assert _exact_div(a, two_q).terms == {(1, 1): 3, (-2, 3): -2, (-1, 0): 1}
+    assert _exact_div(a, two_q) * two_q == a
+    assert _exact_div(a, LaurentQT.monomial(-4, 1)) is None
+    assert _exact_div(a, LaurentQT.monomial(3, 0, 2)) is None
+    assert _exact_div(LaurentQT.zero(), two_q) == LaurentQT.zero()
+    with pytest.raises(ZeroDivisionError):
+        _exact_div(a, LaurentQT.zero())
+
+
 def test_exact_div_inexact_returns_none():
     assert _exact_div(q_bracket(1), q_bracket(2)) is None
     assert _exact_div(LaurentQT.one(), t_power(1) + 1) is None

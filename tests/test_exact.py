@@ -13,8 +13,11 @@ from skein_homfly.errors import LimitDoesNotExist, ZeroFunction
 from skein_homfly.exact import (
     LaurentQT,
     RationalQT,
+    _brackets,
+    _cancel,
     _over_q,
     _slices,
+    _unslice,
     canonical_text,
     delta,
     expand_series,
@@ -397,6 +400,64 @@ def test_rational_normal_form_content_and_sign_without_shift():
     # a pair already in normal form is kept as it is
     g = RationalQT(f.num, f.den)
     assert g.num is f.num and g.den is f.den
+
+
+def _random_laurent(rng, terms=4):
+    out = LaurentQT.zero()
+    while out.is_zero():
+        out = LaurentQT({(rng.randint(-4, 4), rng.randint(-3, 3)): rng.randint(-9, 9) for _ in range(terms)})
+    return out
+
+
+def test_kernel_values_build_each_part_once(monkeypatch):
+    # _over_q, substituted() and unary minus normalize on term dicts and
+    # build each part once, unchecked, to the terms RationalQT(num, den) gives
+    # on the same parts; a negation shares the denominator, so it builds one
+    # part.  A LaurentQT comes from its constructor, which checks, or _of.
+    made, init, of = [], LaurentQT.__init__, LaurentQT._of.__func__
+
+    def counting_init(self, *args):
+        made.append("init")
+        init(self, *args)
+
+    def counting_of(cls, terms):
+        made.append("_of")
+        return of(cls, terms)
+
+    monkeypatch.setattr(LaurentQT, "__init__", counting_init)
+    monkeypatch.setattr(LaurentQT, "_of", classmethod(counting_of))
+
+    def built(make):
+        made.clear()
+        value = make()
+        return value, list(made)
+
+    def same_terms(a, b):
+        return a.num.terms == b.num.terms and a.den.terms == b.den.terms
+
+    rng = random.Random(24)
+    for _ in range(60):
+        c = rng.choice((1, 2, -3, 6))
+        f = RationalQT(_random_laurent(rng) * c, _random_laurent(rng, 3) * c)
+        for q in ("q", "q^-1", "-q", "-q^-1"):
+            for t in ("t", "t^-1"):
+                g, made_by = built(lambda: f.substituted(q=q, t=t))
+                assert made_by == ["_of", "_of"], (f, q, t)
+                assert same_terms(g, RationalQT(substitute(f.num, q, t), substitute(f.den, q, t)))
+        g, made_by = built(lambda: -f)
+        assert made_by == ["_of"] and g.den is f.den
+        assert same_terms(g, RationalQT(-f.num, f.den))
+        # t-slices over a bracket product that may share factors with them
+        ks = {k: 1 for k in rng.sample(range(1, 7), rng.randint(1, 3))}
+        shift = rng.randint(-2, 2)
+        den = {e + shift: v * c for e, v in _brackets(ks).items()}
+        shared = _brackets({rng.choice(list(ks)): rng.randint(0, 1)})
+        ns = _slices(_random_laurent(rng) * LaurentQT({(e, 0): v * c for e, v in shared.items()}), 0)
+        g, made_by = built(lambda: _over_q(ns, den))
+        assert made_by == ["_of", "_of"], (ns, den)
+        cn, cd = _cancel(ns, {0: den})
+        assert same_terms(g, RationalQT(LaurentQT(_unslice(cn, 0)), LaurentQT(_unslice(cd, 0))))
+        assert g == RationalQT(LaurentQT(_unslice(ns, 0)), LaurentQT({(e, 0): v for e, v in den.items()}))
 
 
 def test_simplified_cancels_brackets():

@@ -129,6 +129,15 @@ def test_H_never_builds_the_ratio(monkeypatch):
     assert special_H(UnknotSpec((P((2, 1)),))).value == LaurentQT.one()
 
 
+def test_H_quotient_that_is_not_laurent_keeps_its_error(monkeypatch):
+    import skein_homfly.special as special_mod
+
+    # leading coefficients 1 over 1 at order |A| = 1: H would be 2/(t - t^-1)
+    monkeypatch.setattr(special_mod, "expand_series", lambda w, v: (0, 1, LaurentQT.one(), LaurentQT.one()))
+    with pytest.raises(ValueError, match="^value is not a Laurent polynomial$"):
+        special_H(TorusLinkSpec(2, 3, 1, (P((1,)),)))
+
+
 def test_special_polynomials_reject_unsupported_specs():
     # neither a partition, nor text, nor a foreign component inside a union
     for spec in (P((2, 1)), "T(2,3)", DisjointUnion((TREFOIL, SimpleNamespace(L=1)))):

@@ -151,7 +151,7 @@ def test_packed_class_sum_matches_dict_oracle(monkeypatch):
             # no slice is left of a zero sum
             assert label == "no weight" and result.is_zero() and oracle.is_zero(), label
             continue
-        value = RationalQT(_unslice(ns, 0), _unslice({0: den}, 0))
+        value = RationalQT(LaurentQT(_unslice(ns, 0)), LaurentQT(_unslice({0: den}, 0)))
         assert str(value) == str(oracle), label
         assert value.num.terms == oracle.num.terms and value.den.terms == oracle.den.terms, label
 

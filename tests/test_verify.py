@@ -1,7 +1,10 @@
 import json
+from itertools import permutations
 
 import pytest
 
+from skein_homfly import verify
+from skein_homfly.hecke import perm_cycle_count, perm_length
 from skein_homfly.partitions import Partition
 from skein_homfly.verify import (
     GridConfig,
@@ -71,6 +74,50 @@ def test_permutation_parity_small():
     report = verify_permutation_parity(6)
     assert report.passed
     assert report.cases == 6
+
+
+@pytest.fixture
+def fresh_parity_classes():
+    verify._permutation_classes.cache_clear()
+    yield
+    verify._permutation_classes.cache_clear()
+
+
+def _parity_loop_failure(d, cycles):
+    """The first failing permutation as the loop over every permutation names
+    it, before the sweep checked one permutation per class."""
+    for pi in permutations(range(d)):
+        if (perm_length(pi) + cycles(pi) - d) % 2:
+            return (str(pi), f"parity {d % 2}", "parity mismatch")
+    return None
+
+
+def test_parity_classes_name_the_loops_first_failure(monkeypatch, fresh_parity_classes):
+    # a cycle count off by one on two degree-5 permutations, one of them not
+    # the first of its true class (that is (0, 2, 3, 4, 1)): the sweep names
+    # the earlier one, as the loop over every permutation does
+    wrong = {(4, 3, 2, 1, 0), (2, 0, 1, 4, 3)}
+
+    def off_by_one(pi):
+        return perm_cycle_count(pi) + (pi in wrong)
+
+    monkeypatch.setattr(verify, "perm_cycle_count", off_by_one)
+    report = verify_permutation_parity(6)
+    expected = tuple(f for d in range(1, 7) if (f := _parity_loop_failure(d, off_by_one)))
+    assert report.failures == expected == (("(2, 0, 1, 4, 3)", "parity 1", "parity mismatch"),)
+    assert report.summary().splitlines()[1] == "  case (2, 0, 1, 4, 3): expected parity 1, got parity mismatch"
+
+
+def test_parity_reports_repeat_in_one_process(fresh_parity_classes):
+    first, second = verify_permutation_parity(7), verify_permutation_parity(7)
+    assert first.passed and first == second
+    assert first.summary() == second.summary() and first.to_dict() == second.to_dict()
+
+
+def test_parity_classes_cache_is_bounded(fresh_parity_classes):
+    assert verify_permutation_parity(8).passed
+    assert verify._permutation_classes.cache_info().currsize <= 8
+    assert [len(verify._permutation_classes(d)) for d in range(1, 9)] == [1, 2, 4, 9, 17, 31, 50, 78]
 
 
 def test_hook_identity_small():
