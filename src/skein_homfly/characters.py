@@ -118,6 +118,6 @@ def hook_character_identity(b: Partition) -> bool:
     lhs = {}
     for a in range(d):
         h = d - 1 - a
-        if chi := character(Partition((a + 1,) + (1,) * h), b):
+        if chi := _char(_beta_mask((a + 1,) + (1,) * h), b):
             lhs[a - h] = -chi if h % 2 else chi
     return lhs == _udiv(_brackets(Counter(b)), {1: 1, -1: -1})  # None when not exact

@@ -29,7 +29,8 @@ any bracket-product quotient reduces to one form.  ``_slices`` cuts a
 LaurentQT into one dict per exponent of the other variable; ``_unslice``
 rebuilds its term dict.  ``_over_q`` is the reduction the class sums and the
 Markov traces share: t-slices over a q-only denominator, ``_cancel``, one
-RationalQT.
+RationalQT.  Both build those slices from Kronecker-packed ints, one signed
+fixed-width slot per exponent, which ``_unpack`` cuts back into coefficients.
 """
 
 from __future__ import annotations
@@ -642,6 +643,15 @@ def _slices(p: LaurentQT, idx: int) -> dict:
 def _unslice(slices: dict, idx: int) -> dict:
     """Inverse of ``_slices``, as a term dict."""
     return {((e, o) if idx == 0 else (o, e)): c for o, cs in slices.items() for e, c in cs.items()}
+
+
+def _unpack(x: int, size: int) -> list:
+    """The signed size-byte slots of a packed int, lowest first: adding half
+    the range to every slot settles all borrows between slots at once."""
+    count = x.bit_length() // (8 * size) + 1
+    x += int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+    raw, half = x.to_bytes(count * size, "little"), 1 << (8 * size - 1)
+    return [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, count * size, size)]
 
 
 def _div_slices(slices: dict, divisor: dict):

@@ -19,13 +19,20 @@ division.  This path never touches the plethysm machinery, so it
 cross-validates the torus formula on uncolored specializations.
 
 Inside, the structure constants involve q alone, so a braid's image has
-coefficients in Z[q, q^-1], kept as plain {q-exponent: int} dicts:
-``_apply`` multiplies by z as two shifted copies and a subtraction, and
-``_trace_perm`` returns the t-slices {t-exponent: {q-exponent: int}} that
-``exact._over_q`` takes.  The closures run from the braid word to
-``_over_q`` on these dicts alone.  LaurentQT stays at the boundary:
+coefficients in Z[q, q^-1], each Kronecker-packed into one int (as the
+class sums pack theirs): sum_e v_e q^e is sum_e v_e X^(e + O) at
+X = 2^(8 size), one signed size-byte slot per exponent, the offset O
+keeping every slot index >= 0.  ``_apply`` multiplies by z as two shifts
+and a subtraction, ``_trace_perm`` keeps each t-slice of U_pi as one int,
+and the trace is one big-int product per permutation and t-slice of U_pi.
+The slot width comes from a proved bound (``_slot_size``): one letter at
+most triples an element's l1 norm, and ``_trace_perm`` bounds l1(U_pi), so
+no coefficient can overflow its slot.  At the end ``exact._unpack`` cuts
+each t-slice back into the {t-exponent: {q-exponent: int}} slices that
+``exact._over_q`` takes.  LaurentQT stays at the boundary:
 ``HeckeElement`` and ``element_of_braid`` carry LaurentQT coefficients,
-and ``markov_trace`` cuts its argument's coefficients into t-slices once.
+and ``markov_trace`` packs each t-slice of its argument's coefficients
+once.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from itertools import combinations, starmap
 from operator import gt, index
 
 from .errors import IndexOutOfRange
-from .exact import LaurentQT, RationalQT, _brackets, _over_q, _slices
+from .exact import LaurentQT, RationalQT, _brackets, _over_q, _unpack
 
 
 # -- permutations in one-line, zero-indexed form -----------------------
@@ -181,24 +188,30 @@ class HeckeElement:
 
 
 def element_of_braid(w: BraidWord) -> HeckeElement:
-    """Image of a braid word in the Hecke algebra, folded left to right."""
+    """Image of a braid word in the Hecke algebra, folded left to right and
+    unpacked once."""
+    (terms, size), low = _word_terms(w), -len(w.letters)
     return HeckeElement(
-        w.strands, {pi: LaurentQT({(qe, 0): v for qe, v in c.items()}) for pi, c in _word_terms(w).items()}
+        w.strands,
+        {
+            pi: LaurentQT._of({(low + k, 0): v for k, v in enumerate(_unpack(c, size)) if v})
+            for pi, c in terms.items()
+        },
     )
 
 
-# -- the integer kernel --------------------------------------------------
+# -- the packed kernel ---------------------------------------------------
 
 
-def _apply(terms: dict, p: int, sign: int) -> dict:
-    """{permutation: {q-exponent: coeff}} right-multiplied by the generator
-    swapping positions p and p + 1 (sign -1: its inverse).
+def _apply(terms: dict, p: int, sign: int, bits: int) -> dict:
+    """{permutation: packed coefficient} right-multiplied by the generator
+    swapping positions p and p + 1 (sign -1: its inverse); slots are bits
+    wide.
 
     Each term moves to its swapped permutation; where the swap lowers the
     length (raises it, for the inverse) the term also stays, times sign * z:
-    two shifted copies of its coefficient, one subtracted.  The result
-    shares the coefficient dicts it moved; no coefficient dict is ever
-    mutated, so cached ones may be passed in.
+    z * c is (c << bits) - (c >> bits), whose right shift is exact while the
+    lowest slot of c is empty.  A term whose int is 0 is dropped.
     """
     out = {}
     stays = []
@@ -208,107 +221,148 @@ def _apply(terms: dict, p: int, sign: int) -> dict:
         if (a > b) == (sign > 0):
             stays.append((pi, c))
     for pi, c in stays:
-        acc = dict(out.get(pi, ()))
-        get = acc.get
-        # sign * (q - q^-1) * c
-        for e, v in c.items():
-            acc[e + sign] = get(e + sign, 0) + v
-            acc[e - sign] = get(e - sign, 0) - v
-        if acc := {e: v for e, v in acc.items() if v}:
+        zc = (c << bits) - (c >> bits)
+        if acc := out.get(pi, 0) + (zc if sign > 0 else -zc):
             out[pi] = acc
         else:
             del out[pi]
     return out
 
 
-def _word_terms(w: BraidWord) -> dict:
-    """``element_of_braid`` in the integer kernel: {permutation: {q-exponent: int}}."""
-    terms = {perm_identity(w.strands): {0: 1}}
+def _word_terms(w: BraidWord) -> tuple:
+    """``element_of_braid`` packed: ({permutation: int}, size), q^e at the
+    size-byte slot e + len(w.letters).  One letter at most triples the l1
+    norm of an element, so the size is ``_slot_size`` of 3^letters; after k
+    letters every exponent is at least -k, so the lowest slot is empty
+    before each letter."""
+    size = _slot_size(3 ** len(w.letters), w.strands)
+    bits = 8 * size
+    terms = {perm_identity(w.strands): 1 << (bits * len(w.letters))}
     for i, s in w.letters:
-        terms = _apply(terms, i - 1, s)
-    return terms
+        terms = _apply(terms, i - 1, s, bits)
+    return terms, size
 
 
-def _mul_into(out: dict, a: dict, b: dict) -> dict:
-    """Add a * b to out, all {t-exponent: {q-exponent: coeff}}; zero terms
-    are kept."""
-    for ta, sa in a.items():
-        for tb, sb in b.items():
-            acc = out.setdefault(ta + tb, {})
-            get = acc.get
-            for eb, vb in sb.items():
-                for ea, va in sa.items():
-                    acc[ea + eb] = get(ea + eb, 0) + va * vb
-    return out
+def _slot_size(l1: int, n: int) -> int:
+    """Bytes per slot for the closures on n strands of an element whose
+    coefficients have l1 norm at most l1, a multiple of 8 so that few sizes
+    of ``_trace_perm`` entries occur.
+
+    Every coefficient of (t - t^-1) sum_pi c_pi U_pi is at most
+    2 * l1 * max_pi l1(U_pi), and l1(U_pi) <= 2^(n-1) 3^((n-1)(n-2)/2)
+    (``_trace_perm``); the slot holds that bound with a sign bit.
+    """
+    bound = 2 * l1 * 2 ** (n - 1) * 3 ** ((n - 1) * (n - 2) // 2)
+    return (bound.bit_length() // 64 + 1) * 8
 
 
-def _nonzero(slices: dict) -> dict:
-    """slices without zero terms and empty slices."""
+def _t_bracket(slices: dict) -> dict:
+    """(t - t^-1) times {t-exponent: int}, nonzero slices only."""
     out = {}
-    for te, s in slices.items():
-        if s := {e: v for e, v in s.items() if v}:
-            out[te] = s
-    return out
+    for te, x in slices.items():
+        out[te + 1] = out.get(te + 1, 0) + x
+        out[te - 1] = out.get(te - 1, 0) - x
+    return {te: x for te, x in out.items() if x}
 
 
-#: t - t^-1 and t * z as t-slices
-_T_BRACKET = {1: {0: 1}, -1: {0: -1}}
-_T_Z = {1: {1: 1, -1: -1}}
+def _unpacked(n: int, slices: dict, size: int, low: int, t_shift: int = 0) -> dict:
+    """Nonzero t-slices from ``_fold`` on n strands, of coefficients whose
+    slot 0 held q^low, cut into the {t-exponent: {q-exponent: int}} slices
+    that ``exact._over_q`` takes, each t-exponent moved by t_shift."""
+    low -= n * (n - 1) // 2
+    return {
+        te + t_shift: {low + k: v for k, v in enumerate(_unpack(x, size)) if v} for te, x in slices.items()
+    }
+
+
+def _framed(n: int, total: dict, size: int, low: int) -> RationalQT:
+    """(t - t^-1) total over z^n: the framed closure, total as in
+    ``_unpacked``."""
+    return _over_q(_unpacked(n, _t_bracket(total), size, low), _brackets({1: n}))
 
 
 # -- the Markov trace --------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _trace_perm(n: int, pi: tuple) -> dict:
+def _trace_perm(n: int, pi: tuple, size: int) -> dict:
     """U_pi = z^(n-1) * tr_n(w_pi) / delta, a Laurent polynomial since
-    z * delta = t - t^-1, as {t-exponent: {q-exponent: int}}.  Callers
-    must not mutate it: it is the cached object."""
+    z * delta = t - t^-1, as {t-exponent: int}: each t-slice packed in
+    size-byte slots with q^e at slot e + n(n-1)/2.  Callers must not mutate
+    it: it is the cached object, one per size.
+
+    By induction on the recursion, its q-exponents lie within +-n(n-1)/2
+    and l1(U_pi) <= 2 * 3^(n-2) * max l1(U on n - 1 strands), so
+    l1(U_pi) <= 2^(n-1) 3^((n-1)(n-2)/2): a permutation that fixes n gives
+    (t - t^-1) U_restriction; any other folds k <= n - 2 letters on n - 1
+    strands (each letter at most triples l1 and moves an exponent by one)
+    and multiplies by t * z.  The largest l1 is 1, 2, 8, 32, 128, 512 for
+    n = 1..6.  The size must hold the bound with a sign bit, as every
+    ``_slot_size`` does.
+    """
     if n == 1:
-        return {0: {0: 1}}
+        return {0: 1}
+    bits = 8 * size
     if pi[n - 1] == n - 1:
-        return _nonzero(_mul_into({}, _T_BRACKET, _trace_perm(n - 1, pi[: n - 1])))
+        return _t_bracket({te: x << (bits * (n - 1)) for te, x in _trace_perm(n - 1, pi[: n - 1], size).items()})
     j = pi.index(n - 1)
     alpha = list(pi)
     for p in range(j, n - 1):
         alpha[p], alpha[p + 1] = alpha[p + 1], alpha[p]
     assert alpha[n - 1] == n - 1
-    # pi = w_alpha * s_{n-1} * (s_{n-2} ... s_{j+1}) with additive lengths
-    terms = {tuple(alpha[: n - 1]): {0: 1}}
+    # pi = w_alpha * s_{n-1} * (s_{n-2} ... s_{j+1}) with additive lengths;
+    # the k letters start from q^0 at slot k
+    k = n - 2 - j
+    terms = {tuple(alpha[: n - 1]): 1 << (bits * k)}
     for i in range(n - 2, j, -1):
-        terms = _apply(terms, i - 1, 1)
-    return _nonzero(_mul_into({}, _T_Z, _fold(n - 1, {pi: {0: c} for pi, c in terms.items()})))
+        terms = _apply(terms, i - 1, 1, bits)
+    # the fold puts q^e at slot e + k + (n-1)(n-2)/2; t * z moves it to
+    # e +- 1 + n(n-1)/2, that is n - 1 - k >= 1 slots up, plus or minus one
+    up, down = bits * (n - k), bits * (n - 2 - k)
+    return {te + 1: (x << up) - (x << down) for te, x in _fold(n - 1, terms, size).items()}
 
 
-def _fold(n: int, terms: dict) -> dict:
-    """sum_pi c_pi U_pi = z^(n-1) * tr_n(x) / delta, each c_pi given as
-    t-slices."""
+def _fold(n: int, terms: dict, size: int) -> dict:
+    """sum_pi c_pi U_pi = z^(n-1) * tr_n(x) / delta for the packed c_pi of
+    ``terms``, as nonzero {t-exponent: int}: one product per t-slice of each
+    U_pi, so a coefficient's slot k lands at k + n(n-1)/2."""
     out = {}
     for pi, c in terms.items():
-        _mul_into(out, c, _trace_perm(n, pi))
-    return _nonzero(out)
-
-
-def _framed(n: int, terms: dict) -> RationalQT:
-    """(t - t^-1) sum_pi c_pi U_pi over z^n: the framed closure, with c_pi
-    as in ``_fold``."""
-    return _over_q(_nonzero(_mul_into({}, _T_BRACKET, _fold(n, terms))), _brackets({1: n}))
+        for te, u in _trace_perm(n, pi, size).items():
+            out[te] = out.get(te, 0) + c * u
+    return {te: x for te, x in out.items() if x}
 
 
 def markov_trace(x: HeckeElement) -> RationalQT:
-    """Framed invariant of the closure of x, extended linearly; the
-    coefficients enter the kernel once, as t-slices."""
-    return _framed(x.n, {pi: _slices(c, 0) for pi, c in x.terms.items()})
+    """Framed invariant of the closure of x, extended linearly: each t-slice
+    of the coefficients is packed once, from their lowest q-exponent, in
+    slots sized by their l1 norm, and folded."""
+    n, coeffs = x.n, x.terms.values()
+    low = min((qe for c in coeffs for qe, _ in c.terms), default=0)
+    size = _slot_size(sum(abs(v) for c in coeffs for v in c.terms.values()), n)
+    bits = 8 * size
+    rows = {}
+    for pi, c in x.terms.items():
+        for (qe, te), v in c.terms.items():
+            row = rows.setdefault(te, {})
+            row[pi] = row.get(pi, 0) + (v << (bits * (qe - low)))
+    total = {}
+    for tc, row in rows.items():
+        for te, y in _fold(n, row, size).items():
+            total[te + tc] = total.get(te + tc, 0) + y
+    return _framed(n, total, size, low)
 
 
 def framed_homfly_of_closure(w: BraidWord) -> RationalQT:
-    """Bracket of the braid closure: the Markov trace of its Hecke image."""
-    return _framed(w.strands, {pi: {0: c} for pi, c in _word_terms(w).items()})
+    """Bracket of the braid closure: the Markov trace of its Hecke image,
+    (t - t^-1) sum_pi c_pi U_pi over z^n."""
+    terms, size = _word_terms(w)
+    return _framed(w.strands, _fold(w.strands, terms, size), size, -len(w.letters))
 
 
 def normalized_homfly_of_closure(w: BraidWord) -> RationalQT:
     """Writhe-corrected invariant divided by the unknot value:
     t^(-writhe) sum_pi c_pi U_pi over z^(n-1)."""
-    te = -w.writhe
-    total = _fold(w.strands, {pi: {te: c} for pi, c in _word_terms(w).items()})
-    return _over_q(total, _brackets({1: w.strands - 1}))
+    n, (terms, size) = w.strands, _word_terms(w)
+    total = _unpacked(n, _fold(n, terms, size), size, -len(w.letters), -w.writhe)
+    return _over_q(total, _brackets({1: n - 1}))

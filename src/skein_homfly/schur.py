@@ -34,7 +34,7 @@ from operator import sub
 
 from .characters import _beta_mask, _char
 from .errors import IntegralityViolation
-from .exact import RationalQT, _brackets, _over_q, _umul
+from .exact import RationalQT, _brackets, _over_q, _umul, _unpack
 from .partitions import Partition, partitions_of
 
 
@@ -52,15 +52,6 @@ def _pack(digits: bytes, size: int, wide: int, spread: int) -> int:
 def _digits(coeffs, size: int) -> bytes:
     """The biased size-byte digits of signed coefficients that ``_pack`` reads."""
     return b"".join((c + (1 << (8 * size - 1))).to_bytes(size, "little") for c in coeffs)
-
-
-def _unpack(x: int, size: int) -> list:
-    """The signed size-byte slots of a packed int, lowest first: adding half
-    the range to every slot settles all borrows between slots at once."""
-    count = x.bit_length() // (8 * size) + 1
-    x += int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
-    raw, half = x.to_bytes(count * size, "little"), 1 << (8 * size - 1)
-    return [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, count * size, size)]
 
 
 @lru_cache(maxsize=None)

@@ -186,14 +186,15 @@ def test_hook_character_identity_exhaustive():
 
 
 def test_hook_character_identity_sees_one_flipped_sign(monkeypatch):
-    # the identity reads each hook character once: one wrong sign breaks it
-    true = characters.character
+    # the identity reads each hook character once from the bitmask kernel:
+    # one wrong sign breaks it
+    true, wrong = characters._char, characters._beta_mask((2, 1, 1))
 
-    def flipped(lam, mu):
-        chi = true(lam, mu)
-        return -chi if lam == P((2, 1, 1)) else chi
+    def flipped(mask, mu):
+        chi = true(mask, mu)
+        return -chi if mask == wrong else chi
 
-    monkeypatch.setattr(characters, "character", flipped)
+    monkeypatch.setattr(characters, "_char", flipped)
     assert not hook_character_identity(P((2, 2)))
     assert not hook_character_identity(P((1, 1, 1, 1)))
     assert hook_character_identity(P((3,)))

@@ -6,11 +6,13 @@ from itertools import permutations
 import pytest
 
 from skein_homfly.errors import IndexOutOfRange
-from skein_homfly.exact import LaurentQT, RationalQT, delta, q_bracket, substitute, t_power
+from skein_homfly.exact import LaurentQT, RationalQT, _unpack, delta, q_bracket, substitute, t_power
 from skein_homfly.hecke import (
     BraidWord,
     HeckeElement,
     _apply,
+    _slot_size,
+    _word_terms,
     element_of_braid,
     framed_homfly_of_closure,
     markov_trace,
@@ -342,10 +344,21 @@ def _in_q(c: dict) -> LaurentQT:
     return LaurentQT({(qe, 0): v for qe, v in c.items()})
 
 
+def _packed(c: dict, size: int, offset: int) -> int:
+    """{q-exponent: int} as the kernel's int: q^e in the size-byte slot e + offset."""
+    return sum(v << (8 * size * (e + offset)) for e, v in c.items())
+
+
+def _unpacked(x: int, size: int, offset: int) -> dict:
+    return {k - offset: v for k, v in enumerate(_unpack(x, size)) if v}
+
+
 def test_public_results_keep_laurent_coefficients():
-    # the integer kernel against the LaurentQT generator on elements with
-    # several q-terms per coefficient; it drops the terms that cancel and
-    # leaves its input as it was
+    # the packed kernel against the LaurentQT generator on elements with
+    # several q-terms per coefficient, in one-byte slots (the coefficients
+    # stay under 64) and in eight-byte ones; it drops the terms that cancel,
+    # and an int is 0 only for a zero coefficient, and it leaves its input
+    # as it was
     rng = random.Random(1609)
     for _ in range(20):
         n = rng.randint(2, 4)
@@ -354,13 +367,18 @@ def test_public_results_keep_laurent_coefficients():
             pi: {rng.randint(-3, 3): rng.randint(1, 5) * rng.choice((1, -1)) for _ in range(rng.randint(1, 4))}
             for pi in rng.sample(perms, min(len(perms), 5))
         }
-        before = copy.deepcopy(terms)
         i, sign = rng.randint(1, n - 1), rng.choice((1, -1))
-        y = _apply(terms, i - 1, sign)
         x = HeckeElement(n, {pi: _in_q(c) for pi, c in terms.items()})
-        assert HeckeElement(n, {pi: _in_q(c) for pi, c in y.items()}) == apply_generator_laurent(x, i, sign)
-        assert all(c and 0 not in c.values() for c in y.values())
-        assert terms == before
+        for size in (1, 8):
+            # exponents >= -3, so slot 4 and up: the lowest slot is empty
+            packed = {pi: _packed(c, size, 4) for pi, c in terms.items()}
+            before = dict(packed)
+            y = _apply(packed, i - 1, sign, 8 * size)
+            unpacked = {pi: _unpacked(c, size, 4) for pi, c in y.items()}
+            expected = apply_generator_laurent(x, i, sign)
+            assert HeckeElement(n, {pi: _in_q(c) for pi, c in unpacked.items()}) == expected
+            assert all(y.values()) and all(unpacked.values())
+            assert packed == before
     for w in _random_words(40, 1610):
         x = element_of_braid(w)
         assert x == element_of_braid_laurent(w), w
@@ -368,16 +386,81 @@ def test_public_results_keep_laurent_coefficients():
 
 
 def test_trace_perm_cache_entries_are_never_mutated():
-    # the closures and markov_trace read the cached nested dicts; two folds
-    # over elements on these permutations, with coefficient 1 among others,
-    # must leave every entry as it was
-    entries = {pi: _trace_perm(4, pi) for pi in permutations(range(4))}
-    before = copy.deepcopy(entries)
+    # the closures and markov_trace read the cached packed slices at the
+    # sizes they choose; two folds over elements on these permutations,
+    # with coefficient 1 among others, must leave every entry as it was
     word = BraidWord(4, ((1, 1), (2, 1), (3, 1), (1, 1), (2, 1), (1, -1)))
+    sizes = {_word_terms(word)[1], _slot_size(3 * 24, 4)}
+    entries = {(pi, size): _trace_perm(4, pi, size) for pi in permutations(range(4)) for size in sizes}
+    before = copy.deepcopy(entries)
     assert set(element_of_braid(word).terms) == {(2, 3, 1, 0), (3, 2, 1, 0)}
     for _ in range(2):
         framed_homfly_of_closure(word)
         normalized_homfly_of_closure(word)
-        markov_trace(HeckeElement(4, {pi: LaurentQT.monomial(3, 2, 1) for pi in entries}))
-    assert all(_trace_perm(4, pi) is entry for pi, entry in entries.items())
+        markov_trace(HeckeElement(4, {pi: LaurentQT.monomial(3, 2, 1) for pi, _ in entries}))
+    assert all(_trace_perm(4, pi, size) is entry for (pi, size), entry in entries.items())
     assert entries == before
+
+
+def _assert_matches_laurent_route(w):
+    assert _key(normalized_homfly_of_closure(w)) == _key(normalized_closure_by_delta(w)), w
+    x = element_of_braid_laurent(w)
+    assert _key(framed_homfly_of_closure(w)) == _key(markov_trace_simplified(x)), w
+    assert element_of_braid(w) == x, w
+
+
+def test_packed_fold_at_the_letter_cap():
+    # words of BraidWord.MAX_LETTERS letters take the widest slots; sigma_1^-k
+    # reaches q^-(k-1) before its last letter, which then stays, so the
+    # lowest slot is read by the right shift of z * c
+    for sign in (1, -1):
+        _assert_matches_laurent_route(BraidWord.parse(2, f"s1^{sign * BraidWord.MAX_LETTERS}"))
+    rng = random.Random(6448)
+    for _ in range(6):
+        n = rng.randint(3, 4)
+        length = rng.randint(48, BraidWord.MAX_LETTERS)
+        _assert_matches_laurent_route(
+            BraidWord(n, tuple((rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(length)))
+        )
+
+
+def test_packed_fold_on_six_strands():
+    rng = random.Random(6006)
+    for _ in range(4):
+        length = rng.randint(12, 20)
+        letters = tuple((rng.randint(1, 5), rng.choice((1, -1))) for _ in range(length))
+        _assert_matches_laurent_route(BraidWord(6, letters))
+
+
+def test_trace_perm_within_its_proved_bounds():
+    # every U_pi on at most 6 strands: q-exponents within +-n(n-1)/2 and l1
+    # within 2^(n-1) 3^((n-1)(n-2)/2), the bounds the slot sizes rest on,
+    # and the same polynomial at two slot sizes
+    for n in range(1, 7):
+        offset, bound = n * (n - 1) // 2, 2 ** (n - 1) * 3 ** ((n - 1) * (n - 2) // 2)
+        for pi in permutations(range(n)):
+            slices = [_trace_perm(n, pi, size) for size in (8, 16)]
+            u8, u16 = ({te: _unpacked(x, size, offset) for te, x in u.items()} for u, size in zip(slices, (8, 16)))
+            assert u8 == u16 and all(u8.values()), pi
+            assert all(abs(e) <= offset for s in u8.values() for e in s), pi
+            assert sum(abs(v) for s in u8.values() for v in s.values()) <= bound, pi
+
+
+def test_markov_trace_at_the_slot_bound():
+    # coefficients +-(2^b - 1) at large negative and positive q-exponents:
+    # on one strand the framed value's coefficients are +-(2^b - 1), within
+    # two bits of the bound that sizes the slots, so over every b a slot one
+    # byte narrower than _slot_size overflows somewhere
+    for b in range(1, 140):
+        c = (1 << b) - 1
+        for n, pi in ((1, (0,)), (2, (1, 0)), (3, (2, 0, 1))):
+            x = HeckeElement(n, {pi: LaurentQT({(-40 - b, 3): c, (b, -1): -c})})
+            assert _key(markov_trace(x)) == _key(markov_trace_simplified(x)), (b, n)
+    x = HeckeElement(1, {(0,): LaurentQT.monomial(-((1 << 127) - 1), -300, 0)})
+    assert _key(markov_trace(x)) == _key(markov_trace_simplified(x))
+
+
+def test_oracle_agreement_on_five_and_six_strands():
+    for m, n in ((5, 6), (5, 7), (6, 7)):
+        w, _ = uncolored_homfly_torus_knot(m, n)
+        assert framed_homfly_of_closure(torus_braid_word(m, n)) == RationalQT(t_power(n * (m - 1))) * w, (m, n)
