@@ -52,11 +52,8 @@ from .special import (
 )
 from .torus import (
     ColoredInvariant,
-    DisjointUnion,
     TorusLinkSpec,
-    UnknotSpec,
     colored_homfly,
-    colored_homfly_disjoint_union,
     colored_homfly_torus,
     uncolored_homfly_torus_knot,
 )
@@ -74,7 +71,6 @@ __all__ = [
     "BraidWord",
     "CharacterTable",
     "ColoredInvariant",
-    "DisjointUnion",
     "EMPTY",
     "GridConfig",
     "HeckeElement",
@@ -86,14 +82,12 @@ __all__ = [
     "SpecialPolynomial",
     "TorusLinkSpec",
     "TruncSeries",
-    "UnknotSpec",
     "VerificationReport",
     "alexander_torus",
     "canonical_text",
     "character",
     "character_table",
     "colored_homfly",
-    "colored_homfly_disjoint_union",
     "colored_homfly_torus",
     "delta",
     "delta_basis",

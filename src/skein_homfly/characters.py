@@ -17,15 +17,15 @@ from functools import lru_cache
 
 from .errors import BoundExceeded, SizeMismatch
 from .exact import _brackets, _udiv
-from .partitions import Partition, partitions_of
+from .partitions import Partition, integer, partitions_of
 
 DEFAULT_TABLE_BOUND = 12
 
 
 def _table_bound() -> int:
-    raw = os.environ.get("SKEIN_HOMFLY_MAX_N", DEFAULT_TABLE_BOUND)
+    raw = os.environ.get("SKEIN_HOMFLY_MAX_N", str(DEFAULT_TABLE_BOUND))
     try:
-        return int(raw)
+        return integer(raw)
     except ValueError:
         raise ValueError(f"SKEIN_HOMFLY_MAX_N must be an integer, got {raw!r}") from None
 

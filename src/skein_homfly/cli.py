@@ -20,7 +20,7 @@ from .characters import character_table
 from .errors import SkeinError
 from .exact import RationalQT, canonical_text, laurent_to_json
 from .hecke import BraidWord, framed_homfly_of_closure, normalized_homfly_of_closure
-from .partitions import Partition, PartitionVector
+from .partitions import Partition, PartitionVector, integer
 from .schur import plethysm_coefficients, unknot_value
 from .special import format_delta_basis, special_delta, special_H
 from .torus import TorusLinkSpec, colored_homfly_torus
@@ -122,16 +122,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--threads",
-        type=int,
+        type=integer,
         default=None,
         help="accepted for compatibility; verification sweeps run serially",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("torus", help="colored invariant of a torus link")
-    p.add_argument("--m", type=int, required=True, help="strands per component")
-    p.add_argument("--n", type=int, required=True, help="twists per component (may be negative)")
-    p.add_argument("--components", type=int, required=True, help="number of components L")
+    p.add_argument("--m", type=integer, required=True, help="strands per component")
+    p.add_argument("--n", type=integer, required=True, help="twists per component (may be negative)")
+    p.add_argument("--components", type=integer, required=True, help="number of components L")
     p.add_argument("--colors", type=_vector_arg, required=True, help='e.g. "(2);(1,1)"')
     p.add_argument("--json", action="store_true", help="serialized polynomial output")
     p.set_defaults(func=_cmd_torus)
@@ -142,18 +142,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_unknot)
 
     p = sub.add_parser("characters", help="symmetric group character table as CSV")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.set_defaults(func=_cmd_characters)
 
     p = sub.add_parser("plethysm", help="Schur expansion of cabled colors")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=integer, required=True)
     p.add_argument("--colors", type=_vector_arg, required=True)
     p.set_defaults(func=_cmd_plethysm)
 
     p = sub.add_parser("special", help="limit polynomial of a colored torus link")
     p.add_argument("--kind", choices=("H", "delta"), required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=integer, required=True)
+    p.add_argument("--n", type=integer, required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--color", type=_partition_arg, help="single knot color")
     group.add_argument("--colors", type=_vector_arg, help="one color per component")
@@ -161,10 +161,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_special)
 
     p = sub.add_parser("homfly-braid", help="framed invariant of a braid closure")
-    p.add_argument("--strands", type=int, required=True)
+    p.add_argument("--strands", type=integer, required=True)
     p.add_argument("--word", type=str, required=True, help='"s1 s2 s1^-1" or "1 2 -1"')
-    p.add_argument("--max-strands", type=int, default=None, help="raise the strand cap (default 8)")
-    p.add_argument("--max-word", type=int, default=None, help="raise the word length cap (default 64)")
+    p.add_argument("--max-strands", type=integer, default=None, help="raise the strand cap (default 8)")
+    p.add_argument("--max-word", type=integer, default=None, help="raise the word length cap (default 64)")
     p.set_defaults(func=_cmd_homfly_braid)
 
     p = sub.add_parser("verify", help="run a theorem verification sweep")

@@ -44,6 +44,7 @@ from operator import gt, index
 
 from .errors import IndexOutOfRange
 from .exact import LaurentQT, RationalQT, _brackets, _over_q, _unpack
+from .partitions import integer
 
 
 # -- permutations in one-line, zero-indexed form -----------------------
@@ -119,12 +120,12 @@ class BraidWord:
                     body = tok[1:]
                     if "^" in body:
                         idx, exp = body.split("^")
-                        sign = 1 if int(exp) > 0 else -1
-                        runs.append(((int(idx), sign), abs(int(exp))))
+                        sign = 1 if integer(exp) > 0 else -1
+                        runs.append(((integer(idx), sign), abs(integer(exp))))
                     else:
-                        runs.append(((int(body), 1), 1))
+                        runs.append(((integer(body), 1), 1))
                 else:
-                    v = int(tok)
+                    v = integer(tok)
                     runs.append(((abs(v), 1 if v > 0 else -1), 1))
             except ValueError:
                 raise ValueError(f"bad braid letter {tok!r}: write s2, s2^-1 or -2") from None

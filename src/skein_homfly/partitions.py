@@ -21,6 +21,17 @@ from math import factorial
 from operator import index
 
 
+def integer(text: str, signed: bool = True) -> int:
+    """The integer that text spells in ASCII digits, with whitespace around it
+    and, when signed, one leading '-'.  ValueError on '+', '_' separators and
+    other scripts' digits, all of which int() takes."""
+    s = text.strip()
+    digits = s[1:] if signed and s.startswith("-") else s
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer {text!r}: write ASCII digits")
+    return int(s)
+
+
 class Partition(tuple):
     """A weakly decreasing tuple of positive integers; () is empty.
 
@@ -49,7 +60,7 @@ class Partition(tuple):
             return cls(())
         if s.startswith("(") and s.endswith(")"):
             s = s[1:-1].strip()
-        return cls(int(p) for p in s.split(",")) if s else cls(())
+        return cls(integer(p, signed=False) for p in s.split(",")) if s else cls(())
 
     def __str__(self):
         if not self:

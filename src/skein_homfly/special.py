@@ -8,7 +8,8 @@ the t->1 limit generally does not exist at all.  H is the ratio of two
 leading q -> 1 coefficients: the torus value's, from the exact vanishing
 orders of its numerator and denominator, over the unknots' closed form;
 the dual is taken limit-first from a few classes of the torus class sum.
-Both share one rule for the other specs (``_per_component``).
+Both take a ``TorusLinkSpec``; the unknot and the unlinks are T(1, 0),
+where both limits are 1.
 
 Values in q that are symmetric under q -> 1/q can be re-expressed on the
 basis {1} and D_d = q^d + q^-d by greedy top-degree elimination; that is
@@ -23,7 +24,7 @@ from math import gcd, prod
 from .errors import LimitDoesNotExist, NonCoprime
 from .exact import LaurentQT, _brackets, _exact_div, _udiv, _umul, expand_series, q_bracket
 from .schur import class_sum_order
-from .torus import DisjointUnion, TorusLinkSpec, UnknotSpec, _torus_weights, colored_homfly
+from .torus import TorusLinkSpec, _torus_weights, colored_homfly
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,7 @@ class SpecialPolynomial:
     kind: str  # "H" or "delta"
     variable: str  # the surviving variable: "t" for H, "q" for delta
     value: LaurentQT  # the limit in the surviving variable
-    source: object
+    source: TorusLinkSpec
 
 
 def _H_torus(spec: TorusLinkSpec) -> LaurentQT:
@@ -55,19 +56,7 @@ def _H_torus(spec: TorusLinkSpec) -> LaurentQT:
     return _laurent_quotient(num, den, 1)
 
 
-def _per_component(spec, torus_value) -> LaurentQT:
-    """torus_value(spec) on a torus link, 1 on an unknot, the product of the
-    components' values on a disjoint union; TypeError on anything else."""
-    if isinstance(spec, TorusLinkSpec):
-        return torus_value(spec)
-    if isinstance(spec, UnknotSpec):
-        return LaurentQT.one()
-    if isinstance(spec, DisjointUnion):
-        return prod((_per_component(c, torus_value) for c in spec.components), start=LaurentQT.one())
-    raise TypeError(f"unsupported link spec: {spec!r}")
-
-
-def special_H(spec) -> SpecialPolynomial:
+def special_H(spec: TorusLinkSpec) -> SpecialPolynomial:
     """q->1 limit of the invariant over the unknot normalization.
 
     At q = 1 + d each bracket [p] is 2pd + O(d^2), so prod s*_A has a pole
@@ -75,10 +64,10 @@ def special_H(spec) -> SpecialPolynomial:
     coefficient prod (t - t^-1)^|A| / (prod h(A) 2^|A|).  The value is the
     torus value's d^a coefficient (from the exact vanishing orders of its
     numerator and denominator) over that one; a stronger pole raises
-    LimitDoesNotExist, a weaker one gives zero.  A disjoint union gives the
-    product of its components' values.
+    LimitDoesNotExist, a weaker one gives zero.  TypeError on anything but
+    a TorusLinkSpec.
     """
-    return SpecialPolynomial("H", "t", _per_component(spec, _H_torus), spec)
+    return SpecialPolynomial("H", "t", _H_torus(spec), spec)
 
 
 def _delta_torus(spec: TorusLinkSpec) -> LaurentQT:
@@ -107,17 +96,18 @@ def _laurent_quotient(num: dict, den: dict, idx: int) -> LaurentQT:
     return LaurentQT._of({((e, 0) if idx == 0 else (0, e)): c for e, c in out.items()})
 
 
-def special_delta(spec) -> SpecialPolynomial:
+def special_delta(spec: TorusLinkSpec) -> SpecialPolynomial:
     """t->1 limit of the invariant over the unknot normalization, limit-first.
 
     At t = e^h the unknot s*_A vanishes to order d(A), its Durfee size: the
     value is [h^k] V / prod [h^d(A)] s*_A, k = sum d(A), V the torus class
     sum with the prefactor's q-power in its weights, from the classes with
     at most k parts.  A link whose lower orders do not vanish raises
-    LimitDoesNotExist; a disjoint union gives the product of its components'
-    values.
+    LimitDoesNotExist.  TypeError on anything but a TorusLinkSpec.
     """
-    return SpecialPolynomial("delta", "q", _per_component(spec, _delta_torus), spec)
+    if not isinstance(spec, TorusLinkSpec):
+        raise TypeError(f"unsupported link spec: {spec!r}")
+    return SpecialPolynomial("delta", "q", _delta_torus(spec), spec)
 
 
 def alexander_torus(m: int, n: int, d: int = 1) -> LaurentQT:

@@ -1,4 +1,4 @@
-"""Colored HOMFLY polynomials of torus links and disjoint unions.
+"""Colored HOMFLY polynomials of torus links.
 
 For the torus link on m*L strands closed after n*L elementary twists
 (components are (m, n) torus knots, gcd(m, n) = 1) the invariant colored
@@ -10,6 +10,10 @@ by partitions A^1..A^L is
 where C^mu are the plethysm coefficients and k_mu the framing exponent.
 Every twist exponent (n/m) k_mu with C^mu != 0 is an integer, term by term
 (``_torus_weights``), so the class sums see integer q-exponents only.
+
+The torus links are the package's one link type: T(1, 0) is the unknot,
+``TorusLinkSpec(1, 0, 1, (A,))`` gives s*_A, and ``TorusLinkSpec(1, 0, L,
+colors)`` is the L-component unlink, the product of its unknots' values.
 """
 
 from __future__ import annotations
@@ -17,11 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from operator import index
 
 from .errors import IntegralityViolation, NonCoprime
 from .exact import RationalQT, delta
 from .partitions import Partition, PartitionVector
-from .schur import character_bracket_sum, plethysm_coefficients, unknot_value
+from .schur import character_bracket_sum, plethysm_coefficients
 
 
 @dataclass(frozen=True)
@@ -34,6 +39,8 @@ class TorusLinkSpec:
     colors: PartitionVector
 
     def __post_init__(self):
+        for name in ("m", "n", "L"):
+            object.__setattr__(self, name, index(getattr(self, name)))
         colors = tuple(self.colors)
         if self.m < 1:
             raise ValueError("m must be a positive integer")
@@ -43,9 +50,6 @@ class TorusLinkSpec:
             raise ValueError("need exactly L colors")
         object.__setattr__(self, "colors", PartitionVector(colors))
 
-    def all_colors(self) -> tuple:
-        return self.colors
-
     def conjugate_colors(self) -> "TorusLinkSpec":
         return TorusLinkSpec(self.m, self.n, self.L, self.colors.conjugate())
 
@@ -54,61 +58,11 @@ class TorusLinkSpec:
 
 
 @dataclass(frozen=True)
-class UnknotSpec:
-    """Zero-framed unknot with one color; kept distinct from torus specs."""
-
-    colors: PartitionVector
-
-    def __post_init__(self):
-        colors = tuple(self.colors)
-        if len(colors) != 1:
-            raise ValueError("the unknot has one component")
-        object.__setattr__(self, "colors", PartitionVector(colors))
-
-    L = 1
-
-    def all_colors(self) -> tuple:
-        return self.colors
-
-    def conjugate_colors(self) -> "UnknotSpec":
-        return UnknotSpec(self.colors.conjugate())
-
-    def __str__(self):
-        return f"unknot[{self.colors[0]}]"
-
-
-@dataclass(frozen=True)
-class DisjointUnion:
-    """Split union of knots, each carrying its own color."""
-
-    components: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        for c in self.components:
-            if c.L != 1:
-                raise ValueError("disjoint unions are built from knots (L = 1)")
-
-    @property
-    def L(self):
-        return len(self.components)
-
-    def all_colors(self) -> tuple:
-        return tuple(c.all_colors()[0] for c in self.components)
-
-    def conjugate_colors(self) -> "DisjointUnion":
-        return DisjointUnion(tuple(c.conjugate_colors() for c in self.components))
-
-    def __str__(self):
-        return " u ".join(str(c) for c in self.components)
-
-
-@dataclass(frozen=True)
 class ColoredInvariant:
     """An exact colored invariant value together with the link it belongs to."""
 
     value: RationalQT
-    spec: object
+    spec: TorusLinkSpec
 
 
 def _torus_weights(m: int, n: int, colors: tuple):
@@ -141,33 +95,14 @@ def _torus_value(m: int, n: int, colors: tuple) -> RationalQT:
     return character_bracket_sum(n_total, weights, colors, te)
 
 
-def colored_homfly_torus(spec: TorusLinkSpec) -> ColoredInvariant:
+def colored_homfly(spec: TorusLinkSpec) -> ColoredInvariant:
     """Colored invariant of a torus link from the plethysm expansion."""
+    if not isinstance(spec, TorusLinkSpec):
+        raise TypeError(f"unsupported link spec: {spec!r}")
     return ColoredInvariant(_torus_value(spec.m, spec.n, spec.colors), spec)
 
 
-def colored_homfly_unknot(spec: UnknotSpec) -> ColoredInvariant:
-    return ColoredInvariant(unknot_value(spec.colors[0]), spec)
-
-
-def colored_homfly_disjoint_union(knots) -> ColoredInvariant:
-    """Product formula for a split union of colored knots."""
-    knots = tuple(knots)
-    value = RationalQT.one()
-    for k in knots:
-        value = value * colored_homfly(k).value
-    return ColoredInvariant(value, DisjointUnion(knots))
-
-
-def colored_homfly(spec) -> ColoredInvariant:
-    """Dispatch on the spec variant."""
-    if isinstance(spec, TorusLinkSpec):
-        return colored_homfly_torus(spec)
-    if isinstance(spec, UnknotSpec):
-        return colored_homfly_unknot(spec)
-    if isinstance(spec, DisjointUnion):
-        return colored_homfly_disjoint_union(spec.components)
-    raise TypeError(f"unsupported link spec: {spec!r}")
+colored_homfly_torus = colored_homfly
 
 
 def uncolored_homfly_torus_knot(m: int, n: int):

@@ -173,7 +173,7 @@ def special_H_full_route(spec) -> LaurentQT:
     """q->1 limit of the invariant over the unknot normalization, by series
     expansion of the full two-variable ratio."""
     den = RationalQT.one()
-    for a in spec.all_colors():
+    for a in spec.colors:
         den = den * unknot_value(a)
     return limit_at_one((colored_homfly(spec).value / den).simplified(), "q").as_laurent()
 

@@ -200,6 +200,14 @@ def test_non_integer_max_n_exit_two(monkeypatch, capsys):
     assert err == "error: ValueError: SKEIN_HOMFLY_MAX_N must be an integer, got 'twelve'\n"
 
 
+def test_max_n_takes_ascii_digits_only(monkeypatch, capsys):
+    for raw in ("1_3", "+13", "\u0661\u0663"):
+        monkeypatch.setenv("SKEIN_HOMFLY_MAX_N", raw)
+        code, out, err = run_cli(capsys, "characters", "--n", "3")
+        assert code == 2 and out == ""
+        assert err == f"error: ValueError: SKEIN_HOMFLY_MAX_N must be an integer, got {raw!r}\n"
+
+
 def test_missing_grid_file_exit_two(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     code, out, err = run_cli(capsys, "verify", "--theorem", "lemma73", "--grid", missing)
@@ -263,6 +271,28 @@ def _exit_code(capsys, argv):
         code = e.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("token", ["1_0", "+1", "\u0663", "\uff11"])
+def test_numerals_other_than_ascii_digits_exit_two(capsys, token):
+    # int() reads each of these; argparse rejects them as usage errors
+    for argv in (
+        ["torus", "--m", "2", "--n", "3", "--components", "1", "--colors", f"({token})"],
+        ["unknot", "--color", f"(2,{token})"],
+        ["torus", "--m", token, "--n", "3", "--components", "1", "--colors", "(1)"],
+        ["homfly-braid", "--strands", token, "--word", "1"],
+        ["characters", "--n", token],
+    ):
+        code, out, err = _exit_code(capsys, argv)
+        assert code == 2, argv
+        assert out == "" and "invalid integer" in err, argv
+
+
+def test_negative_integer_options_still_parse(capsys):
+    code, out, _ = _exit_code(capsys, ["torus", "--m", "2", "--n", "-3", "--components", "1", "--colors", "(1)"])
+    assert code == 0 and out
+    code, out, _ = _exit_code(capsys, ["homfly-braid", "--strands", " 2 ", "--word", "-1"])
+    assert code == 0 and out
 
 
 def test_parser_shared_across_calls(capsys):

@@ -230,6 +230,14 @@ def test_braid_word_strands_must_be_an_integer():
     assert normalized_homfly_of_closure(word) == RationalQT.one()
 
 
+def test_braid_text_takes_ascii_digits_only():
+    # int() would read each: a sign, a separator, Arabic-Indic and fullwidth digits
+    for text in ("s1^+1", "+1", "s1_0", "1_0", "\u0661", "s\u0661", "s1^-\u0661", "-\uff11"):
+        with pytest.raises(ValueError, match="^bad braid letter"):
+            BraidWord.parse(3, text)
+    assert BraidWord.parse(3, " s2^-1  -1 ").letters == ((2, -1), (1, -1))
+
+
 def test_braid_word_power_checked_before_expansion():
     # the power is counted against the cap, not built letter by letter first
     tracemalloc.start()

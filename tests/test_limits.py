@@ -15,7 +15,7 @@ from skein_homfly.special import (
     special_H,
     special_delta,
 )
-from skein_homfly.torus import DisjointUnion, TorusLinkSpec, UnknotSpec, colored_homfly
+from skein_homfly.torus import TorusLinkSpec, colored_homfly
 
 P = Partition
 
@@ -43,13 +43,18 @@ def test_H_two_box_is_square():
 
 def test_H_unknot_is_one():
     for lam in (P((1,)), P((2, 1)), P((3, 2))):
-        assert special_H(UnknotSpec((lam,))).value == LaurentQT.one()
+        assert special_H(TorusLinkSpec(1, 0, 1, (lam,))).value == LaurentQT.one()
 
 
-def test_H_multiplicative_on_disjoint_unions():
-    union = DisjointUnion((TREFOIL, UnknotSpec((P((2,)),))))
-    got = special_H(union).value
-    assert got == H1_TREFOIL  # unknot factor contributes 1
+def test_special_polynomials_are_one_on_unlinks():
+    # T(1*L, 0) is the L-component unlink: both limits are exactly 1
+    colors = [P((1,)), P((2,)), P((1, 1)), P((2, 1))]
+    vectors = [(a, b) for a in colors for b in colors]
+    vectors += [(P((1,)), P((2,)), P((1, 1))), (P((2, 1)), P((3, 2)), P((2, 2)))]
+    for vec in vectors:
+        spec = TorusLinkSpec(1, 0, len(vec), vec)
+        assert special_H(spec).value.terms == {(0, 0): 1}, str(spec)
+        assert special_delta(spec).value.terms == {(0, 0): 1}, str(spec)
 
 
 def test_H_of_single_box_links_is_one():
@@ -91,9 +96,8 @@ def _H_differential_specs():
         for b in link_colors
     ]
     specs.append(TorusLinkSpec(1, 2, 3, (P((1,)), P((2,)), P((1, 1)))))
-    union = (TorusLinkSpec(2, 3, 1, (P((2, 1)),)), TorusLinkSpec(3, 2, 1, (P((2,)),)), UnknotSpec((P((1, 1)),)))
-    specs.append(DisjointUnion(union))
-    specs.append(UnknotSpec((P((2, 2)),)))
+    specs.append(TorusLinkSpec(1, 0, 3, (P((2, 1)), P((2,)), P((1, 1)))))
+    specs.append(TorusLinkSpec(1, 0, 1, (P((2, 2)),)))
     return specs
 
 
@@ -112,6 +116,8 @@ def test_H_never_builds_the_ratio(monkeypatch):
         TorusLinkSpec(3, 4, 1, (P((2, 1)),)),
         TorusLinkSpec(2, 3, 2, (P((1,)), P((2,)))),
         TorusLinkSpec(2, -3, 1, (P(()),)),
+        TorusLinkSpec(1, 0, 2, (P((2, 1)), P((3,)))),
+        TorusLinkSpec(1, 0, 1, (P((2, 1)),)),
     ]
     for spec in specs:
         colored_homfly(spec)
@@ -125,8 +131,7 @@ def test_H_never_builds_the_ratio(monkeypatch):
     assert not hasattr(special_mod, "limit_at_one")
     for spec in specs:
         assert isinstance(special_H(spec).value, LaurentQT)
-    special_H(DisjointUnion((specs[0], UnknotSpec((P((3,)),)))))
-    assert special_H(UnknotSpec((P((2, 1)),))).value == LaurentQT.one()
+    assert special_H(specs[-1]).value == LaurentQT.one()
 
 
 def test_H_quotient_that_is_not_laurent_keeps_its_error(monkeypatch):
@@ -139,8 +144,9 @@ def test_H_quotient_that_is_not_laurent_keeps_its_error(monkeypatch):
 
 
 def test_special_polynomials_reject_unsupported_specs():
-    # neither a partition, nor text, nor a foreign component inside a union
-    for spec in (P((2, 1)), "T(2,3)", DisjointUnion((TREFOIL, SimpleNamespace(L=1)))):
+    # neither a partition, nor text, nor a foreign object with a spec's fields
+    foreign = SimpleNamespace(m=2, n=3, L=1, colors=(P((1,)),))
+    for spec in (P((2, 1)), "T(2,3)", foreign):
         for special in (special_H, special_delta):
             with pytest.raises(TypeError, match="unsupported link spec"):
                 special(spec)
@@ -190,7 +196,7 @@ def test_delta_limit_missing_for_links():
 def _delta_full_route(spec):
     # the t -> 1 limit of the whole two-variable ratio, by series expansion
     ratio = colored_homfly(spec).value
-    for a in spec.all_colors():
+    for a in spec.colors:
         ratio = ratio / unknot_value(a)
     return limit_at_one(ratio.simplified(), "t").as_laurent()
 
@@ -208,9 +214,8 @@ def _differential_specs():
         for a in link_colors
         for b in link_colors
     ]
-    union = (TorusLinkSpec(2, 3, 1, (P((2, 1)),)), TorusLinkSpec(3, 2, 1, (P((2,)),)), UnknotSpec((P((1, 1)),)))
-    specs.append(DisjointUnion(union))
-    specs.append(UnknotSpec((P((2, 2)),)))
+    specs.append(TorusLinkSpec(1, 0, 3, (P((2, 1)), P((2,)), P((1, 1)))))
+    specs.append(TorusLinkSpec(1, 0, 1, (P((2, 2)),)))
     return specs
 
 
@@ -243,8 +248,8 @@ def test_delta_never_builds_the_torus_value(monkeypatch):
         monkeypatch.setattr(module, name, forbidden)
     knot = TorusLinkSpec(3, 5, 1, (P((2, 1, 1)),))
     special_delta(knot)
-    special_delta(DisjointUnion((knot, UnknotSpec((P((3,)),)))))
-    special_delta(UnknotSpec((P((2, 1)),)))
+    special_delta(TorusLinkSpec(1, 0, 2, (P((2, 1, 1)), P((3,)))))
+    assert special_delta(TorusLinkSpec(1, 0, 1, (P((2, 1)),))).value == LaurentQT.one()
     with pytest.raises(LimitDoesNotExist):
         special_delta(TorusLinkSpec(1, 2, 2, (P((2,)), P((1,)))))
 

@@ -12,9 +12,9 @@ from hypothesis import given, strategies as st
 import skein_homfly
 import skein_homfly.partitions as partitions_module
 from skein_homfly.characters import character, hook_character_identity
-from skein_homfly.partitions import EMPTY, Partition, PartitionVector, partitions_of
+from skein_homfly.partitions import EMPTY, Partition, PartitionVector, integer, partitions_of
 from skein_homfly.schur import plethysm_coefficients, unknot_value
-from skein_homfly.torus import TorusLinkSpec, UnknotSpec, _torus_value, colored_homfly
+from skein_homfly.torus import TorusLinkSpec, _torus_value, colored_homfly
 
 
 @st.composite
@@ -109,6 +109,27 @@ def test_text_forms():
     assert Partition.parse("(3,1,1)") == Partition((3, 1, 1))
     assert Partition.parse("[]") == EMPTY
     assert Partition.parse("()") == EMPTY
+    assert Partition.parse(" ( 3 , 1 ) ") == Partition((3, 1))
+
+
+# int() reads each of these, and each spells a different number than its
+# ASCII look, or none: a separator, a sign, Arabic-Indic and fullwidth digits
+NOT_ASCII_DIGITS = ("1_0", "+1", "\u0663", "\uff11", "-\u0663", "1\u0660")
+
+
+def test_numerals_are_ascii_digits_only():
+    assert integer(" 12 ") == 12 and integer("-3") == -3
+    assert integer("7", signed=False) == 7
+    for token in NOT_ASCII_DIGITS + ("", "-", "--1", "1.0", "0x1"):
+        with pytest.raises(ValueError, match="invalid integer"):
+            integer(token)
+    with pytest.raises(ValueError, match="invalid integer"):
+        integer("-3", signed=False)
+    for token in NOT_ASCII_DIGITS + ("-1",):
+        with pytest.raises(ValueError, match="invalid integer"):
+            Partition.parse(f"({token})")
+        with pytest.raises(ValueError, match="invalid integer"):
+            PartitionVector.parse(f"(2);(1,{token})")
 
 
 def test_invalid_partitions_rejected():
@@ -212,7 +233,7 @@ from skein_homfly import *
 for value in (
     colored_homfly(TorusLinkSpec(2, 3, 1, (P((2,)),))).value,
     colored_homfly(TorusLinkSpec(1, 2, 2, (P((2,)), P((1, 1))))).value,
-    colored_homfly(UnknotSpec((P((2, 1)),))).value,
+    colored_homfly(TorusLinkSpec(1, 0, 1, (P((2, 1)),))).value,
     unknot_value(P((2, 1))),
     plethysm_coefficients(2, (P((1,)),)),
     character(P((2, 1)), P((1, 1, 1))),
@@ -246,12 +267,11 @@ def test_plain_tuples_are_checked_as_partitions():
     spec = TorusLinkSpec(2, 3, 1, ((2, 1),))
     assert type(spec.colors) is PartitionVector and type(spec.colors[0]) is Partition
     assert TorusLinkSpec(2, 3, 1, ((3, 1),)).conjugate_colors().colors == ((2, 1, 1),)
-    assert UnknotSpec(((2,),)).conjugate_colors().colors == ((1, 1),)
+    assert TorusLinkSpec(1, 0, 2, ((2,), (1,))).conjugate_colors().colors == ((1, 1), (1,))
     rising = r"^parts not weakly decreasing: \(1, 2\)$"
     for call in (
         lambda: PartitionVector(((1, 2),)),
         lambda: TorusLinkSpec(2, 3, 1, ((1, 2),)),
-        lambda: UnknotSpec(((1, 2),)),
         lambda: unknot_value((1, 2)),
         lambda: plethysm_coefficients(2, ((1, 2),)),
         lambda: character((1, 2), (2, 1)),

@@ -7,13 +7,9 @@ from skein_homfly.partitions import Partition, partitions_of
 from skein_homfly.schur import unknot_value
 from skein_homfly.torus import (
     ColoredInvariant,
-    DisjointUnion,
     TorusLinkSpec,
-    UnknotSpec,
     colored_homfly,
-    colored_homfly_disjoint_union,
     colored_homfly_torus,
-    colored_homfly_unknot,
     uncolored_homfly_torus_knot,
 )
 
@@ -133,13 +129,32 @@ def test_color_count_checked():
         TorusLinkSpec(2, 3, 2, (P((1,)),))
 
 
-# -- unknot paths ----------------------------------------------------------
+# -- the unknot and the unlinks are T(1, 0) ---------------------------------
+
+
+def test_torus_specs_check_their_integers():
+    with pytest.raises(TypeError):
+        TorusLinkSpec(2, 3, 1.0, (P((1,)),))
+    with pytest.raises(TypeError):
+        TorusLinkSpec(2.0, 3, 1, (P((1,)),))
+    spec = TorusLinkSpec(2, 3, True, (P((1,)),))
+    assert type(spec.L) is int
+    assert str(spec) == "T(2*1,3*1)[(1)]"
+
+
+def test_one_evaluation_for_every_spec():
+    assert colored_homfly_torus is colored_homfly
+    for spec in (P((2, 1)), "T(2,3)", None):
+        with pytest.raises(TypeError, match="unsupported link spec"):
+            colored_homfly(spec)
 
 
 def test_unknot_spec_matches_unknot_value():
-    spec = UnknotSpec((P((2, 1)),))
-    assert colored_homfly_unknot(spec).value == unknot_value(P((2, 1)))
-    assert colored_homfly(spec).value == unknot_value(P((2, 1)))
+    for lam in (lam for d in range(1, 6) for lam in partitions_of(d)):
+        w = colored_homfly(TorusLinkSpec(1, 0, 1, (lam,))).value
+        s = unknot_value(lam)
+        assert w == s, lam
+        assert (w.num.terms, w.den.terms) == (s.num.terms, s.den.terms), lam
 
 
 def test_degenerate_torus_spec_matches_unknot():
@@ -148,39 +163,21 @@ def test_degenerate_torus_spec_matches_unknot():
         assert w == unknot_value(lam)
 
 
+def test_unlinks_are_products_of_unknots():
+    for colors in ((P((1,)), P((1,))), (P((2,)), P((1, 1))), (P((1,)), P((2,)), P((1, 1))), (P((2, 1)),) * 3):
+        w = colored_homfly(TorusLinkSpec(1, 0, len(colors), colors)).value
+        product = RationalQT.one()
+        for a in colors:
+            product = product * unknot_value(a)
+        assert w == product, colors
+    assert colored_homfly(TorusLinkSpec(1, 0, 2, (P((1,)), P((1,))))).value == delta() * delta()
+
+
 def test_framing_independence_of_unknot_family():
     # T(1, n) is an unknot for every n; the normalization must kill the twist
     for n in (-2, -1, 1, 2, 5):
         w = colored_homfly_torus(TorusLinkSpec(1, n, 1, (P((2, 1)),))).value
         assert w == unknot_value(P((2, 1)))
-
-
-# -- disjoint unions ---------------------------------------------------------
-
-
-def test_disjoint_union_of_unknots():
-    one = UnknotSpec((P((1,)),))
-    inv = colored_homfly_disjoint_union((one, one))
-    assert inv.value == delta() * delta()
-
-
-def test_disjoint_union_product():
-    a = TorusLinkSpec(2, 3, 1, (P((1,)),))
-    b = UnknotSpec((P((2,)),))
-    union = colored_homfly_disjoint_union((a, b))
-    assert union.value == colored_homfly_torus(a).value * unknot_value(P((2,)))
-    assert union.spec.all_colors() == (P((1,)), P((2,)))
-
-
-def test_disjoint_union_singleton():
-    a = TorusLinkSpec(2, 3, 1, (P((1,)),))
-    assert colored_homfly_disjoint_union((a,)).value == colored_homfly_torus(a).value
-
-
-def test_disjoint_union_rejects_links():
-    hopf = TorusLinkSpec(1, 1, 2, (P((1,)), P((1,))))
-    with pytest.raises(ValueError):
-        DisjointUnion((hopf,))
 
 
 # -- cross checks against the trace oracle -----------------------------------
