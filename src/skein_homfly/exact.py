@@ -30,7 +30,8 @@ LaurentQT into one dict per exponent of the other variable; ``_unslice``
 rebuilds its term dict.  ``_over_q`` is the reduction the class sums and the
 Markov traces share: t-slices over a q-only denominator, ``_cancel``, one
 RationalQT.  Both build those slices from Kronecker-packed ints, one signed
-fixed-width slot per exponent, which ``_unpack`` cuts back into coefficients.
+fixed-width slot per exponent, which ``_unpack`` cuts back into coefficients
+and ``_packed_div`` divides by a known factor (a hook cofactor, z^(n - L)).
 """
 
 from __future__ import annotations
@@ -652,6 +653,19 @@ def _unpack(x: int, size: int) -> list:
     x += int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
     raw, half = x.to_bytes(count * size, "little"), 1 << (8 * size - 1)
     return [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, count * size, size)]
+
+
+def _packed_div(x: int, c: int, l1: int, size: int):
+    """The size-byte slots of x / c when c divides x and no slot of the
+    quotient times c can overflow (max |slot| * l1 < 2^(8 size - 1), l1 the
+    sum of |coefficients| of c); else None.  Then the unpacked quotient P
+    has P(B) c(B) = x with no carry between slots, so P * c is x's slots as
+    a polynomial."""
+    quot, rem = divmod(x, c)
+    if rem:
+        return None
+    slots = _unpack(quot, size)
+    return slots if max(map(abs, slots)) * l1 < 1 << (8 * size - 1) else None
 
 
 def _div_slices(slices: dict, divisor: dict):

@@ -13,10 +13,13 @@ pinned by the two anchors <unknot> = delta and <positive kink> = t*delta.
 Since z * delta = t - t^-1, ``_trace_perm`` keeps z^(n-1) * tr_n(w_pi) / delta,
 a Laurent polynomial that is 1 on one strand.  The framed closure is
 (t - t^-1) sum_pi c_pi U_pi over z^n and the normalized one
-t^(-writhe) sum_pi c_pi U_pi over z^(n-1); each builds one RationalQT at
-the end through ``exact._over_q``, with no delta and no RationalQT
-division.  This path never touches the plethysm machinery, so it
-cross-validates the torus formula on uncolored specializations.
+t^(-writhe) sum_pi c_pi U_pi over z^(n-1).  An L-component link's HOMFLY
+polynomial lies in z^(1 - L) Z[v^+-1, z] (Lickorish-Millett, Topology 26,
+1987), so ``_closure`` divides z^(n - L) out of the sum, L the cycles of
+the braid's permutation, and each closure builds one RationalQT over z^L
+or z^(L-1) through ``exact._over_q``: no delta, no RationalQT division, no
+trial division by z.  This path never touches the plethysm machinery, so
+it cross-validates the torus formula on uncolored specializations.
 
 Inside, the structure constants involve q alone, so a braid's image has
 coefficients in Z[q, q^-1], each Kronecker-packed into one int (as the
@@ -27,12 +30,13 @@ and a subtraction, ``_trace_perm`` keeps each t-slice of U_pi as one int,
 and the trace is one big-int product per permutation and t-slice of U_pi.
 The slot width comes from a proved bound (``_slot_size``): one letter at
 most triples an element's l1 norm, and ``_trace_perm`` bounds l1(U_pi), so
-no coefficient can overflow its slot.  At the end ``exact._unpack`` cuts
-each t-slice back into the {t-exponent: {q-exponent: int}} slices that
-``exact._over_q`` takes.  LaurentQT stays at the boundary:
-``HeckeElement`` and ``element_of_braid`` carry LaurentQT coefficients,
-and ``markov_trace`` packs each t-slice of its argument's coefficients
-once.
+no coefficient of the sum, nor of its quotient by z^(n - L), can overflow
+its slot.  ``exact._packed_div`` divides a t-slice by z^(n - L) in one
+divmod and ``exact._unpack`` cuts it back into the {t-exponent:
+{q-exponent: int}} slices that ``exact._over_q`` takes.  LaurentQT stays
+at the boundary: ``HeckeElement`` and ``element_of_braid`` carry LaurentQT
+coefficients, and ``markov_trace`` packs each t-slice of its argument's
+coefficients once.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from itertools import combinations, starmap
 from operator import gt, index
 
 from .errors import IndexOutOfRange
-from .exact import LaurentQT, RationalQT, _brackets, _over_q, _unpack
+from .exact import LaurentQT, RationalQT, _brackets, _over_q, _packed_div, _unpack
 from .partitions import integer
 
 
@@ -251,7 +255,14 @@ def _slot_size(l1: int, n: int) -> int:
 
     Every coefficient of (t - t^-1) sum_pi c_pi U_pi is at most
     2 * l1 * max_pi l1(U_pi), and l1(U_pi) <= 2^(n-1) 3^((n-1)(n-2)/2)
-    (``_trace_perm``); the slot holds that bound with a sign bit.
+    (``_trace_perm``); the slot holds that bound with a sign bit.  So does
+    it hold a braid closure's quotient by z^k, k = n - L, times the l1 norm
+    2^k of z^k, as ``exact._packed_div``'s check needs: a word's c_pi is a
+    sum over paths of +-z^b, b the letters where the term stayed, and such
+    a path ends on a pi with at most L + b cycles c, so by ``_trace_perm``'s
+    bound on 2^(n-c) l1(U_pi / z^(n-c)) its term over z^k has l1 at most
+    2^(b-k) 2^(n-1) 3^((n-1)(n-2)/2), where the sum over paths of 2^b is at
+    most 3^letters.
     """
     bound = 2 * l1 * 2 ** (n - 1) * 3 ** ((n - 1) * (n - 2) // 2)
     return (bound.bit_length() // 64 + 1) * 8
@@ -266,20 +277,11 @@ def _t_bracket(slices: dict) -> dict:
     return {te: x for te, x in out.items() if x}
 
 
-def _unpacked(n: int, slices: dict, size: int, low: int, t_shift: int = 0) -> dict:
-    """Nonzero t-slices from ``_fold`` on n strands, of coefficients whose
-    slot 0 held q^low, cut into the {t-exponent: {q-exponent: int}} slices
-    that ``exact._over_q`` takes, each t-exponent moved by t_shift."""
-    low -= n * (n - 1) // 2
-    return {
-        te + t_shift: {low + k: v for k, v in enumerate(_unpack(x, size)) if v} for te, x in slices.items()
-    }
-
-
-def _framed(n: int, total: dict, size: int, low: int) -> RationalQT:
-    """(t - t^-1) total over z^n: the framed closure, total as in
-    ``_unpacked``."""
-    return _over_q(_unpacked(n, _t_bracket(total), size, low), _brackets({1: n}))
+def _sliced(slots: dict, low: int, t_shift: int = 0) -> dict:
+    """{t-exponent: slot list}, slot 0 holding q^low, as the nonzero
+    {t-exponent: {q-exponent: int}} slices that ``exact._over_q`` takes,
+    each t-exponent moved by t_shift."""
+    return {te + t_shift: {low + k: v for k, v in enumerate(s) if v} for te, s in slots.items()}
 
 
 # -- the Markov trace --------------------------------------------------
@@ -299,7 +301,10 @@ def _trace_perm(n: int, pi: tuple, size: int) -> dict:
     strands (each letter at most triples l1 and moves an exponent by one)
     and multiplies by t * z.  The largest l1 is 1, 2, 8, 32, 128, 512 for
     n = 1..6.  The size must hold the bound with a sign bit, as every
-    ``_slot_size`` does.
+    ``_slot_size`` does.  The same induction bounds 2^(n-c) l1(U_pi / z^(n-c)),
+    c the cycles of pi, which is at least l1(U_pi): a folded term z^b U_sigma
+    has cycles c(sigma) <= c(pi) + b, since dropping a letter from a word
+    moves its permutation's cycle count by one, so it keeps z^(n-c(pi)).
     """
     if n == 1:
         return {0: 1}
@@ -337,7 +342,8 @@ def _fold(n: int, terms: dict, size: int) -> dict:
 def markov_trace(x: HeckeElement) -> RationalQT:
     """Framed invariant of the closure of x, extended linearly: each t-slice
     of the coefficients is packed once, from their lowest q-exponent, in
-    slots sized by their l1 norm, and folded."""
+    slots sized by their l1 norm, and folded; with no component count to
+    divide by, (t - t^-1) times the sum goes over z^n."""
     n, coeffs = x.n, x.terms.values()
     low = min((qe for c in coeffs for qe, _ in c.terms), default=0)
     size = _slot_size(sum(abs(v) for c in coeffs for v in c.terms.values()), n)
@@ -351,19 +357,40 @@ def markov_trace(x: HeckeElement) -> RationalQT:
     for tc, row in rows.items():
         for te, y in _fold(n, row, size).items():
             total[te + tc] = total.get(te + tc, 0) + y
-    return _framed(n, total, size, low)
+    slots = {te: _unpack(y, size) for te, y in _t_bracket(total).items()}
+    return _over_q(_sliced(slots, low - n * (n - 1) // 2), _brackets({1: n}))
+
+
+def _closure(w: BraidWord, framed: bool) -> RationalQT:
+    """A closure of w with L components, the cycles of its permutation:
+    z^(n - L) = q^(L - n) (X^2 - 1)^(n - L) leaves each t-slice of
+    sum_pi c_pi U_pi (times t - t^-1 when framed, else times t^-writhe) in
+    one big-int division, and the rest goes over z^L (z^(L-1)).  The slots
+    hold the quotient (``_slot_size``), so ``_packed_div`` always returns it;
+    a sum it does not divide is an ArithmeticError."""
+    n, perm = w.strands, list(range(w.strands))
+    for i, _ in w.letters:
+        perm[i - 1], perm[i] = perm[i], perm[i - 1]
+    k = n - perm_cycle_count(perm)
+    terms, size = _word_terms(w)
+    total = _fold(n, terms, size)
+    if framed:
+        total = _t_bracket(total)
+    c = ((1 << (16 * size)) - 1) ** k
+    slots = {te: _packed_div(x, c, 1 << k, size) for te, x in total.items()}
+    if None in slots.values():
+        raise ArithmeticError(f"z^{k} does not divide the closure of {w}")
+    slices = _sliced(slots, k - len(w.letters) - n * (n - 1) // 2, 0 if framed else -w.writhe)
+    return _over_q(slices, _brackets({1: n - k if framed else n - k - 1}))
 
 
 def framed_homfly_of_closure(w: BraidWord) -> RationalQT:
     """Bracket of the braid closure: the Markov trace of its Hecke image,
-    (t - t^-1) sum_pi c_pi U_pi over z^n."""
-    terms, size = _word_terms(w)
-    return _framed(w.strands, _fold(w.strands, terms, size), size, -len(w.letters))
+    (t - t^-1) sum_pi c_pi U_pi over z^n, z^(n - L) divided out first."""
+    return _closure(w, True)
 
 
 def normalized_homfly_of_closure(w: BraidWord) -> RationalQT:
     """Writhe-corrected invariant divided by the unknot value:
-    t^(-writhe) sum_pi c_pi U_pi over z^(n-1)."""
-    n, (terms, size) = w.strands, _word_terms(w)
-    total = _unpacked(n, _fold(n, terms, size), size, -len(w.letters), -w.writhe)
-    return _over_q(total, _brackets({1: n - 1}))
+    t^(-writhe) sum_pi c_pi U_pi over z^(n-1), z^(n - L) divided out first."""
+    return _closure(w, False)

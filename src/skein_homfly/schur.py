@@ -34,7 +34,7 @@ from operator import sub
 
 from .characters import _beta_mask, _char
 from .errors import IntegralityViolation
-from .exact import RationalQT, _brackets, _over_q, _umul, _unpack
+from .exact import RationalQT, _brackets, _over_q, _packed_div, _umul, _unpack
 from .partitions import Partition, partitions_of
 
 
@@ -106,19 +106,6 @@ def _hook_cofactor(n: int, hooks: tuple) -> tuple:
     coeffs = _unpack(prod(((1 << (8 * size * k)) - 1) ** e for k, e in powers.items()), size)
     low = -sum(k * e for k, e in powers.items())
     return _digits(coeffs, size), low, sum(map(abs, coeffs)), _brackets(mult)
-
-
-def _packed_div(x: int, c: int, l1: int, size: int):
-    """The size-byte slots of x / c when c divides x and no slot of the
-    quotient times c can overflow (max |slot| * l1 < 2^(8 size - 1), l1 the
-    sum of |coefficients| of c); else None.  Then the unpacked quotient P
-    has P(B) c(B) = x with no carry between slots, so P * c is x's slots as
-    a polynomial."""
-    quot, rem = divmod(x, c)
-    if rem:
-        return None
-    slots = _unpack(quot, size)
-    return slots if max(map(abs, slots)) * l1 < 1 << (8 * size - 1) else None
 
 
 def character_bracket_sum(n: int, weights, colors, t_shift: int = 0) -> RationalQT:

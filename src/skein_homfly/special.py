@@ -19,12 +19,13 @@ the display form used for the non-hook counterexample.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, prod
 
 from .errors import LimitDoesNotExist, NonCoprime
 from .exact import LaurentQT, _brackets, _exact_div, _udiv, _umul, expand_series, q_bracket
 from .schur import class_sum_order
-from .torus import TorusLinkSpec, _torus_weights, colored_homfly
+from .torus import TorusLinkSpec, _torus_value, _torus_weights
 
 
 @dataclass(frozen=True)
@@ -37,11 +38,13 @@ class SpecialPolynomial:
     source: TorusLinkSpec
 
 
-def _H_torus(spec: TorusLinkSpec) -> LaurentQT:
-    w = colored_homfly(spec).value
+@lru_cache(maxsize=None)
+def _H_torus(m: int, n: int, colors: tuple) -> LaurentQT:
+    """H of T(m, n) colored by colors, built once per link."""
+    w = _torus_value(m, n, colors)
     if w.is_zero():
         return LaurentQT.zero()
-    a = sum(c.size for c in spec.colors)
+    a = sum(c.size for c in colors)
     on, od, ln, ld = expand_series(w, "q")
     if od - on > a:
         raise LimitDoesNotExist(
@@ -50,7 +53,7 @@ def _H_torus(spec: TorusLinkSpec) -> LaurentQT:
         )
     if od - on < a:
         return LaurentQT.zero()
-    scale = prod(h for c in spec.colors for h in c.hook_lengths()) << a
+    scale = prod(h for c in colors for h in c.hook_lengths()) << a
     num = {te: c * scale for (_, te), c in ln.terms.items()}
     den = _umul({te: c for (_, te), c in ld.terms.items()}, _brackets({1: a}))
     return _laurent_quotient(num, den, 1)
@@ -67,7 +70,9 @@ def special_H(spec: TorusLinkSpec) -> SpecialPolynomial:
     LimitDoesNotExist, a weaker one gives zero.  TypeError on anything but
     a TorusLinkSpec.
     """
-    return SpecialPolynomial("H", "t", _H_torus(spec), spec)
+    if not isinstance(spec, TorusLinkSpec):
+        raise TypeError(f"unsupported link spec: {spec!r}")
+    return SpecialPolynomial("H", "t", _H_torus(spec.m, spec.n, spec.colors), spec)
 
 
 def _delta_torus(spec: TorusLinkSpec) -> LaurentQT:

@@ -105,11 +105,13 @@ def colored_homfly(spec: TorusLinkSpec) -> ColoredInvariant:
 colored_homfly_torus = colored_homfly
 
 
+@lru_cache(maxsize=None)
 def uncolored_homfly_torus_knot(m: int, n: int):
     """Single-box invariant of the (m, n) torus knot and its normalization.
 
     Returns (framed value W, normalized P) where P = W / delta is the
-    ordinary HOMFLY polynomial of the knot.
+    ordinary HOMFLY polynomial of the knot, both built once per (m, n): the
+    Hecke oracle compares every closure with P.
     """
     if gcd(m, abs(n)) != 1:
         raise NonCoprime(f"gcd({m}, {n}) != 1")

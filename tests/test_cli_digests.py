@@ -5,8 +5,9 @@ SHA-256 of its argv, exit code and stdout.  The calls are the seven
 ``verify`` sweeps on the default grid and on ``perfbench/grids/sweeps.json``,
 as text and as ``--json``, then the benchmark's single commands
 (``perfbench/workloads.CLI_SINGLE``, read only), then the unknot and the
-3-component unlink as the torus link T(1, 0).  Every call runs in process;
-a changed byte names the call it came from.
+3-component unlink as the torus link T(1, 0), and two braid closures with
+as many components as strands and with one component on six strands.
+Every call runs in process; a changed byte names the call it came from.
 """
 
 import contextlib
@@ -31,6 +32,9 @@ import workloads  # noqa: E402
 EXTRA = (
     'torus --m 1 --n 0 --components 1 --colors "(2,1)"',
     'torus --m 1 --n 0 --components 3 --colors "(1);(2);(1,1)"',
+    # closures divided by z^(n - L): L = n = 3, and n - L = 5, the largest
+    'homfly-braid --strands 3 --word "1 1 2 2"',
+    'homfly-braid --strands 6 --word "1 2 3 4 5"',
 )
 
 

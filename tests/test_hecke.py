@@ -6,7 +6,7 @@ from itertools import permutations
 import pytest
 
 from skein_homfly.errors import IndexOutOfRange
-from skein_homfly.exact import LaurentQT, RationalQT, _unpack, delta, q_bracket, substitute, t_power
+from skein_homfly.exact import LaurentQT, RationalQT, _brackets, _udiv, _unpack, delta, q_bracket, substitute, t_power
 from skein_homfly.hecke import (
     BraidWord,
     HeckeElement,
@@ -443,7 +443,8 @@ def test_packed_fold_on_six_strands():
 def test_trace_perm_within_its_proved_bounds():
     # every U_pi on at most 6 strands: q-exponents within +-n(n-1)/2 and l1
     # within 2^(n-1) 3^((n-1)(n-2)/2), the bounds the slot sizes rest on,
-    # and the same polynomial at two slot sizes
+    # and the same polynomial at two slot sizes.  z^(n-c), c the cycles of
+    # pi, divides U_pi, and the quotient's l1 times 2^(n-c) keeps the bound
     for n in range(1, 7):
         offset, bound = n * (n - 1) // 2, 2 ** (n - 1) * 3 ** ((n - 1) * (n - 2) // 2)
         for pi in permutations(range(n)):
@@ -452,6 +453,10 @@ def test_trace_perm_within_its_proved_bounds():
             assert u8 == u16 and all(u8.values()), pi
             assert all(abs(e) <= offset for s in u8.values() for e in s), pi
             assert sum(abs(v) for s in u8.values() for v in s.values()) <= bound, pi
+            j = n - perm_cycle_count(pi)
+            quotients = [_udiv(s, _brackets({1: j})) for s in u8.values()]
+            assert None not in quotients, pi
+            assert sum(abs(v) for s in quotients for v in s.values()) << j <= bound, pi
 
 
 def test_markov_trace_at_the_slot_bound():
@@ -472,3 +477,90 @@ def test_oracle_agreement_on_five_and_six_strands():
     for m, n in ((5, 6), (5, 7), (6, 7)):
         w, _ = uncolored_homfly_torus_knot(m, n)
         assert framed_homfly_of_closure(torus_braid_word(m, n)) == RationalQT(t_power(n * (m - 1))) * w, (m, n)
+
+
+# -- closures divided by z^(n - L) ------------------------------------------
+
+
+def _components(w: BraidWord) -> int:
+    perm = list(range(w.strands))
+    for i, _ in w.letters:
+        perm[i - 1], perm[i] = perm[i], perm[i - 1]
+    return perm_cycle_count(perm)
+
+
+def _words_by_components(rng, n: int, count: int):
+    """count words on n strands for each L = 1..n whose closure has L
+    components: s_1 ... s_(n-L) (one (n-L+1)-cycle), squares s_i^+-2 put in
+    at random, all conjugated by a random word."""
+    for L in range(1, n + 1):
+        for _ in range(count):
+            base = [(i, 1) for i in range(1, n - L + 1)]
+            for _ in range(rng.randint(0, 2) if n > 1 else 0):
+                i, s = rng.randint(1, n - 1), rng.choice((1, -1))
+                j = rng.randint(0, len(base))
+                base[j:j] = [(i, s)] * 2
+            g = [(rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(rng.randint(0, 3) if n > 1 else 0)]
+            w = BraidWord(n, tuple(g + base + [(i, -s) for i, s in reversed(g)]))
+            assert _components(w) == L, w
+            yield w
+
+
+def test_closures_with_every_component_count_match_the_oracles():
+    # both closures divide z^(n - L) out of the packed sum before it is cut
+    # up; on 1-6 strands, with L from one component to n (s1^2 s2^2 has
+    # three on three strands), text and term dicts are those of the LaurentQT
+    # fold over z^n reduced by simplified(), and of its division by delta
+    rng = random.Random(2701)
+    seen = set()
+    words = [BraidWord(3, ((1, 1), (1, 1), (2, 1), (2, 1))), BraidWord(6, tuple((i, 1) for i in range(1, 6)))]
+    for n in range(1, 7):
+        words += _words_by_components(rng, n, 3 if n < 5 else 2)
+    for w in words:
+        seen.add((w.strands, _components(w)))
+        _assert_matches_laurent_route(w)
+    assert seen == {(n, L) for n in range(1, 7) for L in range(1, n + 1)}
+
+
+def test_closure_quotients_fit_the_slots_of_the_sum(monkeypatch):
+    # a closure's quotient by z^k, k = n - L, times the l1 norm 2^k of z^k
+    # stays within the bound 2 * 3^letters * 2^(n-1) 3^((n-1)(n-2)/2) that
+    # _slot_size gives the sum, and the slot holds that bound with a sign
+    # bit.  Over these lengths the bound falls in the top byte of some
+    # slot, so a slot one byte narrower misses it
+    import skein_homfly.hecke as hecke_mod
+
+    packed_div, calls = hecke_mod._packed_div, []
+
+    def recorded(x, c, l1, size):
+        out = packed_div(x, c, l1, size)
+        calls.append((max(map(abs, out)) * l1, l1.bit_length() - 1, size))
+        return out
+
+    monkeypatch.setattr(hecke_mod, "_packed_div", recorded)
+    rng = random.Random(2702)
+    words = [
+        BraidWord(n, tuple((rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(length)))
+        for n in range(2, 7)
+        for length in range(0, BraidWord.MAX_LETTERS + 1, 3)
+    ]
+    words += [BraidWord(n, ((1, s),) * BraidWord.MAX_LETTERS) for n in (2, 3, 6) for s in (1, -1)]
+    for w in words:
+        n = w.strands
+        bound = 2 * 3 ** len(w.letters) * 2 ** (n - 1) * 3 ** ((n - 1) * (n - 2) // 2)
+        for closure in (framed_homfly_of_closure, normalized_homfly_of_closure):
+            calls.clear()
+            closure(w)
+            assert calls and all(k == n - _components(w) for _, k, _ in calls), w
+            assert all(top <= bound < 1 << (8 * size - 1) for top, _, size in calls), w
+
+
+def test_closure_that_z_does_not_divide_is_an_error(monkeypatch):
+    # the division is exact by the theorem; a sum it does not divide is an
+    # ArithmeticError, not a value over the wrong power of z
+    import skein_homfly.hecke as hecke_mod
+
+    monkeypatch.setattr(hecke_mod, "perm_cycle_count", lambda perm: 1)
+    with pytest.raises(ArithmeticError, match="^z\\^1 does not divide the closure of "):
+        normalized_homfly_of_closure(BraidWord(2, ()))
+

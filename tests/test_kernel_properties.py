@@ -4,8 +4,8 @@
 against ``LaurentQT`` multiplication, quotients against the products they
 came from, and the inexact cases) and the vanishing orders of
 ``exact.expand_series`` against the full ``truncated_series``.  Also the
-packed division of the class sums, ``schur._packed_div``, against quotients
-too wide for their slots."""
+packed division that the class sums and the braid closures share,
+``exact._packed_div``, against quotients too wide for their slots."""
 
 import random
 
@@ -18,13 +18,13 @@ from skein_homfly.exact import (
     RationalQT,
     _cyclotomic,
     _exact_div,
+    _packed_div,
     _udiv,
     _umul,
     expand_series,
     limit_at_one,
     truncated_series,
 )
-from skein_homfly.schur import _packed_div
 
 CASES = 300
 

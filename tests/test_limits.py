@@ -121,6 +121,8 @@ def test_H_never_builds_the_ratio(monkeypatch):
     ]
     for spec in specs:
         colored_homfly(spec)
+    # H may already be cached by an earlier test: every spec must run H's body
+    special_mod._H_torus.cache_clear()
 
     def forbidden(*args, **kwargs):
         raise AssertionError("special_H reached the full route")
@@ -134,10 +136,29 @@ def test_H_never_builds_the_ratio(monkeypatch):
     assert special_H(specs[-1]).value == LaurentQT.one()
 
 
+def test_H_series_is_expanded_once_per_link(monkeypatch):
+    # H is cached by (m, n, colors): a warm call, from an equal spec built
+    # anew, never expands the torus value's series again
+    import skein_homfly.special as special_mod
+
+    specs = [TREFOIL, TorusLinkSpec(2, 5, 1, (P((2, 1)),)), TorusLinkSpec(1, 2, 2, (P((2,)), P((1,))))]
+    cold = [special_H(spec).value for spec in specs]
+
+    def forbidden(*args):
+        raise AssertionError("a warm H expanded its series again")
+
+    monkeypatch.setattr(special_mod, "expand_series", forbidden)
+    for spec, value in zip(specs, cold):
+        again = TorusLinkSpec(spec.m, spec.n, spec.L, tuple(spec.colors))
+        assert special_H(again).value is value, str(spec)
+
+
 def test_H_quotient_that_is_not_laurent_keeps_its_error(monkeypatch):
     import skein_homfly.special as special_mod
 
-    # leading coefficients 1 over 1 at order |A| = 1: H would be 2/(t - t^-1)
+    # leading coefficients 1 over 1 at order |A| = 1: H would be 2/(t - t^-1);
+    # H of the trefoil may already be cached by an earlier test
+    special_mod._H_torus.cache_clear()
     monkeypatch.setattr(special_mod, "expand_series", lambda w, v: (0, 1, LaurentQT.one(), LaurentQT.one()))
     with pytest.raises(ValueError, match="^value is not a Laurent polynomial$"):
         special_H(TorusLinkSpec(2, 3, 1, (P((1,)),)))
@@ -240,7 +261,7 @@ def test_delta_never_builds_the_torus_value(monkeypatch):
 
     for module, name in (
         (torus_mod, "colored_homfly"),
-        (special_mod, "colored_homfly"),
+        (special_mod, "_torus_value"),
         (schur_mod, "_class_data"),
         (exact_mod, "limit_at_one"),
         (special_mod, "expand_series"),

@@ -117,6 +117,23 @@ def test_torus_knot_index_symmetry():
     assert p23 == p32
 
 
+def test_uncolored_knot_value_is_built_once(monkeypatch):
+    # W and P = W / delta are built on the first call for (m, n) and cached:
+    # a warm call returns the same two objects and never divides again
+    import skein_homfly.torus as torus_mod
+
+    cold = {(m, n): uncolored_homfly_torus_knot(m, n) for m, n in ((2, 3), (3, 4), (2, -5))}
+
+    def forbidden():
+        raise AssertionError("a warm call divided by delta")
+
+    monkeypatch.setattr(torus_mod, "delta", forbidden)
+    for (m, n), (w, p) in cold.items():
+        warm_w, warm_p = uncolored_homfly_torus_knot(m, n)
+        assert warm_w is w and warm_p is p, (m, n)
+        assert p == w / delta() and p.is_laurent(), (m, n)
+
+
 def test_non_coprime_rejected():
     with pytest.raises(NonCoprime):
         TorusLinkSpec(2, 4, 1, (P((1,)),))
