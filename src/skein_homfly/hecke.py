@@ -37,6 +37,14 @@ divmod and ``exact._unpack`` cuts it back into the {t-exponent:
 at the boundary: ``HeckeElement`` and ``element_of_braid`` carry LaurentQT
 coefficients, and ``markov_trace`` packs each t-slice of its argument's
 coefficients once.
+
+The folds key their terms by permutation numbers, not tuples: one
+``_Numbering`` per strand count numbers each permutation when a fold first
+reaches it (the identity is 0), and ``_apply`` looks up each swap of
+neighbours, with whether it lowers the length, in a memo filled on first
+use.  So no permutation tuple is built or hashed per term and letter, and
+nothing enumerates S_n.  Tuples remain at the boundary too: the keys of
+``_trace_perm``'s cache and of ``HeckeElement``.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, starmap
 from operator import gt, index
+from threading import Lock
 
 from .errors import IndexOutOfRange
 from .exact import LaurentQT, RationalQT, _brackets, _over_q, _packed_div, _unpack
@@ -52,10 +61,6 @@ from .partitions import integer
 
 
 # -- permutations in one-line, zero-indexed form -----------------------
-
-
-def perm_identity(n: int) -> tuple:
-    return tuple(range(n))
 
 
 def perm_length(pi: tuple) -> int:
@@ -75,6 +80,56 @@ def perm_cycle_count(pi: tuple) -> int:
                 seen[j] = True
                 j = pi[j]
     return count
+
+
+class _Numbering:
+    """The permutations of 0..n-1 that folds have reached, numbered in the
+    order they were first reached (0 is the identity), with the swaps looked
+    up so far: ``swaps[p][i]`` is (the number of ``perms[i]`` with positions
+    p and p + 1 swapped, whether that swap lowers the length).
+
+    Nothing enumerates S_n: a fold of L letters from the identity reaches at
+    most 2^L permutations.  Readers see plain dicts and lists; a miss numbers
+    its permutation under a lock, appending to ``perms`` before ``numbers``
+    names it, so threads that fold at once agree on every number.  Numbers
+    mean nothing outside their numbering, so a fold takes one numbering and
+    passes it on.
+    """
+
+    __slots__ = ("n", "perms", "numbers", "swaps", "_lock")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.perms = [tuple(range(n))]
+        self.numbers = {self.perms[0]: 0}
+        self.swaps = [{} for _ in range(n - 1)]
+        self._lock = Lock()
+
+    def number(self, pi: tuple) -> int:
+        """pi's number, the next one if it had none."""
+        if (i := self.numbers.get(pi)) is None:
+            with self._lock:
+                if (i := self.numbers.get(pi)) is None:
+                    i = len(self.perms)
+                    self.perms.append(pi)
+                    self.numbers[pi] = i
+        return i
+
+    def swap(self, p: int, i: int) -> tuple:
+        """``swaps[p][i]``, worked out on a miss and kept with its reverse:
+        the swap back from j to i changes the length the other way."""
+        pi, memo = self.perms[i], self.swaps[p]
+        a, b = pi[p], pi[p + 1]
+        j = self.number(pi[:p] + (b, a) + pi[p + 2 :])
+        memo[j] = (i, b > a)
+        out = memo[i] = (j, a > b)
+        return out
+
+
+@lru_cache(maxsize=None)
+def _numbering(n: int) -> _Numbering:
+    """The one numbering of the permutations of 0..n-1 that folds share."""
+    return _Numbering(n)
 
 
 # -- braid words -------------------------------------------------------
@@ -195,12 +250,12 @@ class HeckeElement:
 def element_of_braid(w: BraidWord) -> HeckeElement:
     """Image of a braid word in the Hecke algebra, folded left to right and
     unpacked once."""
-    (terms, size), low = _word_terms(w), -len(w.letters)
+    (terms, size, numbering), low = _word_terms(w), -len(w.letters)
     return HeckeElement(
         w.strands,
         {
-            pi: LaurentQT._of({(low + k, 0): v for k, v in enumerate(_unpack(c, size)) if v})
-            for pi, c in terms.items()
+            numbering.perms[i]: LaurentQT._of({(low + k, 0): v for k, v in enumerate(_unpack(c, size)) if v})
+            for i, c in terms.items()
         },
     )
 
@@ -208,44 +263,47 @@ def element_of_braid(w: BraidWord) -> HeckeElement:
 # -- the packed kernel ---------------------------------------------------
 
 
-def _apply(terms: dict, p: int, sign: int, bits: int) -> dict:
-    """{permutation: packed coefficient} right-multiplied by the generator
-    swapping positions p and p + 1 (sign -1: its inverse); slots are bits
-    wide.
+def _apply(numbering: _Numbering, terms: dict, p: int, sign: int, bits: int) -> dict:
+    """{permutation number: packed coefficient} right-multiplied by the
+    generator swapping positions p and p + 1 (sign -1: its inverse); slots
+    are bits wide.
 
-    Each term moves to its swapped permutation; where the swap lowers the
-    length (raises it, for the inverse) the term also stays, times sign * z:
-    z * c is (c << bits) - (c >> bits), whose right shift is exact while the
-    lowest slot of c is empty.  A term whose int is 0 is dropped.
+    Each term moves to its swapped permutation, looked up in
+    ``numbering.swaps[p]``; where the swap lowers the length (raises it, for
+    the inverse) the term also stays, times sign * z: z * c is
+    (c << bits) - (c >> bits), whose right shift is exact while the lowest
+    slot of c is empty.  A term whose int is 0 is dropped.
     """
+    swaps, up = numbering.swaps[p], sign > 0
     out = {}
     stays = []
-    for pi, c in terms.items():
-        a, b = pi[p], pi[p + 1]
-        out[pi[:p] + (b, a) + pi[p + 2:]] = c
-        if (a > b) == (sign > 0):
-            stays.append((pi, c))
-    for pi, c in stays:
+    for i, c in terms.items():
+        j, lowers = swaps.get(i) or numbering.swap(p, i)
+        out[j] = c
+        if lowers == up:
+            stays.append((i, c))
+    for i, c in stays:
         zc = (c << bits) - (c >> bits)
-        if acc := out.get(pi, 0) + (zc if sign > 0 else -zc):
-            out[pi] = acc
+        if acc := out.get(i, 0) + (zc if up else -zc):
+            out[i] = acc
         else:
-            del out[pi]
+            del out[i]
     return out
 
 
 def _word_terms(w: BraidWord) -> tuple:
-    """``element_of_braid`` packed: ({permutation: int}, size), q^e at the
-    size-byte slot e + len(w.letters).  One letter at most triples the l1
-    norm of an element, so the size is ``_slot_size`` of 3^letters; after k
-    letters every exponent is at least -k, so the lowest slot is empty
-    before each letter."""
+    """``element_of_braid`` packed: ({permutation number: int}, size,
+    numbering), q^e at the size-byte slot e + len(w.letters).  One letter at
+    most triples the l1 norm of an element, so the size is ``_slot_size`` of
+    3^letters; after k letters every exponent is at least -k, so the lowest
+    slot is empty before each letter."""
     size = _slot_size(3 ** len(w.letters), w.strands)
     bits = 8 * size
-    terms = {perm_identity(w.strands): 1 << (bits * len(w.letters))}
+    numbering = _numbering(w.strands)
+    terms = {0: 1 << (bits * len(w.letters))}
     for i, s in w.letters:
-        terms = _apply(terms, i - 1, s, bits)
-    return terms, size
+        terms = _apply(numbering, terms, i - 1, s, bits)
+    return terms, size, numbering
 
 
 def _slot_size(l1: int, n: int) -> int:
@@ -319,22 +377,24 @@ def _trace_perm(n: int, pi: tuple, size: int) -> dict:
     # pi = w_alpha * s_{n-1} * (s_{n-2} ... s_{j+1}) with additive lengths;
     # the k letters start from q^0 at slot k
     k = n - 2 - j
-    terms = {tuple(alpha[: n - 1]): 1 << (bits * k)}
+    numbering = _numbering(n - 1)
+    terms = {numbering.number(tuple(alpha[: n - 1])): 1 << (bits * k)}
     for i in range(n - 2, j, -1):
-        terms = _apply(terms, i - 1, 1, bits)
+        terms = _apply(numbering, terms, i - 1, 1, bits)
     # the fold puts q^e at slot e + k + (n-1)(n-2)/2; t * z moves it to
     # e +- 1 + n(n-1)/2, that is n - 1 - k >= 1 slots up, plus or minus one
     up, down = bits * (n - k), bits * (n - 2 - k)
-    return {te + 1: (x << up) - (x << down) for te, x in _fold(n - 1, terms, size).items()}
+    return {te + 1: (x << up) - (x << down) for te, x in _fold(numbering, terms, size).items()}
 
 
-def _fold(n: int, terms: dict, size: int) -> dict:
+def _fold(numbering: _Numbering, terms: dict, size: int) -> dict:
     """sum_pi c_pi U_pi = z^(n-1) * tr_n(x) / delta for the packed c_pi of
-    ``terms``, as nonzero {t-exponent: int}: one product per t-slice of each
-    U_pi, so a coefficient's slot k lands at k + n(n-1)/2."""
-    out = {}
-    for pi, c in terms.items():
-        for te, u in _trace_perm(n, pi, size).items():
+    ``terms``, keyed by their numbers in ``numbering``, as nonzero
+    {t-exponent: int}: one product per t-slice of each U_pi, so a
+    coefficient's slot k lands at k + n(n-1)/2."""
+    n, perms, out = numbering.n, numbering.perms, {}
+    for i, c in terms.items():
+        for te, u in _trace_perm(n, perms[i], size).items():
             out[te] = out.get(te, 0) + c * u
     return {te: x for te, x in out.items() if x}
 
@@ -348,14 +408,15 @@ def markov_trace(x: HeckeElement) -> RationalQT:
     low = min((qe for c in coeffs for qe, _ in c.terms), default=0)
     size = _slot_size(sum(abs(v) for c in coeffs for v in c.terms.values()), n)
     bits = 8 * size
-    rows = {}
+    numbering, rows = _numbering(n), {}
     for pi, c in x.terms.items():
+        i = numbering.number(pi)
         for (qe, te), v in c.terms.items():
             row = rows.setdefault(te, {})
-            row[pi] = row.get(pi, 0) + (v << (bits * (qe - low)))
+            row[i] = row.get(i, 0) + (v << (bits * (qe - low)))
     total = {}
     for tc, row in rows.items():
-        for te, y in _fold(n, row, size).items():
+        for te, y in _fold(numbering, row, size).items():
             total[te + tc] = total.get(te + tc, 0) + y
     slots = {te: _unpack(y, size) for te, y in _t_bracket(total).items()}
     return _over_q(_sliced(slots, low - n * (n - 1) // 2), _brackets({1: n}))
@@ -372,8 +433,8 @@ def _closure(w: BraidWord, framed: bool) -> RationalQT:
     for i, _ in w.letters:
         perm[i - 1], perm[i] = perm[i], perm[i - 1]
     k = n - perm_cycle_count(perm)
-    terms, size = _word_terms(w)
-    total = _fold(n, terms, size)
+    terms, size, numbering = _word_terms(w)
+    total = _fold(numbering, terms, size)
     if framed:
         total = _t_bracket(total)
     c = ((1 << (16 * size)) - 1) ** k

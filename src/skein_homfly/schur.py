@@ -25,6 +25,7 @@ few parts, on exact.py's dict kernel.
 
 from __future__ import annotations
 
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -50,8 +51,22 @@ def _pack(digits: bytes, size: int, wide: int, spread: int) -> int:
 
 
 def _digits(coeffs, size: int) -> bytes:
-    """The biased size-byte digits of signed coefficients that ``_pack`` reads."""
-    return b"".join((c + (1 << (8 * size - 1))).to_bytes(size, "little") for c in coeffs)
+    """The biased size-byte digits of signed coefficients that ``_pack`` reads.
+
+    Digits of at most 8 bytes are written in one step, as ``exact._unpack``
+    reads them: one ``struct.pack`` writes the biased coefficients as
+    little-endian unsigned 64-bit lanes, and strided copies take each lane's
+    low size bytes.  A wider digit fits no lane and is written on its own.
+    """
+    half = 1 << (8 * size - 1)
+    if size > 8:
+        return b"".join((c + half).to_bytes(size, "little") for c in coeffs)
+    biased = [c + half for c in coeffs]
+    lanes = struct.pack(f"<{len(biased)}Q", *biased)
+    out = bytearray(len(biased) * size)
+    for j in range(size):
+        out[j::size] = lanes[j::8]
+    return bytes(out)
 
 
 @lru_cache(maxsize=None)
@@ -64,6 +79,14 @@ def _class_data(n: int) -> tuple:
     D_n), which bounds all their coefficients.  D_n / prod [nu_i], one exact
     division, is q^(n + min exponent of D_n) times a polynomial in q^k, kept
     as ``_pack`` digits with l1 its sum of |coefficients|.
+
+    In X that quotient is prod_k (X^k - 1)^e_k, e_k = n // k - m_k(nu), so it
+    is a polynomial in X^g for g the gcd of the k with e_k > 0, and in no
+    larger power: if it were a polynomial in X^G, its roots would be
+    invariant under a primitive G-th root of unity zeta, with multiplicities.
+    The root 1 has multiplicity sum_k e_k and zeta has sum over G | k of e_k,
+    so every k with e_k > 0 is a multiple of G, and G divides g.  So g, read
+    off the brackets, is the step no scan of the coefficients could widen.
     """
     size = (sum(n // k for k in range(1, n + 1)) + 9) // 8
     d_packed = prod(((1 << (8 * size * k)) - 1) ** (n // k) for k in range(1, n + 1))
@@ -72,7 +95,7 @@ def _class_data(n: int) -> tuple:
         brackets = prod((1 << (8 * size * p)) - 1 for p in nu)
         tpoly = tuple((2 * k - n, c) for k, c in enumerate(_unpack(brackets, size)) if c)
         q = _unpack(d_packed // brackets, size)
-        step = gcd(*(k for k, c in enumerate(q) if c)) or 1
+        step = gcd(*(k for k in range(1, n + 1) if n // k > nu.count(k))) or 1
         out.append((nu, nu.z_factor(), tpoly, 2 * step, sum(map(abs, q)), _digits(q[::step], size)))
     deg = sum(k * (n // k) for k in range(1, n + 1))
     d_n = tuple((2 * k - deg, c) for k, c in enumerate(_unpack(d_packed, size)) if c)

@@ -15,6 +15,8 @@ replaced), the substitution q -> q^d that the Alexander checks compare
 with, the Markov trace reduced by ``RationalQT.simplified`` and a division
 by delta (the route ``exact._over_q`` replaced) on a generator action in
 LaurentQT products (the route the integer kernel of ``hecke._apply``
+replaced), the packed slots cut and written one slot at a time (the
+route the 8-byte lanes of ``exact._unpack`` and ``schur._digits``
 replaced), the hook length formula for character degrees, exact column
 orthogonality of a character table, characters by Murnaghan-Nakayama on
 tuple beta-sets (the route the bitmask kernel replaced), the inversion
@@ -50,7 +52,6 @@ from skein_homfly.exact import (
 from skein_homfly.hecke import (
     BraidWord,
     HeckeElement,
-    perm_identity,
     perm_length,
 )
 from skein_homfly.partitions import Partition, partitions_of
@@ -200,6 +201,25 @@ def apply_generator_laurent(x: HeckeElement, i: int, sign: int = 1) -> HeckeElem
         if sign < 0 and raises:
             out[pi] = out.get(pi, LaurentQT.zero()) - c * q_bracket(1)
     return HeckeElement(x.n, out)  # the constructor drops zero coefficients
+
+
+def unpack_per_slot(x: int, size: int) -> list:
+    """``exact._unpack`` one slot at a time: the signed size-byte slots of a
+    packed int, lowest first, after half the range is added to every slot."""
+    count = x.bit_length() // (8 * size) + 1
+    x += int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+    raw, half = x.to_bytes(count * size, "little"), 1 << (8 * size - 1)
+    return [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, count * size, size)]
+
+
+def digits_per_slot(coeffs, size: int) -> bytes:
+    """``schur._digits`` one slot at a time: c + 2^(8 size - 1) in size
+    little-endian bytes per coefficient."""
+    return b"".join((c + (1 << (8 * size - 1))).to_bytes(size, "little") for c in coeffs)
+
+
+def perm_identity(n: int) -> tuple:
+    return tuple(range(n))
 
 
 def element_of_braid_laurent(w: BraidWord) -> HeckeElement:

@@ -1,5 +1,7 @@
 import copy
 import random
+import sys
+import threading
 import tracemalloc
 from itertools import permutations
 
@@ -11,6 +13,8 @@ from skein_homfly.hecke import (
     BraidWord,
     HeckeElement,
     _apply,
+    _Numbering,
+    _numbering,
     _slot_size,
     _word_terms,
     element_of_braid,
@@ -377,12 +381,13 @@ def test_public_results_keep_laurent_coefficients():
         }
         i, sign = rng.randint(1, n - 1), rng.choice((1, -1))
         x = HeckeElement(n, {pi: _in_q(c) for pi, c in terms.items()})
+        numbering = _numbering(n)
         for size in (1, 8):
             # exponents >= -3, so slot 4 and up: the lowest slot is empty
-            packed = {pi: _packed(c, size, 4) for pi, c in terms.items()}
+            packed = {numbering.number(pi): _packed(c, size, 4) for pi, c in terms.items()}
             before = dict(packed)
-            y = _apply(packed, i - 1, sign, 8 * size)
-            unpacked = {pi: _unpacked(c, size, 4) for pi, c in y.items()}
+            y = _apply(numbering, packed, i - 1, sign, 8 * size)
+            unpacked = {numbering.perms[j]: _unpacked(c, size, 4) for j, c in y.items()}
             expected = apply_generator_laurent(x, i, sign)
             assert HeckeElement(n, {pi: _in_q(c) for pi, c in unpacked.items()}) == expected
             assert all(y.values()) and all(unpacked.values())
@@ -391,6 +396,82 @@ def test_public_results_keep_laurent_coefficients():
         x = element_of_braid(w)
         assert x == element_of_braid_laurent(w), w
         assert all(isinstance(c, LaurentQT) for c in x.terms.values())
+
+
+def test_numbering_and_swaps_agree_with_tuple_swaps():
+    # every permutation of at most 6 strands, numbered as it is first met,
+    # and every swap of neighbours: the memo gives the number of the swapped
+    # tuple and whether the inversion count falls, on a miss and on every
+    # entry it keeps, the reverse swaps it stores on the side included
+    for n in range(1, 7):
+        numbering = _Numbering(n)
+        assert numbering.perms == [tuple(range(n))] and numbering.number(tuple(range(n))) == 0
+        for pi in permutations(range(n)):
+            i = numbering.number(pi)
+            for p in range(n - 1):
+                numbering.swaps[p].get(i) or numbering.swap(p, i)
+        assert sorted(numbering.perms) == list(permutations(range(n)))
+        assert all(numbering.numbers[pi] == i for i, pi in enumerate(numbering.perms))
+        for p, memo in enumerate(numbering.swaps):
+            assert len(memo) == len(numbering.perms), (n, p)
+            for i, (j, lowers) in memo.items():
+                pi = numbering.perms[i]
+                swapped = pi[:p] + (pi[p + 1], pi[p]) + pi[p + 2 :]
+                assert numbering.perms[j] == swapped, (pi, p)
+                assert lowers == (perm_inversions_by_index(swapped) < perm_inversions_by_index(pi)), (pi, p)
+
+
+def test_a_fold_numbers_only_the_permutations_it_reaches():
+    # nothing enumerates S_n: from a fresh numbering, an 8-strand word of L
+    # letters numbers at most 2^(L+1) of the 40320 permutations, and both
+    # closures still match the LaurentQT route
+    words = [BraidWord.parse(8, "1 2 3 4 5 6 7 1 2 -3")]
+    rng = random.Random(2804)
+    words += [BraidWord(8, tuple((rng.randint(1, 7), rng.choice((1, -1))) for _ in range(8))) for _ in range(3)]
+    try:
+        for w in words:
+            _numbering.cache_clear()
+            element_of_braid(w)
+            assert 1 < len(_numbering(8).perms) <= 2 ** (len(w.letters) + 1), w
+    finally:
+        _numbering.cache_clear()
+    _assert_matches_laurent_route(words[0])
+
+
+def test_threads_folding_at_once_agree_on_every_number():
+    # four threads (more than the cores) fold words on 6 strands from fresh
+    # numberings with a short switch interval; a number given twice or a
+    # permutation read before it was appended would break the invariant or
+    # change a value
+    rng = random.Random(2806)
+    words = [BraidWord(6, tuple((rng.randint(1, 5), rng.choice((1, -1))) for _ in range(14))) for _ in range(8)]
+    expected = [element_of_braid(w) for w in words]
+    interval, results, errors = sys.getswitchinterval(), {}, []
+
+    def fold(k):
+        try:
+            for j in range(k, k + len(words)):
+                results[k, j % len(words)] = element_of_braid(words[j % len(words)])
+        except Exception as e:  # reported below: a thread's exception is lost otherwise
+            errors.append(e)
+
+    try:
+        sys.setswitchinterval(1e-6)
+        for _ in range(3):
+            _numbering.cache_clear()
+            threads = [threading.Thread(target=fold, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads) and not errors, errors
+            numbering = _numbering(6)
+            assert len(numbering.numbers) == len(numbering.perms) == len(set(numbering.perms))
+            assert all(numbering.numbers[pi] == i for i, pi in enumerate(numbering.perms))
+            assert all(results[k, j] == expected[j] for k in range(4) for j in range(len(words)))
+    finally:
+        sys.setswitchinterval(interval)
+        _numbering.cache_clear()
 
 
 def test_trace_perm_cache_entries_are_never_mutated():

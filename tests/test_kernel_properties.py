@@ -5,7 +5,9 @@ against ``LaurentQT`` multiplication, quotients against the products they
 came from, and the inexact cases) and the vanishing orders of
 ``exact.expand_series`` against the full ``truncated_series``.  Also the
 packed division that the class sums and the braid closures share,
-``exact._packed_div``, against quotients too wide for their slots."""
+``exact._packed_div``, against quotients too wide for their slots, and the
+slot codec, ``exact._unpack`` and ``schur._digits``, against one that
+handles one slot at a time."""
 
 import random
 
@@ -21,10 +23,14 @@ from skein_homfly.exact import (
     _packed_div,
     _udiv,
     _umul,
+    _unpack,
     expand_series,
     limit_at_one,
     truncated_series,
 )
+from skein_homfly.schur import _digits, _pack
+
+from oracles import digits_per_slot, unpack_per_slot
 
 CASES = 300
 
@@ -255,3 +261,23 @@ def _umul_power(a: dict, k: int) -> dict:
 
 def _packed(coeffs: list, size: int) -> int:
     return sum(v << (8 * size * e) for e, v in enumerate(coeffs))
+
+
+def test_lane_codec_matches_the_per_slot_codec():
+    # _unpack reads slots of up to 8 bytes through 8-byte lanes and _digits
+    # writes them the same way; wider slots go one by one.  At every size
+    # from 1 to 12, slot values at both ends of the range, zeros and random
+    # ones come back as they went in and as the per-slot codec has them
+    rng = random.Random(2803)
+    for size in range(1, 13):
+        top = (1 << (8 * size - 1)) - 1
+        for _ in range(40):
+            coeffs = [rng.choice((top, -top, 0, rng.randint(-top, top))) for _ in range(rng.randint(1, 40))]
+            x = _packed(coeffs, size)
+            slots = _unpack(x, size)
+            assert slots == unpack_per_slot(x, size), (size, coeffs)
+            width = max(len(slots), len(coeffs))
+            assert slots + [0] * (width - len(slots)) == coeffs + [0] * (width - len(coeffs)), (size, coeffs)
+            digits = _digits(coeffs, size)
+            assert digits == digits_per_slot(coeffs, size), (size, coeffs)
+            assert _pack(digits, size, size, 1) == x, (size, coeffs)

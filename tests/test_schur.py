@@ -1,3 +1,4 @@
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,7 @@ from skein_homfly import schur, torus, verify
 from skein_homfly.exact import (
     LaurentQT,
     RationalQT,
+    _brackets,
     _exact_div,
     _unslice,
     delta,
@@ -26,6 +28,7 @@ from skein_homfly.torus import _torus_weights
 from oracles import (
     _poly_mul_multi,
     character_bracket_sum_dict,
+    digits_per_slot,
     complete_symmetric_poly,
     elementary_symmetric_poly,
     jacobi_trudi_schur,
@@ -255,6 +258,21 @@ def test_universal_denominator_divisibility():
         for p in nu:
             prod = prod * q_bracket(p)
         assert _exact_div(d4, prod) is not None
+
+
+def test_class_data_step_is_the_coefficient_gcd():
+    # _class_data reads each quotient's step off its brackets; for n <= 14
+    # it is the gcd of the quotient's q-exponent offsets, and the kept
+    # digits are its coefficients at that step
+    for n in range(1, 15):
+        size = schur._class_data(n)[2]
+        for nu, _, _, qstep, l1, digits in schur._class_data(n)[3]:
+            quotient = _brackets({k: n // k - nu.count(k) for k in range(1, n + 1)})
+            low = min(quotient)
+            assert qstep == (gcd(*(e - low for e in quotient)) or 2), (n, nu)
+            coeffs = [quotient.get(e, 0) for e in range(low, max(quotient) + 1, qstep)]
+            assert digits == digits_per_slot(coeffs, size), (n, nu)
+            assert l1 == sum(map(abs, quotient.values())), (n, nu)
 
 
 # -- plethysm ----------------------------------------------------------

@@ -1,10 +1,19 @@
 import json
+import random
 from itertools import permutations
 
 import pytest
 
 from skein_homfly import verify
-from skein_homfly.hecke import perm_cycle_count, perm_length
+from skein_homfly.exact import _Q_TARGETS, _T_TARGETS, RationalQT, _substitute, _targets
+from skein_homfly.hecke import (
+    BraidWord,
+    framed_homfly_of_closure,
+    normalized_homfly_of_closure,
+    perm_cycle_count,
+    perm_length,
+)
+from skein_homfly.torus import colored_homfly
 from skein_homfly.partitions import Partition
 from skein_homfly.verify import (
     GridConfig,
@@ -222,3 +231,26 @@ def test_double_transposition_returns_to_start():
     twice = spec.conjugate_colors().conjugate_colors()
     assert twice == spec
     assert colored_homfly_torus(twice).value == colored_homfly_torus(spec).value
+
+
+def test_substituted_is_normal_by_construction():
+    # substituted() shifts each inverted variable by its old maximum and
+    # fixes the denominator's sign, with no _normalize_pair; under all eight
+    # targets it gives the term dicts that normalizing the substituted parts
+    # gives, on every thm71/thm72 grid value and on seeded Hecke closures
+    values = []
+    for spec in verify._symmetry_grid(GridConfig()):
+        values += [colored_homfly(spec).value, colored_homfly(spec.conjugate_colors()).value]
+    rng = random.Random(2805)
+    for _ in range(30):
+        n = rng.randint(2, 5)
+        w = BraidWord(n, tuple((rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(rng.randint(0, 12))))
+        values += [framed_homfly_of_closure(w), normalized_homfly_of_closure(w)]
+    values.append(RationalQT(0))
+    for f in values:
+        for q in _Q_TARGETS:
+            for t in _T_TARGETS:
+                targets = _targets(q, t)
+                g = f.substituted(q, t)
+                ref = RationalQT._of(_substitute(f.num.terms, targets), _substitute(f.den.terms, targets))
+                assert (g.num.terms, g.den.terms) == (ref.num.terms, ref.den.terms), (f, q, t)
