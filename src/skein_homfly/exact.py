@@ -89,6 +89,10 @@ class LaurentQT:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentQT is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the checking constructor
+        return type(self), (self.terms,)
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -341,6 +345,10 @@ class RationalQT:
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalQT is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the checking constructor
+        return type(self), (self.num, self.den)
 
     @classmethod
     def one(cls):

@@ -235,6 +235,10 @@ class HeckeElement:
     def __setattr__(self, name, value):
         raise AttributeError("HeckeElement is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the checking constructor
+        return type(self), (self.n, self.terms)
+
     def __eq__(self, other):
         return (
             isinstance(other, HeckeElement)

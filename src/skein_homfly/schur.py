@@ -20,7 +20,8 @@ I.3 Ex. 4), falling back to D_n when it is not exact.  Its t-slices go to
 ``exact._over_q`` (shared with the Markov trace), which strips the common
 Phi_d(q^2) and builds one RationalQT, in one form over either denominator.
 ``class_sum_order`` takes one coefficient at t = e^h from the classes with
-few parts, on exact.py's dict kernel.
+few parts, on exact.py's dict kernel; its weight-free part is built once
+per (n, j).
 """
 
 from __future__ import annotations
@@ -188,6 +189,25 @@ def character_bracket_sum(n: int, weights, colors, t_shift: int = 0) -> Rational
     return _over_q(ns, {e: c * zl for e, c in den.items()})
 
 
+@lru_cache(maxsize=None)
+def _order_data(n: int, j: int) -> tuple:
+    """What ``class_sum_order`` needs that no weight enters, built once per
+    (n, j): (classes, denominator), per summed class nu the entry (nu, f,
+    qco), f its h^j coefficient times j! lcm(z) / z_nu and qco the brackets
+    that bring it over the denominator.  The dicts are shared by every call
+    and never mutated."""
+    classes = [nu for nu in partitions_of(n) if len(nu) <= j and (j - len(nu)) % 2 == 0]
+    parts = {p for nu in classes for p in nu}
+    powers = {p: max(nu.count(p) for nu in classes) for p in parts}
+    zl = lcm(*(nu.z_factor() for nu in classes))
+    out = []
+    for nu in classes:
+        mult = {p: nu.count(p) for p in nu}
+        f = sum(c * te**j for te, c in _brackets(mult).items()) * (zl // nu.z_factor())
+        out.append((nu, f, _brackets({p: e - mult.get(p, 0) for p, e in powers.items()})))
+    return tuple(out), _umul({0: factorial(j) * zl}, _brackets(powers))
+
+
 def class_sum_order(n: int, weights, j: int) -> tuple:
     """[h^j] of sum_mu w_mu(q) * s*_mu at t = e^h, as (numerator, denominator).
 
@@ -198,20 +218,15 @@ def class_sum_order(n: int, weights, j: int) -> tuple:
     (mod 2) are summed.  The h^j coefficient of a class's t-bracket product
     is sum_te c_te te^j / j!.  The denominator is j! lcm(z_nu) prod_p [p]^e_p,
     e_p the most parts p in one summed class, so e_p <= min(j, n // p).
+    That part, with each class's coefficient and brackets, is built once per
+    (n, j) (``_order_data``); a call sums the weights' class values over it.
     """
-    classes = [nu for nu in partitions_of(n) if len(nu) <= j and (j - len(nu)) % 2 == 0]
-    parts = {p for nu in classes for p in nu}
-    powers = {p: max(nu.count(p) for nu in classes) for p in parts}
-    zl = lcm(*(nu.z_factor() for nu in classes))
+    classes, den = _order_data(n, j)
     num = {}
-    for nu in classes:
-        mult = {p: nu.count(p) for p in nu}
-        f = sum(c * te**j for te, c in _brackets(mult).items()) * (zl // nu.z_factor())
-        qco = _brackets({p: e - mult.get(p, 0) for p, e in powers.items()})
+    for nu, f, qco in classes:
         for qe, c in _umul(_class_weight(weights, nu), qco).items():
             num[qe] = num.get(qe, 0) + f * c
-    den = _umul({0: factorial(j) * zl}, _brackets(powers))
-    return {qe: c for qe, c in num.items() if c}, den
+    return {qe: c for qe, c in num.items() if c}, dict(den)
 
 
 @lru_cache(maxsize=None)

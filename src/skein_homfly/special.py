@@ -9,7 +9,11 @@ leading q -> 1 coefficients: the torus value's, from the exact vanishing
 orders of its numerator and denominator, over the unknots' closed form;
 the dual is taken limit-first from a few classes of the torus class sum.
 Both take a ``TorusLinkSpec``; the unknot and the unlinks are T(1, 0),
-where both limits are 1.
+where both limits are 1.  Each value is built once per (m, n, colors) and
+shared by every equal spec; the weight-free class data of the t -> 1
+route is built once per (n, j) (``schur.class_sum_order``).
+``alexander_torus``, the closed form the t -> 1 value is checked against,
+is computed afresh on every call.
 
 Values in q that are symmetric under q -> 1/q can be re-expressed on the
 basis {1} and D_d = q^d + q^-d by greedy top-degree elimination; that is
@@ -21,9 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
+from operator import index
 
 from .errors import LimitDoesNotExist, NonCoprime
-from .exact import LaurentQT, _brackets, _exact_div, _udiv, _umul, expand_series, q_bracket
+from .exact import LaurentQT, _brackets, _udiv, _umul, expand_series
 from .schur import class_sum_order
 from .torus import TorusLinkSpec, _torus_value, _torus_weights
 
@@ -75,10 +80,13 @@ def special_H(spec: TorusLinkSpec) -> SpecialPolynomial:
     return SpecialPolynomial("H", "t", _H_torus(spec.m, spec.n, spec.colors), spec)
 
 
-def _delta_torus(spec: TorusLinkSpec) -> LaurentQT:
-    weights, n_total, _ = _torus_weights(spec.m, spec.n, spec.colors)
+@lru_cache(maxsize=None)
+def _delta_torus(m: int, n: int, colors: tuple) -> LaurentQT:
+    """The limit-first t -> 1 value of T(m, n) colored by colors, built once
+    per link."""
+    weights, n_total, _ = _torus_weights(m, n, colors)
     # s*_A vanishes at t = 1 once per cell of content 0: d(A), the Durfee size
-    orders = [sum(1 for i, p in enumerate(a) if p > i) for a in spec.colors]
+    orders = [sum(1 for i, p in enumerate(a) if p > i) for a in colors]
     k = sum(orders)
     for j in range(k):
         if class_sum_order(n_total, weights, j)[0]:
@@ -86,7 +94,7 @@ def _delta_torus(spec: TorusLinkSpec) -> LaurentQT:
     num, den = class_sum_order(n_total, weights, k)
     if not num:
         return LaurentQT.zero()
-    for a, d in zip(spec.colors, orders):
+    for a, d in zip(colors, orders):
         un, ud = class_sum_order(a.size, {a: {0: 1}}, d)
         num, den = _umul(num, ud), _umul(den, un)
     return _laurent_quotient(num, den, 0)
@@ -112,7 +120,7 @@ def special_delta(spec: TorusLinkSpec) -> SpecialPolynomial:
     """
     if not isinstance(spec, TorusLinkSpec):
         raise TypeError(f"unsupported link spec: {spec!r}")
-    return SpecialPolynomial("delta", "q", _delta_torus(spec), spec)
+    return SpecialPolynomial("delta", "q", _delta_torus(spec.m, spec.n, spec.colors), spec)
 
 
 def alexander_torus(m: int, n: int, d: int = 1) -> LaurentQT:
@@ -122,7 +130,10 @@ def alexander_torus(m: int, n: int, d: int = 1) -> LaurentQT:
         (q^{mnd} - q^{-mnd})(q^d - q^{-d}) / ((q^{md} - q^{-md})(q^{nd} - q^{-nd}))
     which is provably a Laurent polynomial for coprime m, n.  T(1, 0) is
     the unknot, whose brackets [0] would make that quotient 0/0: it gives 1.
+    Fresh on every call, on the univariate kernel: it is the independent
+    check of ``special_delta``.  TypeError when m, n or d is not an integer.
     """
+    m, n, d = index(m), index(n), index(d)
     if m < 1:
         raise ValueError("m must be a positive integer")
     if gcd(m, abs(n)) != 1:
@@ -131,11 +142,10 @@ def alexander_torus(m: int, n: int, d: int = 1) -> LaurentQT:
         raise ValueError("d must be >= 1")
     if n == 0:
         return LaurentQT.one()
-    num = q_bracket(m * n * d) * q_bracket(d)
-    den = q_bracket(m * d) * q_bracket(n * d)
-    out = _exact_div(num, den)
+    num = _umul(_brackets({m * n * d: 1}), _brackets({d: 1}))
+    out = _udiv(num, _umul(_brackets({m * d: 1}), _brackets({n * d: 1})))
     assert out is not None, "torus Alexander division must be exact"
-    return out
+    return LaurentQT._of({(e, 0): c for e, c in out.items()})
 
 
 # -- display basis D_d = q^d + q^-d -------------------------------------

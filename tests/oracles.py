@@ -7,7 +7,9 @@ Hecke-algebra product with the two quasi-idempotent symmetrizers
 t = 1 leading term of a colored unknot from the hook-content product, the
 class sum accumulated term by term in dicts (the route the packed
 ``schur.character_bracket_sum`` replaced) and its universal denominator
-D_n as a LaurentQT, torus values by the hook-content formula over the
+D_n as a LaurentQT, the h^j coefficient at t = e^h with its class data
+rebuilt on every call (the route ``schur.class_sum_order``'s cache
+replaced), torus values by the hook-content formula over the
 plethysm support alone (a third route, sharing only the plethysm with the
 class sums), the q = 1 special polynomial H from the full
 two-variable ratio (the route ``special.special_H``'s leading coefficients
@@ -123,6 +125,25 @@ def character_bracket_sum_dict(n: int, weights) -> RationalQT:
                 else:
                     num[key] = s
     return RationalQT(LaurentQT(num), LaurentQT({(e, 0): c for e, c in d_n.items()}) * zl)
+
+
+def class_sum_order_reference(n: int, weights, j: int) -> tuple:
+    """``schur.class_sum_order`` with every class's coefficient, brackets and
+    the denominator rebuilt on each call (the route its per-(n, j) cache
+    replaced): [h^j] of the class sum at t = e^h as (num, den) dicts."""
+    classes = [nu for nu in partitions_of(n) if len(nu) <= j and (j - len(nu)) % 2 == 0]
+    parts = {p for nu in classes for p in nu}
+    powers = {p: max(nu.count(p) for nu in classes) for p in parts}
+    zl = lcm(*(nu.z_factor() for nu in classes))
+    num = {}
+    for nu in classes:
+        mult = {p: nu.count(p) for p in nu}
+        f = sum(c * te**j for te, c in _brackets(mult).items()) * (zl // nu.z_factor())
+        qco = _brackets({p: e - mult.get(p, 0) for p, e in powers.items()})
+        for qe, c in _umul(_class_weight(weights, nu), qco).items():
+            num[qe] = num.get(qe, 0) + f * c
+    den = _umul({0: factorial(j) * zl}, _brackets(powers))
+    return {qe: c for qe, c in num.items() if c}, den
 
 
 def _add_slice(acc: dict, te: int, coeffs: dict):

@@ -214,6 +214,39 @@ def test_delta_limit_missing_for_links():
         special_delta(hopf)
 
 
+def test_delta_missing_limit_raises_on_every_call():
+    # an exception is not cached: a second call runs the route again
+    hopf = TorusLinkSpec(1, 1, 2, ((1,), (1,)))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(LimitDoesNotExist) as err:
+            special_delta(hopf)
+        messages.append(str(err.value))
+    assert messages == ["numerator vanishes to order 1 < denominator order 2 at t=1"] * 2
+
+
+def test_delta_is_built_once_per_link(monkeypatch):
+    # the value is cached by (m, n, colors): an equal spec built anew reads
+    # the same object, and a warm call sums no class again
+    import skein_homfly.special as special_mod
+
+    specs = [TREFOIL, TorusLinkSpec(2, 3, 1, (P((2, 1)),)), TorusLinkSpec(2, 3, 1, (P((2, 2)),))]
+    specs.append(TorusLinkSpec(1, 0, 2, (P((2, 1)), P((3,)))))
+    cold = [special_delta(spec).value for spec in specs]
+
+    def forbidden(*args):
+        raise AssertionError("a warm delta summed its classes again")
+
+    monkeypatch.setattr(special_mod, "class_sum_order", forbidden)
+    for spec, value in zip(specs, cold):
+        again = TorusLinkSpec(spec.m, spec.n, spec.L, tuple(tuple(a) for a in spec.colors))
+        assert special_delta(again).value is value, str(spec)
+    # one knot, three colors: three values, each its own
+    assert cold[0] == alexander_torus(2, 3, 1)
+    assert cold[1] == alexander_torus(2, 3, 3)
+    assert len({str(v) for v in cold[:3]}) == 3
+
+
 def _delta_full_route(spec):
     # the t -> 1 limit of the whole two-variable ratio, by series expansion
     ratio = colored_homfly(spec).value
@@ -259,6 +292,8 @@ def test_delta_never_builds_the_torus_value(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("special_delta reached the full route")
 
+    # the value may already be cached by an earlier test: run its body
+    special_mod._delta_torus.cache_clear()
     for module, name in (
         (torus_mod, "colored_homfly"),
         (special_mod, "_torus_value"),
@@ -289,6 +324,48 @@ def test_alexander_values():
         alexander_torus(2, 4, 1)
     with pytest.raises(ValueError):
         alexander_torus(2, 3, 0)
+
+
+def test_alexander_checks_its_arguments():
+    # integers pass operator.index where they enter, as TorusLinkSpec's do
+    for args in ((2.0, 3, 1), (2, 3.0, 1), (2, 3, 1.0), (2, 3, "1")):
+        with pytest.raises(TypeError):
+            alexander_torus(*args)
+    for n in (0, 1, -1):
+        assert alexander_torus(1, n, 2) == LaurentQT.one(), n
+    for args, error, message in (
+        ((0, 1, 1), ValueError, "m must be a positive integer"),
+        ((-2, 3, 1), ValueError, "m must be a positive integer"),
+        ((2, 3, 0), ValueError, "d must be >= 1"),
+        ((2, 3, -1), ValueError, "d must be >= 1"),
+        ((2, 4, 1), NonCoprime, "gcd(2, 4) != 1"),
+        ((3, -6, 2), NonCoprime, "gcd(3, -6) != 1"),
+        ((2, 0, 1), NonCoprime, "gcd(2, 0) != 1"),
+    ):
+        with pytest.raises(error) as err:
+            alexander_torus(*args)
+        assert type(err.value) is error and str(err.value) == message, args
+
+
+def test_alexander_is_fresh_on_every_call(monkeypatch):
+    # the independent check of delta: never cached, and no class sum read
+    import skein_homfly.schur as schur_mod
+    import skein_homfly.special as special_mod
+
+    def forbidden(*args):
+        raise AssertionError("alexander_torus read the class-sum route")
+
+    for module, name in (
+        (special_mod, "class_sum_order"),
+        (special_mod, "_delta_torus"),
+        (special_mod, "_torus_weights"),
+        (schur_mod, "_order_data"),
+    ):
+        monkeypatch.setattr(module, name, forbidden)
+    assert not hasattr(alexander_torus, "cache_info")
+    first = alexander_torus(3, 4, 2)
+    assert alexander_torus(3, 4, 2) is not first and alexander_torus(3, 4, 2) == first
+    assert str(first) == str(compose_q_power(alexander_torus(3, 4, 1), 2))
 
 
 def test_alexander_at_one_is_one():

@@ -28,6 +28,7 @@ from skein_homfly.torus import _torus_weights
 from oracles import (
     _poly_mul_multi,
     character_bracket_sum_dict,
+    class_sum_order_reference,
     digits_per_slot,
     complete_symmetric_poly,
     elementary_symmetric_poly,
@@ -103,6 +104,26 @@ def test_unknot_order_sum_matches_hook_content_leading_term():
                 assert class_sum_order(n, {lam: {0: 1}}, j)[0] == {}, (lam, j)
             num, den = class_sum_order(n, {lam: {0: 1}}, d)
             assert RationalQT(_q_poly(num), _q_poly(den)) == lead, lam
+
+
+def test_class_sum_order_matches_per_call_reference():
+    # the weight-free class data, built once per (n, j), gives the same dicts
+    # as rebuilding it on every call: unknots of every lam |- n <= 12, and the
+    # torus weights of T(2,3), T(2,5), T(3,4) for every color with m|A| <= 12
+    sums = [(n, {lam: {0: 1}}) for n in range(1, 13) for lam in partitions_of(n)]
+    for m, n in ((2, 3), (2, 5), (3, 4)):
+        for a in (a for d in range(1, 12 // m + 1) for a in partitions_of(d)):
+            weights, degree, _ = _torus_weights(m, n, (a,))
+            sums.append((degree, weights))
+    for n, weights in sums:
+        for j in range(5):
+            assert class_sum_order(n, weights, j) == class_sum_order_reference(n, weights, j), (n, weights, j)
+
+
+def test_class_sum_order_hands_out_fresh_denominators():
+    num, den = class_sum_order(4, {P((2, 2)): {0: 1}}, 2)
+    den[0] = den.get(0, 0) + 1
+    assert class_sum_order(4, {P((2, 2)): {0: 1}}, 2) == class_sum_order_reference(4, {P((2, 2)): {0: 1}}, 2)
 
 
 def _colored_sums():
