@@ -32,7 +32,8 @@ rebuilds its term dict.  ``_over_q`` is the reduction the class sums and the
 Markov traces share: t-slices over a q-only denominator, ``_cancel``, one
 RationalQT.  Both build those slices from Kronecker-packed ints, one signed
 fixed-width slot per exponent, which ``_unpack`` cuts back into coefficients
-and ``_packed_div`` divides by a known factor (a hook cofactor, z^(n - L)).
+(``_slot_bytes`` keeps them as biased bytes) and ``_packed_div`` divides by a
+known factor (a hook cofactor, z^(n - L)).
 """
 
 from __future__ import annotations
@@ -681,9 +682,18 @@ def _unslice(slices: dict, idx: int) -> dict:
     return {((e, o) if idx == 0 else (o, e)): c for o, cs in slices.items() for e, c in cs.items()}
 
 
+def _slot_bytes(x: int, size: int) -> bytes:
+    """The biased slots of a packed int, lowest first: slot k's signed value
+    plus 2^(8 size - 1) in size little-endian bytes.  Adding half the range
+    to every slot settles all borrows between slots at once."""
+    count = x.bit_length() // (8 * size) + 1
+    x += int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+    return x.to_bytes(count * size, "little")
+
+
 def _unpack(x: int, size: int) -> list:
-    """The signed size-byte slots of a packed int, lowest first: adding half
-    the range to every slot settles all borrows between slots at once.
+    """The signed size-byte slots of a packed int, lowest first, read off
+    ``_slot_bytes``.
 
     Slots of at most 8 bytes are read in one step: strided copies put slot
     k's bytes in the low bytes of the k-th 8-byte lane, and one
@@ -692,9 +702,8 @@ def _unpack(x: int, size: int) -> list:
     (the class sums' widest bounds: 13 of 666 calls in a cold pass of the
     benchmark's CLI corpus).
     """
-    count = x.bit_length() // (8 * size) + 1
-    x += int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
-    raw, half = x.to_bytes(count * size, "little"), 1 << (8 * size - 1)
+    raw, half = _slot_bytes(x, size), 1 << (8 * size - 1)
+    count = len(raw) // size
     if size > 8:
         return [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, count * size, size)]
     lanes = bytearray(8 * count)

@@ -54,8 +54,10 @@ class Partition(tuple):
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
-        """Parse the text form "(3,1,1)"; "[]" or "()" denote the empty partition."""
+        """Parse the text form "(3,1,1)"; "[]" or "()" is the empty partition."""
         s = text.strip()
+        if not s:
+            raise ValueError(f"blank partition {text!r}: write the empty partition as [] or ()")
         if s == "[]":
             return cls(())
         if s.startswith("(") and s.endswith(")"):

@@ -13,7 +13,8 @@ accumulated over one universal denominator
 which every per-class bracket product divides, so summation never leaves a
 single fraction.  The sum is Kronecker-packed (Harvey, J. Symbolic Comput.
 2009): one integer coefficient per fixed-width slot of a big int, so each
-class costs one big-int product.  One big-int division per t-degree
+nonzero term of a class's weight costs one small-by-big product and one
+shift of the class's packed quotient.  One big-int division per t-degree
 takes the sum down to the colors' hook denominator prod [h(x)] (the
 hook-content formula: Macdonald, Symmetric Functions and Hall Polynomials,
 I.3 Ex. 4), falling back to D_n when it is not exact.  Its t-slices go to
@@ -26,7 +27,6 @@ per (n, j).
 
 from __future__ import annotations
 
-import struct
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,7 +36,7 @@ from operator import sub
 
 from .characters import _beta_mask, _char
 from .errors import IntegralityViolation
-from .exact import RationalQT, _brackets, _over_q, _packed_div, _umul, _unpack
+from .exact import RationalQT, _brackets, _over_q, _packed_div, _slot_bytes, _umul, _unpack
 from .partitions import Partition, partitions_of
 
 
@@ -51,25 +51,6 @@ def _pack(digits: bytes, size: int, wide: int, spread: int) -> int:
     return int.from_bytes(out, "little") - int.from_bytes(bias, "little")
 
 
-def _digits(coeffs, size: int) -> bytes:
-    """The biased size-byte digits of signed coefficients that ``_pack`` reads.
-
-    Digits of at most 8 bytes are written in one step, as ``exact._unpack``
-    reads them: one ``struct.pack`` writes the biased coefficients as
-    little-endian unsigned 64-bit lanes, and strided copies take each lane's
-    low size bytes.  A wider digit fits no lane and is written on its own.
-    """
-    half = 1 << (8 * size - 1)
-    if size > 8:
-        return b"".join((c + half).to_bytes(size, "little") for c in coeffs)
-    biased = [c + half for c in coeffs]
-    lanes = struct.pack(f"<{len(biased)}Q", *biased)
-    out = bytearray(len(biased) * size)
-    for j in range(size):
-        out[j::size] = lanes[j::8]
-    return bytes(out)
-
-
 @lru_cache(maxsize=None)
 def _class_data(n: int) -> tuple:
     """(lcm of all z_nu, D_n items, size, classes); per class nu of n the entry
@@ -79,7 +60,8 @@ def _class_data(n: int) -> tuple:
     big-int product at X = 2^(8 size); size holds 2^(number of brackets in
     D_n), which bounds all their coefficients.  D_n / prod [nu_i], one exact
     division, is q^(n + min exponent of D_n) times a polynomial in q^k, kept
-    as ``_pack`` digits with l1 its sum of |coefficients|.
+    as ``_pack`` digits, every k/2-th slot of its ``exact._slot_bytes`` (one
+    strided copy per byte), with l1 its sum of |coefficients|.
 
     In X that quotient is prod_k (X^k - 1)^e_k, e_k = n // k - m_k(nu), so it
     is a polynomial in X^g for g the gcd of the k with e_k > 0, and in no
@@ -95,9 +77,14 @@ def _class_data(n: int) -> tuple:
     for nu in partitions_of(n):
         brackets = prod((1 << (8 * size * p)) - 1 for p in nu)
         tpoly = tuple((2 * k - n, c) for k, c in enumerate(_unpack(brackets, size)) if c)
-        q = _unpack(d_packed // brackets, size)
+        q = d_packed // brackets
         step = gcd(*(k for k in range(1, n + 1) if n // k > nu.count(k))) or 1
-        out.append((nu, nu.z_factor(), tpoly, 2 * step, sum(map(abs, q)), _digits(q[::step], size)))
+        digits = raw = _slot_bytes(q, size)
+        if step > 1:
+            digits = bytearray(-(-len(raw) // (step * size)) * size)
+            for j in range(size):
+                digits[j::size] = raw[j :: step * size]
+        out.append((nu, nu.z_factor(), tpoly, 2 * step, sum(map(abs, _unpack(q, size))), bytes(digits)))
     deg = sum(k * (n // k) for k in range(1, n + 1))
     d_n = tuple((2 * k - deg, c) for k, c in enumerate(_unpack(d_packed, size)) if c)
     return lcm(*(entry[1] for entry in out)), d_n, size, tuple(out)
@@ -117,7 +104,7 @@ def _class_weight(weights, nu: Partition) -> dict:
 def _hook_cofactor(n: int, hooks: tuple) -> tuple:
     """(X-digits as in ``_class_data``, lowest q-exponent, l1) of the cofactor
     C = D_n / prod_h [h] over the sorted hook lengths ``hooks``, and prod_h [h]
-    as an {exponent: coeff} dict.
+    as an {exponent: coeff} dict.  The digits are C's ``exact._slot_bytes``.
 
     C is a product of brackets: the hooks of A with length divisible by k
     are as many as the k-rim hooks that can be stripped off A one after
@@ -127,9 +114,9 @@ def _hook_cofactor(n: int, hooks: tuple) -> tuple:
     """
     size, mult = _class_data(n)[2], Counter(hooks)
     powers = {k: n // k - mult[k] for k in range(1, n + 1)}
-    coeffs = _unpack(prod(((1 << (8 * size * k)) - 1) ** e for k, e in powers.items()), size)
+    c = prod(((1 << (8 * size * k)) - 1) ** e for k, e in powers.items())
     low = -sum(k * e for k, e in powers.items())
-    return _digits(coeffs, size), low, sum(map(abs, coeffs)), _brackets(mult)
+    return _slot_bytes(c, size), low, sum(map(abs, _unpack(c, size))), _brackets(mult)
 
 
 def character_bracket_sum(n: int, weights, colors, t_shift: int = 0) -> RationalQT:
@@ -141,10 +128,11 @@ def character_bracket_sum(n: int, weights, colors, t_shift: int = 0) -> Rational
     sum's t-slices.  ``class_sum_order`` takes one coefficient of the same
     sum at t = 1 from far fewer classes.
 
-    Kronecker-packed: per class, g_nu and D_n / prod [nu_i] are one int each
-    on one exponent lattice (step: the gcd of the actual offsets), multiplied
-    once and added into one int per t-degree.  Slots hold the bound sum_nu
-    |g_nu|_1 |quotient|_1 (zl / z_nu) max|t-coefficient| with a spare bit.
+    Kronecker-packed: per class, D_n / prod [nu_i] is one int h on one
+    exponent lattice (step: the gcd of the actual offsets); h g_nu, summed
+    over g_nu's few nonzero terms c q^e as (c h) shifted to e's slot, is
+    added into one int per t-degree.  Slots hold the bound sum_nu |g_nu|_1
+    |quotient|_1 (zl / z_nu) max|t-coefficient| with a spare bit.
 
     ``colors``, the colors of the link whose value the weights give (total
     size at most n; ``()`` stands for a hook product of 1), let the sum skip
@@ -172,8 +160,8 @@ def character_bracket_sum(n: int, weights, colors, t_shift: int = 0) -> Rational
     size = max(qsize, (bound.bit_length() + 9 + 2 * cl1.bit_length()) // 8)
     acc = {}
     for g, tpoly, qs, digits, mult in rows:
-        h = _pack(digits, qsize, size, qs // step) * mult
-        h *= sum(c << (8 * size * ((e - glow) // step)) for e, c in g.items())
+        h = _pack(digits, qsize, size, qs // step)
+        h = sum((c * mult * h) << (8 * size * ((e - glow) // step)) for e, c in g.items())
         for te, tc in tpoly:
             acc[te] = acc.get(te, 0) + tc * h
     low = glow + d_n[0][0] + n

@@ -18,10 +18,11 @@ with, the Markov trace reduced by ``RationalQT.simplified`` and a division
 by delta (the route ``exact._over_q`` replaced) on a generator action in
 LaurentQT products (the route the integer kernel of ``hecke._apply``
 replaced), the packed slots cut and written one slot at a time (the
-route the 8-byte lanes of ``exact._unpack`` and ``schur._digits``
-replaced), the hook length formula for character degrees, exact column
-orthogonality of a character table, characters by Murnaghan-Nakayama on
-tuple beta-sets (the route the bitmask kernel replaced), the inversion
+route the 8-byte lanes of ``exact._unpack`` and the biased bytes of
+``exact._slot_bytes`` replaced), the hook length formula for character
+degrees, exact column orthogonality of a character table, characters by
+Murnaghan-Nakayama on tuple beta-sets (the route the bitmask kernel
+replaced), the inversion
 count as first written and as bubble sort's swap count, the cycle type of
 a permutation (the parity sweep counts both more cheaply), and a
 floating-point evaluation of Laurent polynomials for numeric sanity
@@ -234,8 +235,8 @@ def unpack_per_slot(x: int, size: int) -> list:
 
 
 def digits_per_slot(coeffs, size: int) -> bytes:
-    """``schur._digits`` one slot at a time: c + 2^(8 size - 1) in size
-    little-endian bytes per coefficient."""
+    """``exact._slot_bytes`` one slot at a time, from the unpacked slots:
+    c + 2^(8 size - 1) in size little-endian bytes per coefficient."""
     return b"".join((c + (1 << (8 * size - 1))).to_bytes(size, "little") for c in coeffs)
 
 

@@ -288,6 +288,25 @@ def test_numerals_other_than_ascii_digits_exit_two(capsys, token):
         assert out == "" and "invalid integer" in err, argv
 
 
+def test_blank_colors_exit_two(capsys):
+    # a blank color token is a usage error, not the empty partition
+    hopf = ["torus", "--m", "1", "--n", "1", "--components", "2", "--colors"]
+    for argv in (
+        hopf + ["(1);"],
+        hopf + [";(2)"],
+        ["torus", "--m", "1", "--n", "1", "--components", "3", "--colors", "(1);;(2)"],
+        ["unknot", "--color", ""],
+        ["unknot", "--color", "  "],
+    ):
+        code, out, err = _exit_code(capsys, argv)
+        assert code == 2, argv
+        assert out == "" and "blank partition" in err and "[] or ()" in err, argv
+    # the empty partition written out still parses
+    for argv in (hopf + ["(1);[]"], ["unknot", "--color", "[]"], ["unknot", "--color", "()"]):
+        code, out, _ = _exit_code(capsys, argv)
+        assert code == 0 and out, argv
+
+
 def test_negative_integer_options_still_parse(capsys):
     code, out, _ = _exit_code(capsys, ["torus", "--m", "2", "--n", "-3", "--components", "1", "--colors", "(1)"])
     assert code == 0 and out

@@ -6,10 +6,13 @@ came from, and the inexact cases) and the vanishing orders of
 ``exact.expand_series`` against the full ``truncated_series``.  Also the
 packed division that the class sums and the braid closures share,
 ``exact._packed_div``, against quotients too wide for their slots, and the
-slot codec, ``exact._unpack`` and ``schur._digits``, against one that
-handles one slot at a time."""
+slot codec, ``exact._unpack`` and ``exact._slot_bytes``, and the digits
+``schur._class_data`` and ``schur._hook_cofactor`` keep from it, against one
+that handles one slot at a time."""
 
 import random
+from collections import Counter
+from math import prod
 
 import pytest
 import sympy as sp
@@ -21,6 +24,7 @@ from skein_homfly.exact import (
     _cyclotomic,
     _exact_div,
     _packed_div,
+    _slot_bytes,
     _udiv,
     _umul,
     _unpack,
@@ -28,7 +32,8 @@ from skein_homfly.exact import (
     limit_at_one,
     truncated_series,
 )
-from skein_homfly.schur import _digits, _pack
+from skein_homfly.partitions import partitions_of
+from skein_homfly.schur import _class_data, _hook_cofactor, _pack
 
 from oracles import digits_per_slot, unpack_per_slot
 
@@ -264,8 +269,8 @@ def _packed(coeffs: list, size: int) -> int:
 
 
 def test_lane_codec_matches_the_per_slot_codec():
-    # _unpack reads slots of up to 8 bytes through 8-byte lanes and _digits
-    # writes them the same way; wider slots go one by one.  At every size
+    # _unpack reads slots of up to 8 bytes through 8-byte lanes off the
+    # biased bytes of _slot_bytes; wider slots go one by one.  At every size
     # from 1 to 12, slot values at both ends of the range, zeros and random
     # ones come back as they went in and as the per-slot codec has them
     rng = random.Random(2803)
@@ -278,6 +283,29 @@ def test_lane_codec_matches_the_per_slot_codec():
             assert slots == unpack_per_slot(x, size), (size, coeffs)
             width = max(len(slots), len(coeffs))
             assert slots + [0] * (width - len(slots)) == coeffs + [0] * (width - len(coeffs)), (size, coeffs)
-            digits = _digits(coeffs, size)
-            assert digits == digits_per_slot(coeffs, size), (size, coeffs)
+            digits = _slot_bytes(x, size)
+            assert digits == digits_per_slot(slots, size), (size, coeffs)
             assert _pack(digits, size, size, 1) == x, (size, coeffs)
+
+
+def test_class_digits_match_the_per_slot_codec():
+    # _class_data keeps every step-th slot of each quotient's biased bytes,
+    # and _hook_cofactor its product's bytes, with no unpacking: both are
+    # the per-slot codec's digits of the unpacked slots at that step
+    for n in range(1, 15):
+        _, _, size, classes = _class_data(n)
+        d_packed = prod(((1 << (8 * size * k)) - 1) ** (n // k) for k in range(1, n + 1))
+        for nu, _, _, qstep, _, digits in classes:
+            quotient = d_packed // prod((1 << (8 * size * p)) - 1 for p in nu)
+            slots = _unpack(quotient, size)[:: qstep // 2]
+            assert digits == digits_per_slot(slots, size), (n, nu)
+    for d in range(1, 6):
+        for a in partitions_of(d):
+            hooks = tuple(sorted(a.hook_lengths()))
+            for m in (1, 2, 3):
+                n = m * d
+                size = _class_data(n)[2]
+                powers = Counter(k for k in range(1, n + 1) for _ in range(n // k)) - Counter(hooks)
+                cofactor = prod(((1 << (8 * size * k)) - 1) ** e for k, e in powers.items())
+                digits = _hook_cofactor(n, hooks)[0]
+                assert digits == digits_per_slot(_unpack(cofactor, size), size), (n, a)

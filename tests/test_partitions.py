@@ -112,6 +112,18 @@ def test_text_forms():
     assert Partition.parse(" ( 3 , 1 ) ") == Partition((3, 1))
 
 
+def test_blank_partition_text_is_rejected():
+    # the empty partition is written [] or (); blank text is a typo, not it
+    for text in ("", "  ", "\t"):
+        with pytest.raises(ValueError, match=r"blank partition .*\[\] or \(\)"):
+            Partition.parse(text)
+    for text in ("(1);", ";(2)", "(1);;(2)", ";"):
+        with pytest.raises(ValueError, match="blank partition"):
+            PartitionVector.parse(text)
+    assert PartitionVector.parse("(1);[]") == PartitionVector((Partition((1,)), EMPTY))
+    assert PartitionVector.parse("();(2)") == PartitionVector((EMPTY, Partition((2,))))
+
+
 # int() reads each of these, and each spells a different number than its
 # ASCII look, or none: a separator, a sign, Arabic-Indic and fullwidth digits
 NOT_ASCII_DIGITS = ("1_0", "+1", "\u0663", "\uff11", "-\u0663", "1\u0660")

@@ -133,6 +133,10 @@ def _colored_sums():
     for m, n, d in knots:
         for a in partitions_of(d):
             yield (f"T({m},{n})[{a}]", *_torus_weights(m, n, (a,))[:2], (a,))
+    # the widest weights of the benchmark's CLI corpus, N = 12; of the five
+    # colors of size 4 only two, to keep the dict oracle's time down
+    for a in (P((4,)), P((2, 2))):
+        yield (f"T(3,5)[{a}]", *_torus_weights(3, 5, (a,))[:2], (a,))
     colors = [c for d in (0, 1, 2) for c in partitions_of(d)]
     for m, n in ((1, 1), (1, 2), (2, 3)):
         for a in colors:
