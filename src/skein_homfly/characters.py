@@ -5,7 +5,11 @@ beta-sets held as bitmasks (James-Kerber, The Representation Theory of the
 Symmetric Group, 2.7): lambda with l parts sets bit lambda_i + l - 1 - i for
 each part, and removing a border strip of length k moves one bead from bit
 b to an empty bit b - k, with sign (-1)^(beads strictly between).
-All values are exact integers; tables are cached per n in process.
+All values are exact integers; tables are cached per n in process.  A
+table runs the rule on one row of each conjugate pair lambda, lambda' and
+copies the other times the class signs, the sign character's twist
+chi_lambda'(C_mu) = (-1)^(n - l(mu)) chi_lambda(C_mu); self-conjugate rows
+run the rule.
 """
 
 from __future__ import annotations
@@ -96,13 +100,18 @@ def character_table(n: int) -> CharacterTable:
 
 @lru_cache(maxsize=None)
 def _build_table(n: int) -> CharacterTable:
+    """The table with each row whose conjugate row is already built copied
+    from it: chi_lambda'(C_mu) = (-1)^(n - l(mu)) chi_lambda(C_mu)."""
     parts = partitions_of(n)
-    values = {}
+    signs = [-1 if (n - len(mu)) % 2 else 1 for mu in parts]
+    rows = {}
     for lam in parts:
-        mask = _beta_mask(lam)
-        for mu in parts:
-            values[(lam, mu)] = _char(mask, mu)
-    return CharacterTable(n, parts, values)
+        if (conjugate := rows.get(lam.conjugate())) is not None:
+            rows[lam] = [s * v for s, v in zip(signs, conjugate)]
+        else:
+            mask = _beta_mask(lam)
+            rows[lam] = [_char(mask, mu) for mu in parts]
+    return CharacterTable(n, parts, {(lam, mu): v for lam in parts for mu, v in zip(parts, rows[lam])})
 
 
 def hook_character_identity(b: Partition) -> bool:

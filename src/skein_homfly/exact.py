@@ -32,8 +32,8 @@ rebuilds its term dict.  ``_over_q`` is the reduction the class sums and the
 Markov traces share: t-slices over a q-only denominator, ``_cancel``, one
 RationalQT.  Both build those slices from Kronecker-packed ints, one signed
 fixed-width slot per exponent, which ``_unpack`` cuts back into coefficients
-(``_slot_bytes`` keeps them as biased bytes) and ``_packed_div`` divides by a
-known factor (a hook cofactor, z^(n - L)).
+(``_slot_bytes`` keeps them as biased bytes, which ``_slot_values`` reads)
+and ``_packed_div`` divides by a known factor (a hook cofactor, z^(n - L)).
 """
 
 from __future__ import annotations
@@ -692,8 +692,13 @@ def _slot_bytes(x: int, size: int) -> bytes:
 
 
 def _unpack(x: int, size: int) -> list:
-    """The signed size-byte slots of a packed int, lowest first, read off
-    ``_slot_bytes``.
+    """The signed size-byte slots of a packed int, lowest first: its
+    ``_slot_bytes`` read by ``_slot_values``."""
+    return _slot_values(_slot_bytes(x, size), size)
+
+
+def _slot_values(raw: bytes, size: int) -> list:
+    """The signed slots of the biased bytes ``raw`` of ``_slot_bytes``.
 
     Slots of at most 8 bytes are read in one step: strided copies put slot
     k's bytes in the low bytes of the k-th 8-byte lane, and one
@@ -702,8 +707,7 @@ def _unpack(x: int, size: int) -> list:
     (the class sums' widest bounds: 13 of 666 calls in a cold pass of the
     benchmark's CLI corpus).
     """
-    raw, half = _slot_bytes(x, size), 1 << (8 * size - 1)
-    count = len(raw) // size
+    count, half = len(raw) // size, 1 << (8 * size - 1)
     if size > 8:
         return [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, count * size, size)]
     lanes = bytearray(8 * count)

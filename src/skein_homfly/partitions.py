@@ -54,11 +54,12 @@ class Partition(tuple):
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
-        """Parse the text form "(3,1,1)"; "[]" or "()" is the empty partition."""
+        """Parse the text form "(3,1,1)"; "[]" or "()", with or without
+        whitespace inside, is the empty partition."""
         s = text.strip()
         if not s:
             raise ValueError(f"blank partition {text!r}: write the empty partition as [] or ()")
-        if s == "[]":
+        if s[0] + s[-1] == "[]" and not s[1:-1].strip():
             return cls(())
         if s.startswith("(") and s.endswith(")"):
             s = s[1:-1].strip()

@@ -36,7 +36,7 @@ from operator import sub
 
 from .characters import _beta_mask, _char
 from .errors import IntegralityViolation
-from .exact import RationalQT, _brackets, _over_q, _packed_div, _slot_bytes, _umul, _unpack
+from .exact import RationalQT, _brackets, _over_q, _packed_div, _slot_bytes, _slot_values, _umul, _unpack
 from .partitions import Partition, partitions_of
 
 
@@ -61,7 +61,8 @@ def _class_data(n: int) -> tuple:
     D_n), which bounds all their coefficients.  D_n / prod [nu_i], one exact
     division, is q^(n + min exponent of D_n) times a polynomial in q^k, kept
     as ``_pack`` digits, every k/2-th slot of its ``exact._slot_bytes`` (one
-    strided copy per byte), with l1 its sum of |coefficients|.
+    strided copy per byte), with l1 its sum of |coefficients|, read off the
+    same bytes by ``exact._slot_values``.
 
     In X that quotient is prod_k (X^k - 1)^e_k, e_k = n // k - m_k(nu), so it
     is a polynomial in X^g for g the gcd of the k with e_k > 0, and in no
@@ -84,7 +85,7 @@ def _class_data(n: int) -> tuple:
             digits = bytearray(-(-len(raw) // (step * size)) * size)
             for j in range(size):
                 digits[j::size] = raw[j :: step * size]
-        out.append((nu, nu.z_factor(), tpoly, 2 * step, sum(map(abs, _unpack(q, size))), bytes(digits)))
+        out.append((nu, nu.z_factor(), tpoly, 2 * step, sum(map(abs, _slot_values(raw, size))), bytes(digits)))
     deg = sum(k * (n // k) for k in range(1, n + 1))
     d_n = tuple((2 * k - deg, c) for k, c in enumerate(_unpack(d_packed, size)) if c)
     return lcm(*(entry[1] for entry in out)), d_n, size, tuple(out)
@@ -116,7 +117,8 @@ def _hook_cofactor(n: int, hooks: tuple) -> tuple:
     powers = {k: n // k - mult[k] for k in range(1, n + 1)}
     c = prod(((1 << (8 * size * k)) - 1) ** e for k, e in powers.items())
     low = -sum(k * e for k, e in powers.items())
-    return _slot_bytes(c, size), low, sum(map(abs, _unpack(c, size))), _brackets(mult)
+    raw = _slot_bytes(c, size)
+    return raw, low, sum(map(abs, _slot_values(raw, size))), _brackets(mult)
 
 
 def character_bracket_sum(n: int, weights, colors, t_shift: int = 0) -> RationalQT:

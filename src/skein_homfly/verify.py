@@ -10,9 +10,10 @@ in the calling thread: they are pure Python under the GIL and share the
 package's caches, so threads would not speed them up.  The sweep
 functions still accept ``threads=`` for compatibility; it has no effect.
 Repeated in one process, a sweep takes its torus values from those caches,
-and the parity lemma counts the inversions and cycles of each degree's
-permutations once (``_permutation_classes``), then checks one permutation
-per (inversions, cycles) pair.
+and the parity lemma finds each degree's (inversions, cycles) pairs once
+(``_permutation_classes``), then checks one permutation per pair.  It
+scores prefixes, not permutations: each prefix's completions take their
+pairs from a table built once per tail length, ``_tail_table``.
 """
 
 from __future__ import annotations
@@ -287,13 +288,59 @@ def verify_hook_character_identity(config: GridConfig = None, threads=None) -> V
     return _sweep("lemma65", f"|B| <= {config.hook_identity_max}", _check_hook_identity, cases)
 
 
+#: the tail length the parity classes enumerate through ``_tail_table``
+_TAIL = 4
+
+
+@lru_cache(maxsize=_TAIL)
+def _tail_table(k: int) -> dict:
+    """{end map e: the pairs (inv(s), cycles(e o s), s)} over s in S_k, the
+    first s in lexicographic order of each pair, in that order."""
+    tails = [(s, perm_length(s)) for s in permutations(range(k))]
+    table = {}
+    for e in permutations(range(k)):
+        first = {}
+        for s, inv in tails:
+            first.setdefault((inv, perm_cycle_count([e[i] for i in s])), s)
+        table[e] = tuple((inv, cycles, s) for (inv, cycles), s in first.items())
+    return table
+
+
 @lru_cache(maxsize=8)
 def _permutation_classes(d: int) -> dict:
     """{(inversions, cycles): the first permutation of range(d), in
-    lexicographic order, with that pair}; the sweep caps d at 8."""
+    lexicographic order, with that pair}; the sweep caps d at 8.
+
+    The permutations are walked by prefix: p, the first d - k values, k =
+    min(d, 4), in lexicographic order, and the k unused values u_0 < ... <
+    u_(k-1) in every order s, position d - k + i taking u_(s_i).  The
+    completion with s the identity, ``base``, has the inversions of p and
+    those between p and the tail; s adds inv(s).  The prefix's arrows i ->
+    p_i take each u_j down to a free position d - k + e_j, and the tail's
+    arrows close those paths into the cycles of e o s, so a completion has
+    the closed cycles of p, cycles(base) - cycles(e), plus cycles(e o s).
+    ``_tail_table`` lists, per e, each pair's first s, in lexicographic
+    order of s; prefixes come in lexicographic order, so the first
+    completion to reach a pair is the first permutation with it, and the
+    dict's insertion order is the full loop's.
+    """
+    k = min(d, _TAIL)
+    table, free = _tail_table(k), d - k
     out = {}
-    for pi in permutations(range(d)):
-        out.setdefault((perm_length(pi), perm_cycle_count(pi)), pi)
+    for prefix in permutations(range(d), free):
+        unused = sorted(set(range(d)).difference(prefix))
+        ends = []
+        for j in unused:
+            while j < free:
+                j = prefix[j]
+            ends.append(j - free)
+        base = prefix + tuple(unused)
+        inversions = perm_length(base)
+        closed = perm_cycle_count(base) - perm_cycle_count(ends)
+        for inv, cycles, s in table[tuple(ends)]:
+            key = (inversions + inv, closed + cycles)
+            if key not in out:
+                out[key] = prefix + tuple(unused[i] for i in s)
     return out
 
 

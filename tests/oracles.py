@@ -24,9 +24,10 @@ degrees, exact column orthogonality of a character table, characters by
 Murnaghan-Nakayama on tuple beta-sets (the route the bitmask kernel
 replaced), the inversion
 count as first written and as bubble sort's swap count, the cycle type of
-a permutation (the parity sweep counts both more cheaply), and a
-floating-point evaluation of Laurent polynomials for numeric sanity
-checks.
+a permutation, the parity sweep's (inversions, cycles) classes scored on
+every permutation (the route the prefix walk of
+``verify._permutation_classes`` replaced), and a floating-point
+evaluation of Laurent polynomials for numeric sanity checks.
 None of this feeds a computed result of the package.
 """
 
@@ -55,6 +56,7 @@ from skein_homfly.exact import (
 from skein_homfly.hecke import (
     BraidWord,
     HeckeElement,
+    perm_cycle_count,
     perm_length,
 )
 from skein_homfly.partitions import Partition, partitions_of
@@ -471,6 +473,17 @@ def perm_cycle_type(pi: tuple) -> Partition:
             c += 1
         lens.append(c)
     return Partition(sorted(lens, reverse=True))
+
+
+def permutation_classes(d: int, cycles=perm_cycle_count) -> dict:
+    """{(inversions, cycles): the first permutation of range(d), in
+    lexicographic order, with that pair}, scoring every permutation (the
+    route ``verify._permutation_classes``' prefix walk replaced); ``cycles``
+    is the cycle counter."""
+    out = {}
+    for pi in permutations(range(d)):
+        out.setdefault((perm_length(pi), cycles(pi)), pi)
+    return out
 
 
 # -- Hecke algebra products and quasi-idempotents --------------------------

@@ -142,6 +142,16 @@ def test_table_small():
     assert t5.row(P((5,))) == [1] * 7
 
 
+def test_table_entries_match_the_rule_on_every_row():
+    # tables copy a row from its conjugate with the class signs; every entry,
+    # copied or not, agrees with Murnaghan-Nakayama run on its own row
+    for n in range(1, 12):
+        table = character_table(n)
+        assert list(table.values) == [(lam, mu) for lam in table.index for mu in table.index]
+        for (lam, mu), value in table.values.items():
+            assert value == character(lam, mu), (lam, mu)
+
+
 def test_table_bound(monkeypatch):
     monkeypatch.setenv("SKEIN_HOMFLY_MAX_N", "6")
     with pytest.raises(BoundExceeded):

@@ -302,7 +302,12 @@ def test_blank_colors_exit_two(capsys):
         assert code == 2, argv
         assert out == "" and "blank partition" in err and "[] or ()" in err, argv
     # the empty partition written out still parses
-    for argv in (hopf + ["(1);[]"], ["unknot", "--color", "[]"], ["unknot", "--color", "()"]):
+    for argv in (
+        hopf + ["(1);[]"],
+        ["unknot", "--color", "[]"],
+        ["unknot", "--color", "()"],
+        ["unknot", "--color", "[ ]"],
+    ):
         code, out, _ = _exit_code(capsys, argv)
         assert code == 0 and out, argv
 

@@ -110,6 +110,9 @@ def test_text_forms():
     assert Partition.parse("[]") == EMPTY
     assert Partition.parse("()") == EMPTY
     assert Partition.parse(" ( 3 , 1 ) ") == Partition((3, 1))
+    # whitespace inside the empty partition's brackets, as inside a part list
+    for text in ("[ ]", "[  ]", "( )", " [\t] "):
+        assert Partition.parse(text) == EMPTY, text
 
 
 def test_blank_partition_text_is_rejected():

@@ -28,6 +28,8 @@ from skein_homfly.verify import (
     verify_symmetry_q_inverse,
 )
 
+from oracles import permutation_classes
+
 SMALL = GridConfig(
     knots=((2, 3), (3, 2)),
     links=((1, 1, 2),),
@@ -101,16 +103,18 @@ def _parity_loop_failure(d, cycles):
     return None
 
 
-def test_parity_classes_name_the_loops_first_failure(monkeypatch, fresh_parity_classes):
+def test_parity_classes_name_the_loops_first_failure(monkeypatch):
     # a cycle count off by one on two degree-5 permutations, one of them not
     # the first of its true class (that is (0, 2, 3, 4, 1)): the sweep names
-    # the earlier one, as the loop over every permutation does
+    # the earlier one, as the loop over every permutation does.  The prefix
+    # walk scores neither permutation, so the classes come from the oracle
+    # that scores every one under the faulty counter.
     wrong = {(4, 3, 2, 1, 0), (2, 0, 1, 4, 3)}
 
     def off_by_one(pi):
         return perm_cycle_count(pi) + (pi in wrong)
 
-    monkeypatch.setattr(verify, "perm_cycle_count", off_by_one)
+    monkeypatch.setattr(verify, "_permutation_classes", lambda d: permutation_classes(d, off_by_one))
     report = verify_permutation_parity(6)
     expected = tuple(f for d in range(1, 7) if (f := _parity_loop_failure(d, off_by_one)))
     assert report.failures == expected == (("(2, 0, 1, 4, 3)", "parity 1", "parity mismatch"),)
@@ -126,7 +130,14 @@ def test_parity_reports_repeat_in_one_process(fresh_parity_classes):
 def test_parity_classes_cache_is_bounded(fresh_parity_classes):
     assert verify_permutation_parity(8).passed
     assert verify._permutation_classes.cache_info().currsize <= 8
+    assert verify._tail_table.cache_info().maxsize == 4
     assert [len(verify._permutation_classes(d)) for d in range(1, 9)] == [1, 2, 4, 9, 17, 31, 50, 78]
+
+
+def test_prefix_walk_matches_the_loop_over_every_permutation(fresh_parity_classes):
+    # same pairs, same first permutations, same insertion order
+    for d in range(9):
+        assert list(verify._permutation_classes(d).items()) == list(permutation_classes(d).items()), d
 
 
 def test_hook_identity_small():
