@@ -31,9 +31,13 @@ LaurentQT into one dict per exponent of the other variable; ``_unslice``
 rebuilds its term dict.  ``_over_q`` is the reduction the class sums and the
 Markov traces share: t-slices over a q-only denominator, ``_cancel``, one
 RationalQT.  Both build those slices from Kronecker-packed ints, one signed
-fixed-width slot per exponent, which ``_unpack`` cuts back into coefficients
-(``_slot_bytes`` keeps them as biased bytes, which ``_slot_values`` reads)
-and ``_packed_div`` divides by a known factor (a hook cofactor, z^(n - L)).
+fixed-width slot per exponent, and the slot format is known here alone:
+``_slot_bytes`` writes a packed int's slots as biased bytes, ``_pack``
+packs such bytes into an int at a wider slot and spread, ``_slot_values``
+reads them back as ceil(size / 8) 8-byte lanes a slot, ``_unpack`` is the
+two in turn, ``_packed_div`` divides by a known factor (a hook cofactor,
+z^(n - L)) and unpacks the quotient, and ``_sliced`` maps slots to the
+exponents of the slices ``_over_q`` takes.
 """
 
 from __future__ import annotations
@@ -682,6 +686,18 @@ def _unslice(slices: dict, idx: int) -> dict:
     return {((e, o) if idx == 0 else (o, e)): c for o, cs in slices.items() for e, c in cs.items()}
 
 
+def _pack(digits: bytes, size: int, wide: int, spread: int) -> int:
+    """Kronecker substitution: sum_k c_k X^(spread k) at X = 2^(8 wide), from
+    the size-byte little-endian digits c_k + 2^(8 size - 1) of
+    ``_slot_bytes``, size <= wide."""
+    count = len(digits) // size
+    out = bytearray(count * spread * wide)
+    for j in range(size):
+        out[j :: spread * wide] = digits[j::size]
+    bias = (bytes(size - 1) + b"\x80" + bytes(spread * wide - size)) * count
+    return int.from_bytes(out, "little") - int.from_bytes(bias, "little")
+
+
 def _slot_bytes(x: int, size: int) -> bytes:
     """The biased slots of a packed int, lowest first: slot k's signed value
     plus 2^(8 size - 1) in size little-endian bytes.  Adding half the range
@@ -700,20 +716,30 @@ def _unpack(x: int, size: int) -> list:
 def _slot_values(raw: bytes, size: int) -> list:
     """The signed slots of the biased bytes ``raw`` of ``_slot_bytes``.
 
-    Slots of at most 8 bytes are read in one step: strided copies put slot
-    k's bytes in the low bytes of the k-th 8-byte lane, and one
-    ``struct.unpack`` reads the lanes as little-endian unsigned 64-bit ints.
-    A wider slot fits no lane and is read on its own; such slots are rare
-    (the class sums' widest bounds: 13 of 666 calls in a cold pass of the
-    benchmark's CLI corpus).
+    Each slot is read as m = ceil(size / 8) 8-byte lanes: strided copies put
+    slot k's bytes in lanes km .. km + m - 1, one ``struct.unpack`` reads
+    every lane as a little-endian unsigned 64-bit int, and each slot is its
+    top lane less the bias, shifted up past the lanes below it and added to
+    them.  A slot of at most 8 bytes is its one lane less the bias.
     """
-    count, half = len(raw) // size, 1 << (8 * size - 1)
-    if size > 8:
-        return [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, count * size, size)]
-    lanes = bytearray(8 * count)
+    lanes = -(-size // 8)
+    count, width = len(raw) // size, 8 * lanes
+    buf = bytearray(width * count)
     for j in range(size):
-        lanes[j::8] = raw[j::size]
-    return [v - half for v in struct.unpack(f"<{count}Q", lanes)]
+        buf[j::width] = raw[j::size]
+    words = struct.unpack(f"<{lanes * count}Q", buf)
+    half = 1 << (8 * size - 1 - 64 * (lanes - 1))
+    out = [v - half for v in words[lanes - 1 :: lanes]]
+    for i in range(lanes - 2, -1, -1):
+        out = [(v << 64) + w for v, w in zip(out, words[i::lanes])]
+    return out
+
+
+def _sliced(slots: dict, low: int, step: int = 1, shift: int = 0) -> dict:
+    """{key: slot list}, slot k holding v^(low + step k), as the nonzero
+    {key + shift: {exponent: int}} slices that ``_over_q`` takes; a list of
+    zeros gives no slice."""
+    return {key + shift: cs for key, s in slots.items() if (cs := {low + step * k: c for k, c in enumerate(s) if c})}
 
 
 def _packed_div(x: int, c: int, l1: int, size: int):

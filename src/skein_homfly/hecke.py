@@ -32,7 +32,7 @@ The slot width comes from a proved bound (``_slot_size``): one letter at
 most triples an element's l1 norm, and ``_trace_perm`` bounds l1(U_pi), so
 no coefficient of the sum, nor of its quotient by z^(n - L), can overflow
 its slot.  ``exact._packed_div`` divides a t-slice by z^(n - L) in one
-divmod and ``exact._unpack`` cuts it back into the {t-exponent:
+divmod, and the slot codec of exact.py cuts it back into the {t-exponent:
 {q-exponent: int}} slices that ``exact._over_q`` takes.  LaurentQT stays
 at the boundary: ``HeckeElement`` and ``element_of_braid`` carry LaurentQT
 coefficients, and ``markov_trace`` packs each t-slice of its argument's
@@ -56,7 +56,7 @@ from operator import gt, index
 from threading import Lock
 
 from .errors import IndexOutOfRange
-from .exact import LaurentQT, RationalQT, _brackets, _over_q, _packed_div, _unpack
+from .exact import LaurentQT, RationalQT, _brackets, _over_q, _packed_div, _sliced, _unpack, _unslice
 from .partitions import integer
 
 
@@ -254,13 +254,10 @@ class HeckeElement:
 def element_of_braid(w: BraidWord) -> HeckeElement:
     """Image of a braid word in the Hecke algebra, folded left to right and
     unpacked once."""
-    (terms, size, numbering), low = _word_terms(w), -len(w.letters)
+    terms, size, numbering = _word_terms(w)
+    coeffs = _sliced({i: _unpack(c, size) for i, c in terms.items()}, -len(w.letters))
     return HeckeElement(
-        w.strands,
-        {
-            numbering.perms[i]: LaurentQT._of({(low + k, 0): v for k, v in enumerate(_unpack(c, size)) if v})
-            for i, c in terms.items()
-        },
+        w.strands, {numbering.perms[i]: LaurentQT._of(_unslice({0: c}, 0)) for i, c in coeffs.items()}
     )
 
 
@@ -337,13 +334,6 @@ def _t_bracket(slices: dict) -> dict:
         out[te + 1] = out.get(te + 1, 0) + x
         out[te - 1] = out.get(te - 1, 0) - x
     return {te: x for te, x in out.items() if x}
-
-
-def _sliced(slots: dict, low: int, t_shift: int = 0) -> dict:
-    """{t-exponent: slot list}, slot 0 holding q^low, as the nonzero
-    {t-exponent: {q-exponent: int}} slices that ``exact._over_q`` takes,
-    each t-exponent moved by t_shift."""
-    return {te + t_shift: {low + k: v for k, v in enumerate(s) if v} for te, s in slots.items()}
 
 
 # -- the Markov trace --------------------------------------------------
@@ -445,7 +435,7 @@ def _closure(w: BraidWord, framed: bool) -> RationalQT:
     slots = {te: _packed_div(x, c, 1 << k, size) for te, x in total.items()}
     if None in slots.values():
         raise ArithmeticError(f"z^{k} does not divide the closure of {w}")
-    slices = _sliced(slots, k - len(w.letters) - n * (n - 1) // 2, 0 if framed else -w.writhe)
+    slices = _sliced(slots, k - len(w.letters) - n * (n - 1) // 2, 1, 0 if framed else -w.writhe)
     return _over_q(slices, _brackets({1: n - k if framed else n - k - 1}))
 
 

@@ -54,14 +54,15 @@ class Partition(tuple):
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
-        """Parse the text form "(3,1,1)"; "[]" or "()", with or without
-        whitespace inside, is the empty partition."""
+        """Parse the text form "(3,1,1)": parts separated by commas, wrapped
+        in ( ) or [ ] or in nothing, with whitespace around each; "()" or
+        "[]", with or without whitespace inside, is the empty partition."""
         s = text.strip()
         if not s:
             raise ValueError(f"blank partition {text!r}: write the empty partition as [] or ()")
-        if s[0] + s[-1] == "[]" and not s[1:-1].strip():
-            return cls(())
-        if s.startswith("(") and s.endswith(")"):
+        if s[0] in "([" or s[-1] in ")]":
+            if s[0] + s[-1] not in ("()", "[]"):
+                raise ValueError(f"unmatched brackets in partition {text!r}: write it as (3,1,1) or [3,1,1]")
             s = s[1:-1].strip()
         return cls(integer(p, signed=False) for p in s.split(",")) if s else cls(())
 

@@ -14,7 +14,9 @@ which every per-class bracket product divides, so summation never leaves a
 single fraction.  The sum is Kronecker-packed (Harvey, J. Symbolic Comput.
 2009): one integer coefficient per fixed-width slot of a big int, so each
 nonzero term of a class's weight costs one small-by-big product and one
-shift of the class's packed quotient.  One big-int division per t-degree
+shift of the class's packed quotient.  The slots are written, read and
+mapped to exponents by exact.py's slot codec; this module only chooses
+their width and lattice step.  One big-int division per t-degree
 takes the sum down to the colors' hook denominator prod [h(x)] (the
 hook-content formula: Macdonald, Symmetric Functions and Hall Polynomials,
 I.3 Ex. 4), falling back to D_n when it is not exact.  Its t-slices go to
@@ -30,64 +32,39 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product, repeat
+from itertools import product
 from math import factorial, gcd, lcm, prod
-from operator import sub
 
 from .characters import _beta_mask, _char
 from .errors import IntegralityViolation
-from .exact import RationalQT, _brackets, _over_q, _packed_div, _slot_bytes, _slot_values, _umul, _unpack
+from .exact import RationalQT, _brackets, _over_q, _umul
+from .exact import _pack, _packed_div, _sliced, _slot_bytes, _slot_values, _unpack
 from .partitions import Partition, partitions_of
-
-
-def _pack(digits: bytes, size: int, wide: int, spread: int) -> int:
-    """Kronecker substitution: sum_k c_k X^(spread k) at X = 2^(8 wide), from
-    the size-byte little-endian digits c_k + 2^(8 size - 1), size <= wide."""
-    count = len(digits) // size
-    out = bytearray(count * spread * wide)
-    for j in range(size):
-        out[j :: spread * wide] = digits[j::size]
-    bias = (bytes(size - 1) + b"\x80" + bytes(spread * wide - size)) * count
-    return int.from_bytes(out, "little") - int.from_bytes(bias, "little")
 
 
 @lru_cache(maxsize=None)
 def _class_data(n: int) -> tuple:
     """(lcm of all z_nu, D_n items, size, classes); per class nu of n the entry
-    (nu, z_nu, t-bracket product items, k, l1, digits).
+    (nu, z_nu, t-bracket product items, l1, digits).
 
     prod_i (v^p_i - v^-p_i) is v^-(sum p_i) prod_i (X^p_i - 1) at X = v^2, a
     big-int product at X = 2^(8 size); size holds 2^(number of brackets in
     D_n), which bounds all their coefficients.  D_n / prod [nu_i], one exact
-    division, is q^(n + min exponent of D_n) times a polynomial in q^k, kept
-    as ``_pack`` digits, every k/2-th slot of its ``exact._slot_bytes`` (one
-    strided copy per byte), with l1 its sum of |coefficients|, read off the
-    same bytes by ``exact._slot_values``.
-
-    In X that quotient is prod_k (X^k - 1)^e_k, e_k = n // k - m_k(nu), so it
-    is a polynomial in X^g for g the gcd of the k with e_k > 0, and in no
-    larger power: if it were a polynomial in X^G, its roots would be
-    invariant under a primitive G-th root of unity zeta, with multiplicities.
-    The root 1 has multiplicity sum_k e_k and zeta has sum over G | k of e_k,
-    so every k with e_k > 0 is a multiple of G, and G divides g.  So g, read
-    off the brackets, is the step no scan of the coefficients could widen.
+    division, is q^(n + min exponent of D_n) times a polynomial in X, kept
+    as the digits of its ``exact._slot_bytes``, one slot per power of X,
+    with l1 its sum of |coefficients|, read off the same bytes by
+    ``exact._slot_values``.
     """
     size = (sum(n // k for k in range(1, n + 1)) + 9) // 8
     d_packed = prod(((1 << (8 * size * k)) - 1) ** (n // k) for k in range(1, n + 1))
     out = []
     for nu in partitions_of(n):
         brackets = prod((1 << (8 * size * p)) - 1 for p in nu)
-        tpoly = tuple((2 * k - n, c) for k, c in enumerate(_unpack(brackets, size)) if c)
-        q = d_packed // brackets
-        step = gcd(*(k for k in range(1, n + 1) if n // k > nu.count(k))) or 1
-        digits = raw = _slot_bytes(q, size)
-        if step > 1:
-            digits = bytearray(-(-len(raw) // (step * size)) * size)
-            for j in range(size):
-                digits[j::size] = raw[j :: step * size]
-        out.append((nu, nu.z_factor(), tpoly, 2 * step, sum(map(abs, _slot_values(raw, size))), bytes(digits)))
+        tpoly = tuple(_sliced({0: _unpack(brackets, size)}, -n, 2)[0].items())
+        digits = _slot_bytes(d_packed // brackets, size)
+        out.append((nu, nu.z_factor(), tpoly, sum(map(abs, _slot_values(digits, size))), digits))
     deg = sum(k * (n // k) for k in range(1, n + 1))
-    d_n = tuple((2 * k - deg, c) for k, c in enumerate(_unpack(d_packed, size)) if c)
+    d_n = tuple(_sliced({0: _unpack(d_packed, size)}, -deg, 2)[0].items())
     return lcm(*(entry[1] for entry in out)), d_n, size, tuple(out)
 
 
@@ -130,8 +107,9 @@ def character_bracket_sum(n: int, weights, colors, t_shift: int = 0) -> Rational
     sum's t-slices.  ``class_sum_order`` takes one coefficient of the same
     sum at t = 1 from far fewer classes.
 
-    Kronecker-packed: per class, D_n / prod [nu_i] is one int h on one
-    exponent lattice (step: the gcd of the actual offsets); h g_nu, summed
+    Kronecker-packed: per class, D_n / prod [nu_i] is one int h on the
+    sum's exponent lattice (step: the gcd of 2 and the weights' offsets,
+    the quotients' own being even); h g_nu, summed
     over g_nu's few nonzero terms c q^e as (c h) shifted to e's slot, is
     added into one int per t-degree.  Slots hold the bound sum_nu |g_nu|_1
     |quotient|_1 (zl / z_nu) max|t-coefficient| with a spare bit.
@@ -151,18 +129,18 @@ def character_bracket_sum(n: int, weights, colors, t_shift: int = 0) -> Rational
     hooks = tuple(sorted(h for a in colors for h in a.hook_lengths()))
     cdigits, clow, cl1, hook_den = _hook_cofactor(n, hooks)
     rows, bound = [], 0
-    for nu, z, tpoly, qstep, l1, digits in classes:
+    for nu, z, tpoly, l1, digits in classes:
         if g := _class_weight(weights, nu):
-            rows.append((g, tpoly, qstep, digits, zl // z))
+            rows.append((g, tpoly, digits, zl // z))
             bound += sum(map(abs, g.values())) * l1 * (zl // z) * max(abs(c) for _, c in tpoly)
     glow = min((min(g) for g, *_ in rows), default=0)
-    # the cofactor's exponents are steps of 2 apart
-    step = gcd(2, *(gcd(qs, *map(sub, g, repeat(glow))) for g, _, qs, _, _ in rows))
+    # the quotients' and the cofactor's exponents are steps of 2 apart
+    step = gcd(2, *(e - glow for g, *_ in rows for e in g))
     # spare bits for the quotients, which may outgrow the sum's coefficients
     size = max(qsize, (bound.bit_length() + 9 + 2 * cl1.bit_length()) // 8)
     acc = {}
-    for g, tpoly, qs, digits, mult in rows:
-        h = _pack(digits, qsize, size, qs // step)
+    for g, tpoly, digits, mult in rows:
+        h = _pack(digits, qsize, size, 2 // step)
         h = sum((c * mult * h) << (8 * size * ((e - glow) // step)) for e, c in g.items())
         for te, tc in tpoly:
             acc[te] = acc.get(te, 0) + tc * h
@@ -173,10 +151,7 @@ def character_bracket_sum(n: int, weights, colors, t_shift: int = 0) -> Rational
         slots, low, den = quots, low - clow, hook_den
     else:
         slots, den = {te: _unpack(x, size) for te, x in acc.items()}, dict(d_n)
-    ns = {
-        te + t_shift: {low + step * k: c for k, c in enumerate(s) if c} for te, s in slots.items() if any(s)
-    }
-    return _over_q(ns, {e: c * zl for e, c in den.items()})
+    return _over_q(_sliced(slots, low, step, t_shift), {e: c * zl for e, c in den.items()})
 
 
 @lru_cache(maxsize=None)

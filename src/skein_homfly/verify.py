@@ -212,7 +212,7 @@ def verify_symmetry_neg_q_inverse(config: GridConfig = None, threads=None) -> Ve
 # -- special polynomial theorems -----------------------------------------
 
 
-def _check_H(spec, bases: dict):
+def _check_H(spec):
     lhs = special_H(spec).value
     if spec.L == 2:
         # components of these links are unknots, so the product form is 1
@@ -220,10 +220,8 @@ def _check_H(spec, bases: dict):
             return (str(spec), "H = 1 for unknot components", str(lhs))
         return None
     (a,) = spec.colors
-    # the single-box H of each knot, computed once per sweep
-    if (spec.m, spec.n) not in bases:
-        bases[spec.m, spec.n] = special_H(TorusLinkSpec(spec.m, spec.n, 1, (Partition((1,)),))).value
-    if lhs != bases[spec.m, spec.n] ** a.size:
+    # the single-box H of each knot, cached per link by special_H
+    if lhs != special_H(TorusLinkSpec(spec.m, spec.n, 1, (Partition((1,)),))).value ** a.size:
         return (str(spec), "H equals single-box H to the |A|", "mismatch")
     return None
 
@@ -232,12 +230,9 @@ def verify_special_H(config: GridConfig = None, threads=None) -> VerificationRep
     """Multiplicativity of the q->1 special polynomial in the color size."""
     config = config or GridConfig()
     colors = _colors_up_to(config.max_color)
-    bases = {}
-    cases = [
-        (TorusLinkSpec(m, n, 1, (a,)), bases) for m, n in config.knots for a in [Partition(()), *colors]
-    ]
+    cases = [(TorusLinkSpec(m, n, 1, (a,)),) for m, n in config.knots for a in [Partition(()), *colors]]
     box = Partition((1,))
-    cases += [(TorusLinkSpec(m, n, 2, (box, box)), bases) for m, n in _link_twists(config)]
+    cases += [(TorusLinkSpec(m, n, 2, (box, box)),) for m, n in _link_twists(config)]
     grid = f"knots={list(config.knots)} |A|<={config.max_color} plus single-box links"
     # with no knot or no non-empty color the sweep would check empty colors and links only
     return _sweep("thm62", grid, _check_H, cases if colors and config.knots else [])

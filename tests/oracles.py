@@ -18,9 +18,9 @@ with, the Markov trace reduced by ``RationalQT.simplified`` and a division
 by delta (the route ``exact._over_q`` replaced) on a generator action in
 LaurentQT products (the route the integer kernel of ``hecke._apply``
 replaced), the packed slots cut and written one slot at a time (the
-route the 8-byte lanes of ``exact._unpack`` and the biased bytes of
-``exact._slot_bytes`` replaced), the hook length formula for character
-degrees, exact column orthogonality of a character table, characters by
+route the 8-byte lanes of ``exact._slot_values``, at every slot width,
+and the biased bytes of ``exact._slot_bytes`` replaced), the hook length
+formula for character degrees, exact column orthogonality of a character table, characters by
 Murnaghan-Nakayama on tuple beta-sets (the route the bitmask kernel
 replaced), the inversion
 count as first written and as bubble sort's swap count, the cycle type of

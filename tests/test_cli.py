@@ -162,6 +162,16 @@ def test_bad_partition_text_exit_two(capsys):
     assert exc.value.code == 2
 
 
+def test_unmatched_partition_brackets_exit_two(capsys):
+    # "[3,1]" is (3,1); a mismatched pair is a usage error naming the form
+    code, out, _ = _exit_code(capsys, ["unknot", "--color", "[3,1]"])
+    assert code == 0 and out == _exit_code(capsys, ["unknot", "--color", "(3,1)"])[1]
+    for color in ("(3,1]", "[3,1)", "(3,1"):
+        code, out, err = _exit_code(capsys, ["unknot", "--color", color])
+        assert code == 2, color
+        assert out == "" and "unmatched brackets in partition" in err and "invalid integer" not in err, color
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

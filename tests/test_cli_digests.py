@@ -6,8 +6,9 @@ SHA-256 of its argv, exit code and stdout.  The calls are the seven
 as text and as ``--json``, then the benchmark's single commands
 (``perfbench/workloads.CLI_SINGLE``, read only), then the unknot and the
 3-component unlink as the torus link T(1, 0), two braid closures with
-as many components as strands and with one component on six strands, and
-the character table of S_11.
+as many components as strands and with one component on six strands, the
+character table of S_11, and the unknot colored (10,10), whose class data
+has 9-byte slots.
 Every call runs in process; a changed byte names the call it came from.
 """
 
@@ -39,6 +40,8 @@ EXTRA = (
     # a character table size no other call builds, half its rows copied
     # from their conjugates
     "characters --n 11",
+    # N = 20, the first class data with 9-byte slots, read as two lanes
+    'unknot --color "(10,10)"',
 )
 
 

@@ -6,9 +6,10 @@ came from, and the inexact cases) and the vanishing orders of
 ``exact.expand_series`` against the full ``truncated_series``.  Also the
 packed division that the class sums and the braid closures share,
 ``exact._packed_div``, against quotients too wide for their slots, and the
-slot codec, ``exact._unpack`` and ``exact._slot_bytes``, and the digits
-``schur._class_data`` and ``schur._hook_cofactor`` keep from it, against one
-that handles one slot at a time."""
+slot codec, ``exact._unpack``, ``exact._slot_bytes`` and ``exact._pack``,
+and the digits and l1 that ``schur._class_data`` and
+``schur._hook_cofactor`` keep from it, against one that handles one slot
+at a time."""
 
 import random
 from collections import Counter
@@ -23,6 +24,7 @@ from skein_homfly.exact import (
     RationalQT,
     _cyclotomic,
     _exact_div,
+    _pack,
     _packed_div,
     _slot_bytes,
     _udiv,
@@ -33,7 +35,7 @@ from skein_homfly.exact import (
     truncated_series,
 )
 from skein_homfly.partitions import partitions_of
-from skein_homfly.schur import _class_data, _hook_cofactor, _pack
+from skein_homfly.schur import _class_data, _hook_cofactor
 
 from oracles import digits_per_slot, unpack_per_slot
 
@@ -269,12 +271,12 @@ def _packed(coeffs: list, size: int) -> int:
 
 
 def test_lane_codec_matches_the_per_slot_codec():
-    # _unpack reads slots of up to 8 bytes through 8-byte lanes off the
-    # biased bytes of _slot_bytes; wider slots go one by one.  At every size
-    # from 1 to 12, slot values at both ends of the range, zeros and random
+    # _unpack reads each slot off the biased bytes of _slot_bytes as
+    # ceil(size / 8) 8-byte lanes.  At every size from 1 to 24 (one, two and
+    # three lanes), slot values at both ends of the range, zeros and random
     # ones come back as they went in and as the per-slot codec has them
     rng = random.Random(2803)
-    for size in range(1, 13):
+    for size in range(1, 25):
         top = (1 << (8 * size - 1)) - 1
         for _ in range(40):
             coeffs = [rng.choice((top, -top, 0, rng.randint(-top, top))) for _ in range(rng.randint(1, 40))]
@@ -289,16 +291,18 @@ def test_lane_codec_matches_the_per_slot_codec():
 
 
 def test_class_digits_match_the_per_slot_codec():
-    # _class_data keeps every step-th slot of each quotient's biased bytes,
-    # and _hook_cofactor its product's bytes, with no unpacking: both are
-    # the per-slot codec's digits of the unpacked slots at that step
-    for n in range(1, 15):
+    # _class_data keeps each quotient's biased bytes and the l1 read off
+    # them, and _hook_cofactor its product's bytes: both are the per-slot
+    # codec's digits of the slots it unpacks.  n = 20 is the first n whose
+    # slots are 9 bytes wide, so the lane decoder reads two lanes a slot
+    for n in range(1, 21):
         _, _, size, classes = _class_data(n)
         d_packed = prod(((1 << (8 * size * k)) - 1) ** (n // k) for k in range(1, n + 1))
-        for nu, _, _, qstep, _, digits in classes:
-            quotient = d_packed // prod((1 << (8 * size * p)) - 1 for p in nu)
-            slots = _unpack(quotient, size)[:: qstep // 2]
+        for nu, _, _, l1, digits in classes:
+            slots = unpack_per_slot(d_packed // prod((1 << (8 * size * p)) - 1 for p in nu), size)
             assert digits == digits_per_slot(slots, size), (n, nu)
+            assert l1 == sum(map(abs, slots)), (n, nu)
+    assert _class_data(20)[2] == 9 > _class_data(19)[2]
     for d in range(1, 6):
         for a in partitions_of(d):
             hooks = tuple(sorted(a.hook_lengths()))

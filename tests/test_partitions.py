@@ -113,6 +113,14 @@ def test_text_forms():
     # whitespace inside the empty partition's brackets, as inside a part list
     for text in ("[ ]", "[  ]", "( )", " [\t] "):
         assert Partition.parse(text) == EMPTY, text
+    # one rule for both delimiters: a bracketed body parses as in ( )
+    assert Partition.parse("[3,1]") == Partition((3, 1))
+    assert Partition.parse(" [ 3 , 1 , 1 ] ") == Partition((3, 1, 1))
+    assert Partition.parse("3,1") == Partition((3, 1))
+    # a delimiter without its partner names the partition form
+    for text in ("(3,1]", "[3,1)", "(3,1", "3,1]", "(", "]"):
+        with pytest.raises(ValueError, match=r"unmatched brackets in partition .*: write it as \(3,1,1\)"):
+            Partition.parse(text)
 
 
 def test_blank_partition_text_is_rejected():

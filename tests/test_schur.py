@@ -1,4 +1,3 @@
-from math import gcd
 from pathlib import Path
 
 import pytest
@@ -285,17 +284,18 @@ def test_universal_denominator_divisibility():
         assert _exact_div(d4, prod) is not None
 
 
-def test_class_data_step_is_the_coefficient_gcd():
-    # _class_data reads each quotient's step off its brackets; for n <= 14
-    # it is the gcd of the quotient's q-exponent offsets, and the kept
-    # digits are its coefficients at that step
+def test_class_data_digits_are_the_quotient_coefficients():
+    # _class_data keeps one slot per power of X = q^2 of each quotient
+    # D_n / prod [nu_i]: for n <= 14 its q-exponents are steps of 2 apart,
+    # the digits are its coefficients at that step, and l1 is the sum of
+    # their absolute values
     for n in range(1, 15):
         size = schur._class_data(n)[2]
-        for nu, _, _, qstep, l1, digits in schur._class_data(n)[3]:
+        for nu, _, _, l1, digits in schur._class_data(n)[3]:
             quotient = _brackets({k: n // k - nu.count(k) for k in range(1, n + 1)})
             low = min(quotient)
-            assert qstep == (gcd(*(e - low for e in quotient)) or 2), (n, nu)
-            coeffs = [quotient.get(e, 0) for e in range(low, max(quotient) + 1, qstep)]
+            assert all((e - low) % 2 == 0 for e in quotient), (n, nu)
+            coeffs = [quotient.get(e, 0) for e in range(low, max(quotient) + 1, 2)]
             assert digits == digits_per_slot(coeffs, size), (n, nu)
             assert l1 == sum(map(abs, quotient.values())), (n, nu)
 
