@@ -38,13 +38,13 @@ at the boundary: ``HeckeElement`` and ``element_of_braid`` carry LaurentQT
 coefficients, and ``markov_trace`` packs each t-slice of its argument's
 coefficients once.
 
-The folds key their terms by permutation numbers, not tuples: one
-``_Numbering`` per strand count numbers each permutation when a fold first
-reaches it (the identity is 0), and ``_apply`` looks up each swap of
-neighbours, with whether it lowers the length, in a memo filled on first
-use.  So no permutation tuple is built or hashed per term and letter, and
-nothing enumerates S_n.  Tuples remain at the boundary too: the keys of
-``_trace_perm``'s cache and of ``HeckeElement``.
+The folds key their terms by permutation codes, not tuples: ``_code``
+packs a permutation into one int, so it has the same key in every fold,
+thread and cache, ``_trace_perm``'s included.  ``_apply`` looks up each
+swap of neighbours, with whether it lowers the length, in the memo of
+``_swaps(n)``, which a miss fills from the code alone.  So no permutation
+tuple is built or hashed per term and letter, nothing enumerates S_n, and
+tuples remain only at the boundary, in ``HeckeElement``.
 """
 
 from __future__ import annotations
@@ -52,8 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, starmap
-from operator import gt, index
-from threading import Lock
+from operator import gt, index, lshift
 
 from .errors import IndexOutOfRange
 from .exact import LaurentQT, RationalQT, _brackets, _over_q, _packed_div, _sliced, _unpack, _unslice
@@ -82,54 +81,45 @@ def perm_cycle_count(pi: tuple) -> int:
     return count
 
 
-class _Numbering:
-    """The permutations of 0..n-1 that folds have reached, numbered in the
-    order they were first reached (0 is the identity), with the swaps looked
-    up so far: ``swaps[p][i]`` is (the number of ``perms[i]`` with positions
-    p and p + 1 swapped, whether that swap lowers the length).
+def _code(pi) -> int:
+    """The permutation pi of 0..n-1 as one int: entry i in the w bits from
+    w * i, w = max(1, (n - 1).bit_length())."""
+    w = max(1, (len(pi) - 1).bit_length())
+    return sum(map(lshift, pi, range(0, w * len(pi), w)))
 
-    Nothing enumerates S_n: a fold of L letters from the identity reaches at
-    most 2^L permutations.  Readers see plain dicts and lists; a miss numbers
-    its permutation under a lock, appending to ``perms`` before ``numbers``
-    names it, so threads that fold at once agree on every number.  Numbers
-    mean nothing outside their numbering, so a fold takes one numbering and
-    passes it on.
-    """
 
-    __slots__ = ("n", "perms", "numbers", "swaps", "_lock")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.perms = [tuple(range(n))]
-        self.numbers = {self.perms[0]: 0}
-        self.swaps = [{} for _ in range(n - 1)]
-        self._lock = Lock()
-
-    def number(self, pi: tuple) -> int:
-        """pi's number, the next one if it had none."""
-        if (i := self.numbers.get(pi)) is None:
-            with self._lock:
-                if (i := self.numbers.get(pi)) is None:
-                    i = len(self.perms)
-                    self.perms.append(pi)
-                    self.numbers[pi] = i
-        return i
-
-    def swap(self, p: int, i: int) -> tuple:
-        """``swaps[p][i]``, worked out on a miss and kept with its reverse:
-        the swap back from j to i changes the length the other way."""
-        pi, memo = self.perms[i], self.swaps[p]
-        a, b = pi[p], pi[p + 1]
-        j = self.number(pi[:p] + (b, a) + pi[p + 2 :])
-        memo[j] = (i, b > a)
-        out = memo[i] = (j, a > b)
-        return out
+def _perm(code: int, n: int) -> tuple:
+    """The permutation of 0..n-1 whose ``_code`` is code."""
+    w = max(1, (n - 1).bit_length())
+    mask = (1 << w) - 1
+    return tuple(code >> s & mask for s in range(0, w * n, w))
 
 
 @lru_cache(maxsize=None)
-def _numbering(n: int) -> _Numbering:
-    """The one numbering of the permutations of 0..n-1 that folds share."""
-    return _Numbering(n)
+def _swaps(n: int) -> tuple:
+    """([one memo per position p], the identity's code) on n strands:
+    ``memo[code]`` is (the code with entries p and p + 1 swapped, whether
+    that swap lowers the length), filled by ``_swap`` on first use.
+
+    Nothing enumerates S_n: a fold of L letters from the identity reaches
+    at most 2^L permutations.  Every entry depends on its key alone, so
+    threads that fill a memo at once, or that each build one on a race for
+    the cache, need no lock.
+    """
+    return [{} for _ in range(n - 1)], _code(range(n))
+
+
+def _swap(memos: list, p: int, code: int) -> tuple:
+    """``memos[p][code]``, worked out on a miss and kept with its reverse:
+    the swap back changes the length the other way."""
+    w = max(1, len(memos).bit_length())
+    memo, shift, mask = memos[p], w * p, (1 << w) - 1
+    a, b = code >> shift & mask, code >> (shift + w) & mask
+    d = a ^ b
+    other = code ^ d << shift ^ d << (shift + w)
+    memo[other] = (code, b > a)
+    out = memo[code] = (other, a > b)
+    return out
 
 
 # -- braid words -------------------------------------------------------
@@ -254,32 +244,32 @@ class HeckeElement:
 def element_of_braid(w: BraidWord) -> HeckeElement:
     """Image of a braid word in the Hecke algebra, folded left to right and
     unpacked once."""
-    terms, size, numbering = _word_terms(w)
+    terms, size = _word_terms(w)
     coeffs = _sliced({i: _unpack(c, size) for i, c in terms.items()}, -len(w.letters))
     return HeckeElement(
-        w.strands, {numbering.perms[i]: LaurentQT._of(_unslice({0: c}, 0)) for i, c in coeffs.items()}
+        w.strands, {_perm(i, w.strands): LaurentQT._of(_unslice({0: c}, 0)) for i, c in coeffs.items()}
     )
 
 
 # -- the packed kernel ---------------------------------------------------
 
 
-def _apply(numbering: _Numbering, terms: dict, p: int, sign: int, bits: int) -> dict:
-    """{permutation number: packed coefficient} right-multiplied by the
-    generator swapping positions p and p + 1 (sign -1: its inverse); slots
-    are bits wide.
+def _apply(memos: list, terms: dict, p: int, sign: int, bits: int) -> dict:
+    """{permutation code: packed coefficient} on n strands right-multiplied
+    by the generator swapping positions p and p + 1 (sign -1: its inverse);
+    memos is ``_swaps(n)[0]`` and slots are bits wide.
 
-    Each term moves to its swapped permutation, looked up in
-    ``numbering.swaps[p]``; where the swap lowers the length (raises it, for
-    the inverse) the term also stays, times sign * z: z * c is
-    (c << bits) - (c >> bits), whose right shift is exact while the lowest
-    slot of c is empty.  A term whose int is 0 is dropped.
+    Each term moves to its swapped permutation, looked up in ``memos[p]``;
+    where the swap lowers the length (raises it, for the inverse) the term
+    also stays, times sign * z: z * c is (c << bits) - (c >> bits), whose
+    right shift is exact while the lowest slot of c is empty.  A term whose
+    int is 0 is dropped.
     """
-    swaps, up = numbering.swaps[p], sign > 0
+    memo, up = memos[p], sign > 0
     out = {}
     stays = []
     for i, c in terms.items():
-        j, lowers = swaps.get(i) or numbering.swap(p, i)
+        j, lowers = memo.get(i) or _swap(memos, p, i)
         out[j] = c
         if lowers == up:
             stays.append((i, c))
@@ -293,18 +283,18 @@ def _apply(numbering: _Numbering, terms: dict, p: int, sign: int, bits: int) -> 
 
 
 def _word_terms(w: BraidWord) -> tuple:
-    """``element_of_braid`` packed: ({permutation number: int}, size,
-    numbering), q^e at the size-byte slot e + len(w.letters).  One letter at
-    most triples the l1 norm of an element, so the size is ``_slot_size`` of
-    3^letters; after k letters every exponent is at least -k, so the lowest
-    slot is empty before each letter."""
+    """``element_of_braid`` packed: ({permutation code: int}, size), q^e at
+    the size-byte slot e + len(w.letters).  One letter at most triples the
+    l1 norm of an element, so the size is ``_slot_size`` of 3^letters; after
+    k letters every exponent is at least -k, so the lowest slot is empty
+    before each letter."""
     size = _slot_size(3 ** len(w.letters), w.strands)
     bits = 8 * size
-    numbering = _numbering(w.strands)
-    terms = {0: 1 << (bits * len(w.letters))}
+    memos, identity = _swaps(w.strands)
+    terms = {identity: 1 << (bits * len(w.letters))}
     for i, s in w.letters:
-        terms = _apply(numbering, terms, i - 1, s, bits)
-    return terms, size, numbering
+        terms = _apply(memos, terms, i - 1, s, bits)
+    return terms, size
 
 
 def _slot_size(l1: int, n: int) -> int:
@@ -340,11 +330,12 @@ def _t_bracket(slices: dict) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _trace_perm(n: int, pi: tuple, size: int) -> dict:
-    """U_pi = z^(n-1) * tr_n(w_pi) / delta, a Laurent polynomial since
-    z * delta = t - t^-1, as {t-exponent: int}: each t-slice packed in
-    size-byte slots with q^e at slot e + n(n-1)/2.  Callers must not mutate
-    it: it is the cached object, one per size.
+def _trace_perm(n: int, code: int, size: int) -> dict:
+    """U_pi = z^(n-1) * tr_n(w_pi) / delta for the pi whose ``_code`` is
+    code, a Laurent polynomial since z * delta = t - t^-1, as {t-exponent:
+    int}: each t-slice packed in size-byte slots with q^e at slot
+    e + n(n-1)/2.  Callers must not mutate it: it is the cached object, one
+    per size.
 
     By induction on the recursion, its q-exponents lie within +-n(n-1)/2
     and l1(U_pi) <= 2 * 3^(n-2) * max l1(U on n - 1 strands), so
@@ -360,35 +351,34 @@ def _trace_perm(n: int, pi: tuple, size: int) -> dict:
     """
     if n == 1:
         return {0: 1}
-    bits = 8 * size
-    if pi[n - 1] == n - 1:
-        return _t_bracket({te: x << (bits * (n - 1)) for te, x in _trace_perm(n - 1, pi[: n - 1], size).items()})
+    # alpha: pi with n - 1 moved from position j to the end, restricted to
+    # 0..n-2
+    bits, pi = 8 * size, _perm(code, n)
     j = pi.index(n - 1)
-    alpha = list(pi)
-    for p in range(j, n - 1):
-        alpha[p], alpha[p + 1] = alpha[p + 1], alpha[p]
-    assert alpha[n - 1] == n - 1
+    alpha = _code(pi[:j] + pi[j + 1 :])
+    if j == n - 1:
+        return _t_bracket({te: x << (bits * (n - 1)) for te, x in _trace_perm(n - 1, alpha, size).items()})
     # pi = w_alpha * s_{n-1} * (s_{n-2} ... s_{j+1}) with additive lengths;
     # the k letters start from q^0 at slot k
     k = n - 2 - j
-    numbering = _numbering(n - 1)
-    terms = {numbering.number(tuple(alpha[: n - 1])): 1 << (bits * k)}
+    terms = {alpha: 1 << (bits * k)}
+    memos = _swaps(n - 1)[0]
     for i in range(n - 2, j, -1):
-        terms = _apply(numbering, terms, i - 1, 1, bits)
+        terms = _apply(memos, terms, i - 1, 1, bits)
     # the fold puts q^e at slot e + k + (n-1)(n-2)/2; t * z moves it to
     # e +- 1 + n(n-1)/2, that is n - 1 - k >= 1 slots up, plus or minus one
     up, down = bits * (n - k), bits * (n - 2 - k)
-    return {te + 1: (x << up) - (x << down) for te, x in _fold(numbering, terms, size).items()}
+    return {te + 1: (x << up) - (x << down) for te, x in _fold(n - 1, terms, size).items()}
 
 
-def _fold(numbering: _Numbering, terms: dict, size: int) -> dict:
+def _fold(n: int, terms: dict, size: int) -> dict:
     """sum_pi c_pi U_pi = z^(n-1) * tr_n(x) / delta for the packed c_pi of
-    ``terms``, keyed by their numbers in ``numbering``, as nonzero
+    ``terms``, keyed by the codes of permutations of 0..n-1, as nonzero
     {t-exponent: int}: one product per t-slice of each U_pi, so a
     coefficient's slot k lands at k + n(n-1)/2."""
-    n, perms, out = numbering.n, numbering.perms, {}
+    out = {}
     for i, c in terms.items():
-        for te, u in _trace_perm(n, perms[i], size).items():
+        for te, u in _trace_perm(n, i, size).items():
             out[te] = out.get(te, 0) + c * u
     return {te: x for te, x in out.items() if x}
 
@@ -402,15 +392,15 @@ def markov_trace(x: HeckeElement) -> RationalQT:
     low = min((qe for c in coeffs for qe, _ in c.terms), default=0)
     size = _slot_size(sum(abs(v) for c in coeffs for v in c.terms.values()), n)
     bits = 8 * size
-    numbering, rows = _numbering(n), {}
+    rows = {}
     for pi, c in x.terms.items():
-        i = numbering.number(pi)
+        i = _code(pi)
         for (qe, te), v in c.terms.items():
             row = rows.setdefault(te, {})
             row[i] = row.get(i, 0) + (v << (bits * (qe - low)))
     total = {}
     for tc, row in rows.items():
-        for te, y in _fold(numbering, row, size).items():
+        for te, y in _fold(n, row, size).items():
             total[te + tc] = total.get(te + tc, 0) + y
     slots = {te: _unpack(y, size) for te, y in _t_bracket(total).items()}
     return _over_q(_sliced(slots, low - n * (n - 1) // 2), _brackets({1: n}))
@@ -427,8 +417,8 @@ def _closure(w: BraidWord, framed: bool) -> RationalQT:
     for i, _ in w.letters:
         perm[i - 1], perm[i] = perm[i], perm[i - 1]
     k = n - perm_cycle_count(perm)
-    terms, size, numbering = _word_terms(w)
-    total = _fold(numbering, terms, size)
+    terms, size = _word_terms(w)
+    total = _fold(n, terms, size)
     if framed:
         total = _t_bracket(total)
     c = ((1 << (16 * size)) - 1) ** k

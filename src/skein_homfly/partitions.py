@@ -55,8 +55,9 @@ class Partition(tuple):
     @classmethod
     def parse(cls, text: str) -> "Partition":
         """Parse the text form "(3,1,1)": parts separated by commas, wrapped
-        in ( ) or [ ] or in nothing, with whitespace around each; "()" or
-        "[]", with or without whitespace inside, is the empty partition."""
+        in one pair of ( ) or [ ] or in nothing, with whitespace around each;
+        "()" or "[]", with or without whitespace inside, is the empty
+        partition."""
         s = text.strip()
         if not s:
             raise ValueError(f"blank partition {text!r}: write the empty partition as [] or ()")
@@ -64,6 +65,11 @@ class Partition(tuple):
             if s[0] + s[-1] not in ("()", "[]"):
                 raise ValueError(f"unmatched brackets in partition {text!r}: write it as (3,1,1) or [3,1,1]")
             s = s[1:-1].strip()
+        if any(c in s for c in "()[]"):
+            raise ValueError(
+                f"brackets inside partition {text!r}: only one pair of ( ) or [ ] is read;"
+                " write it as (3,1,1) or [3,1,1]"
+            )
         return cls(integer(p, signed=False) for p in s.split(",")) if s else cls(())
 
     def __str__(self):

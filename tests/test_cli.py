@@ -172,6 +172,16 @@ def test_unmatched_partition_brackets_exit_two(capsys):
         assert out == "" and "unmatched brackets in partition" in err and "invalid integer" not in err, color
 
 
+def test_nested_partition_brackets_exit_two(capsys):
+    # one pair of delimiters is read; a second pair is a usage error naming
+    # the form, not an invalid integer
+    for color in ("((3,1))", "[(3,1)]", "([3,1])"):
+        code, out, err = _exit_code(capsys, ["unknot", "--color", color])
+        assert code == 2, color
+        assert out == "" and "invalid integer" not in err, color
+        assert f"brackets inside partition '{color}': only one pair of ( ) or [ ] is read" in err, color
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -7,8 +7,9 @@ as text and as ``--json``, then the benchmark's single commands
 (``perfbench/workloads.CLI_SINGLE``, read only), then the unknot and the
 3-component unlink as the torus link T(1, 0), two braid closures with
 as many components as strands and with one component on six strands, the
-character table of S_11, and the unknot colored (10,10), whose class data
-has 9-byte slots.
+character table of S_11, the unknot colored (10,10), whose class data
+has 9-byte slots, and braid closures on 1, 8 and 9 strands, whose
+permutation codes have 1-, 3- and 4-bit fields.
 Every call runs in process; a changed byte names the call it came from.
 """
 
@@ -42,6 +43,11 @@ EXTRA = (
     "characters --n 11",
     # N = 20, the first class data with 9-byte slots, read as two lanes
     'unknot --color "(10,10)"',
+    # permutation codes of every field width: one strand, eight strands at
+    # the default cap (3-bit fields), nine strands (the first 4-bit fields)
+    'homfly-braid --strands 1 --word ""',
+    'homfly-braid --strands 8 --word "1 2 3 4 5 6 7 -1 -2 3 4 -5 6 7 1 2"',
+    'homfly-braid --strands 9 --word "1 8 -3 4 5 -6 7 2" --max-strands 9',
 )
 
 

@@ -13,9 +13,11 @@ from skein_homfly.hecke import (
     BraidWord,
     HeckeElement,
     _apply,
-    _Numbering,
-    _numbering,
+    _code,
+    _perm,
     _slot_size,
+    _swap,
+    _swaps,
     _word_terms,
     element_of_braid,
     framed_homfly_of_closure,
@@ -381,13 +383,12 @@ def test_public_results_keep_laurent_coefficients():
         }
         i, sign = rng.randint(1, n - 1), rng.choice((1, -1))
         x = HeckeElement(n, {pi: _in_q(c) for pi, c in terms.items()})
-        numbering = _numbering(n)
         for size in (1, 8):
             # exponents >= -3, so slot 4 and up: the lowest slot is empty
-            packed = {numbering.number(pi): _packed(c, size, 4) for pi, c in terms.items()}
+            packed = {_code(pi): _packed(c, size, 4) for pi, c in terms.items()}
             before = dict(packed)
-            y = _apply(numbering, packed, i - 1, sign, 8 * size)
-            unpacked = {numbering.perms[j]: _unpacked(c, size, 4) for j, c in y.items()}
+            y = _apply(_swaps(n)[0], packed, i - 1, sign, 8 * size)
+            unpacked = {_perm(j, n): _unpacked(c, size, 4) for j, c in y.items()}
             expected = apply_generator_laurent(x, i, sign)
             assert HeckeElement(n, {pi: _in_q(c) for pi, c in unpacked.items()}) == expected
             assert all(y.values()) and all(unpacked.values())
@@ -398,51 +399,59 @@ def test_public_results_keep_laurent_coefficients():
         assert all(isinstance(c, LaurentQT) for c in x.terms.values())
 
 
-def test_numbering_and_swaps_agree_with_tuple_swaps():
-    # every permutation of at most 6 strands, numbered as it is first met,
-    # and every swap of neighbours: the memo gives the number of the swapped
-    # tuple and whether the inversion count falls, on a miss and on every
-    # entry it keeps, the reverse swaps it stores on the side included
-    for n in range(1, 7):
-        numbering = _Numbering(n)
-        assert numbering.perms == [tuple(range(n))] and numbering.number(tuple(range(n))) == 0
-        for pi in permutations(range(n)):
-            i = numbering.number(pi)
-            for p in range(n - 1):
-                numbering.swaps[p].get(i) or numbering.swap(p, i)
-        assert sorted(numbering.perms) == list(permutations(range(n)))
-        assert all(numbering.numbers[pi] == i for i, pi in enumerate(numbering.perms))
-        for p, memo in enumerate(numbering.swaps):
-            assert len(memo) == len(numbering.perms), (n, p)
-            for i, (j, lowers) in memo.items():
-                pi = numbering.perms[i]
-                swapped = pi[:p] + (pi[p + 1], pi[p]) + pi[p + 2 :]
-                assert numbering.perms[j] == swapped, (pi, p)
-                assert lowers == (perm_inversions_by_index(swapped) < perm_inversions_by_index(pi)), (pi, p)
+def test_codes_and_swaps_agree_with_tuple_swaps():
+    # every permutation of at most 5 strands, and seeded samples on 9 and 17
+    # strands, the first with 4- and 5-bit fields: a code decodes to its
+    # permutation, distinct permutations have distinct codes, and every
+    # entry of the swap memo, the reverse swaps it stores on the side
+    # included, is the code of the swapped tuple and says whether the swap
+    # lowers the length
+    rng = random.Random(3301)
+    samples = {n: list(permutations(range(n))) for n in range(1, 6)}
+    samples.update({n: [tuple(rng.sample(range(n), n)) for _ in range(300)] for n in (9, 17)})
+    try:
+        for n, perms in samples.items():
+            _swaps.cache_clear()
+            memos, identity = _swaps(n)
+            assert len(memos) == n - 1 and _perm(identity, n) == tuple(range(n))
+            assert len({_code(pi) for pi in perms}) == len(set(perms)), n
+            for pi in perms:
+                assert _perm(_code(pi), n) == pi, pi
+                for p, memo in enumerate(memos):
+                    memo.get(_code(pi)) or _swap(memos, p, _code(pi))
+            for p, memo in enumerate(memos):
+                assert len(memo) >= len(set(perms)), (n, p)
+                for code, (other, lowers) in memo.items():
+                    pi = _perm(code, n)
+                    assert other == _code(pi[:p] + (pi[p + 1], pi[p]) + pi[p + 2 :]), (pi, p)
+                    assert lowers == (pi[p] > pi[p + 1]), (pi, p)
+            if n <= 5:
+                assert all(len(memo) == len(perms) for memo in memos), n
+    finally:
+        _swaps.cache_clear()
 
 
-def test_a_fold_numbers_only_the_permutations_it_reaches():
-    # nothing enumerates S_n: from a fresh numbering, an 8-strand word of L
-    # letters numbers at most 2^(L+1) of the 40320 permutations, and both
-    # closures still match the LaurentQT route
+def test_a_fold_memoizes_only_the_permutations_it_reaches():
+    # nothing enumerates S_n: from a fresh memo, an 8-strand word of L
+    # letters leaves at most 2^(L+1) swap entries, not the 7 * 40320 of all
+    # of S_8, and both closures still match the LaurentQT route
     words = [BraidWord.parse(8, "1 2 3 4 5 6 7 1 2 -3")]
     rng = random.Random(2804)
     words += [BraidWord(8, tuple((rng.randint(1, 7), rng.choice((1, -1))) for _ in range(8))) for _ in range(3)]
     try:
         for w in words:
-            _numbering.cache_clear()
+            _swaps.cache_clear()
             element_of_braid(w)
-            assert 1 < len(_numbering(8).perms) <= 2 ** (len(w.letters) + 1), w
+            assert 1 < sum(map(len, _swaps(8)[0])) <= 2 ** (len(w.letters) + 1), w
     finally:
-        _numbering.cache_clear()
+        _swaps.cache_clear()
     _assert_matches_laurent_route(words[0])
 
 
-def test_threads_folding_at_once_agree_on_every_number():
+def test_threads_folding_at_once_agree_with_the_serial_fold():
     # four threads (more than the cores) fold words on 6 strands from fresh
-    # numberings with a short switch interval; a number given twice or a
-    # permutation read before it was appended would break the invariant or
-    # change a value
+    # swap memos with a short switch interval; an entry read half written,
+    # or one thread's memo lost to another's, would change a value
     rng = random.Random(2806)
     words = [BraidWord(6, tuple((rng.randint(1, 5), rng.choice((1, -1))) for _ in range(14))) for _ in range(8)]
     expected = [element_of_braid(w) for w in words]
@@ -458,20 +467,17 @@ def test_threads_folding_at_once_agree_on_every_number():
     try:
         sys.setswitchinterval(1e-6)
         for _ in range(3):
-            _numbering.cache_clear()
+            _swaps.cache_clear()
             threads = [threading.Thread(target=fold, args=(k,)) for k in range(4)]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads) and not errors, errors
-            numbering = _numbering(6)
-            assert len(numbering.numbers) == len(numbering.perms) == len(set(numbering.perms))
-            assert all(numbering.numbers[pi] == i for i, pi in enumerate(numbering.perms))
             assert all(results[k, j] == expected[j] for k in range(4) for j in range(len(words)))
     finally:
         sys.setswitchinterval(interval)
-        _numbering.cache_clear()
+        _swaps.cache_clear()
 
 
 def test_trace_perm_cache_entries_are_never_mutated():
@@ -480,14 +486,14 @@ def test_trace_perm_cache_entries_are_never_mutated():
     # with coefficient 1 among others, must leave every entry as it was
     word = BraidWord(4, ((1, 1), (2, 1), (3, 1), (1, 1), (2, 1), (1, -1)))
     sizes = {_word_terms(word)[1], _slot_size(3 * 24, 4)}
-    entries = {(pi, size): _trace_perm(4, pi, size) for pi in permutations(range(4)) for size in sizes}
+    entries = {(pi, size): _trace_perm(4, _code(pi), size) for pi in permutations(range(4)) for size in sizes}
     before = copy.deepcopy(entries)
     assert set(element_of_braid(word).terms) == {(2, 3, 1, 0), (3, 2, 1, 0)}
     for _ in range(2):
         framed_homfly_of_closure(word)
         normalized_homfly_of_closure(word)
         markov_trace(HeckeElement(4, {pi: LaurentQT.monomial(3, 2, 1) for pi, _ in entries}))
-    assert all(_trace_perm(4, pi, size) is entry for (pi, size), entry in entries.items())
+    assert all(_trace_perm(4, _code(pi), size) is entry for (pi, size), entry in entries.items())
     assert entries == before
 
 
@@ -529,7 +535,7 @@ def test_trace_perm_within_its_proved_bounds():
     for n in range(1, 7):
         offset, bound = n * (n - 1) // 2, 2 ** (n - 1) * 3 ** ((n - 1) * (n - 2) // 2)
         for pi in permutations(range(n)):
-            slices = [_trace_perm(n, pi, size) for size in (8, 16)]
+            slices = [_trace_perm(n, _code(pi), size) for size in (8, 16)]
             u8, u16 = ({te: _unpacked(x, size, offset) for te, x in u.items()} for u, size in zip(slices, (8, 16)))
             assert u8 == u16 and all(u8.values()), pi
             assert all(abs(e) <= offset for s in u8.values() for e in s), pi

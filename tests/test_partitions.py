@@ -121,6 +121,10 @@ def test_text_forms():
     for text in ("(3,1]", "[3,1)", "(3,1", "3,1]", "(", "]"):
         with pytest.raises(ValueError, match=r"unmatched brackets in partition .*: write it as \(3,1,1\)"):
             Partition.parse(text)
+    # only one pair of delimiters is read: brackets inside it name the form
+    for text in ("((3,1))", "[(3,1)]", "([3,1])", "(())", "3,(1),1"):
+        with pytest.raises(ValueError, match=r"only one pair of \( \) or \[ \] is read; write it as \(3,1,1\)"):
+            Partition.parse(text)
 
 
 def test_blank_partition_text_is_rejected():
