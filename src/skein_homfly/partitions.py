@@ -122,18 +122,54 @@ EMPTY = Partition(())
 @lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple:
     """All partitions of n, exactly once, in reverse lexicographic order."""
+    return tuple(partitions_within(n))
+
+
+def partitions_within(n: int, durfee=None, parts=None):
+    """The partitions of n with Durfee size at most ``durfee`` (mu_(durfee+1)
+    <= durfee) and at most ``parts`` parts, None for no bound, in
+    ``partitions_of``'s order.
+
+    Each next partition lowers the last part that can lose a box while the
+    boxes after it still fit the bounds, then refills greedily, so none
+    outside the bounds is built: the work follows the count listed, not
+    p(n).
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return tuple(Partition(p) for p in _gen_parts(n, n))
+    k = n if durfee is None else durfee
+    slots = n if parts is None else parts
 
+    def room(i, v):
+        """The most boxes the parts from index i on hold, each at most v."""
+        wide = max(min(k, slots) - i, 0)
+        return wide * v + max(slots - i - wide, 0) * min(v, k)
 
-def _gen_parts(n, max_part):
-    if n == 0:
-        yield ()
+    if n > room(0, n):
         return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _gen_parts(n - first, first):
-            yield (first,) + rest
+    p, r = [], n
+    while True:
+        while r:
+            # copies of the largest part allowed, which drops to k at index k
+            i = len(p)
+            v = min(p[-1] if p else n, r, n if i < k else k)
+            c = r // v if i >= k else min(r // v, k - i)
+            p += [v] * c
+            r -= v * c
+        # within the bounds by construction: no need for Partition's checks
+        yield tuple.__new__(Partition, p)
+        ones = p.count(1)
+        del p[len(p) - ones :]
+        r += ones
+        while p:
+            v = p.pop() - 1
+            r += v + 1
+            if r - v <= room(len(p) + 1, v):
+                p.append(v)
+                r -= v
+                break
+        else:
+            return
 
 
 class PartitionVector(tuple):

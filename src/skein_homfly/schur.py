@@ -39,7 +39,7 @@ from .characters import _beta_mask, _char
 from .errors import IntegralityViolation
 from .exact import RationalQT, _brackets, _over_q, _umul
 from .exact import _pack, _packed_div, _sliced, _slot_bytes, _slot_values, _unpack
-from .partitions import Partition, partitions_of
+from .partitions import Partition, partitions_of, partitions_within
 
 
 @lru_cache(maxsize=None)
@@ -159,9 +159,10 @@ def _order_data(n: int, j: int) -> tuple:
     """What ``class_sum_order`` needs that no weight enters, built once per
     (n, j): (classes, denominator), per summed class nu the entry (nu, f,
     qco), f its h^j coefficient times j! lcm(z) / z_nu and qco the brackets
-    that bring it over the denominator.  The dicts are shared by every call
-    and never mutated."""
-    classes = [nu for nu in partitions_of(n) if len(nu) <= j and (j - len(nu)) % 2 == 0]
+    that bring it over the denominator.  The classes with at most j parts
+    are listed directly, never picked out of all p(n) partitions.  The dicts
+    are shared by every call and never mutated."""
+    classes = [nu for nu in partitions_within(n, parts=j) if (j - len(nu)) % 2 == 0]
     parts = {p for nu in classes for p in nu}
     powers = {p: max(nu.count(p) for nu in classes) for p in parts}
     zl = lcm(*(nu.z_factor() for nu in classes))
@@ -226,25 +227,35 @@ class SchurExpansion:
 
 
 @lru_cache(maxsize=None)
-def _plethysm_cached(m: int, colors: tuple) -> SchurExpansion:
+def _plethysm_cached(m: int, colors: tuple, durfee=None) -> SchurExpansion:
     """The expansion in integers: each color's weights chi/z_B are scaled by
     the lcm of z_B over the partitions B of its degree, and one ``divmod`` by
     the product of those lcms ends the sum; IntegralityViolation when it
-    leaves a remainder."""
+    leaves a remainder.
+
+    ``durfee`` keeps only the mu of Durfee size at most durfee, with the
+    full expansion's coefficients in its key order; no other mu is listed
+    or evaluated.  That is all a class nu with at most durfee parts reads:
+    a border strip has distinct contents, so it holds at most one diagonal
+    cell, and a mu tiled by l(nu) strips has Durfee size at most l(nu), so
+    chi_mu(nu) = 0 for the others (Murnaghan-Nakayama).  None keeps every
+    mu of N, as ``plethysm_coefficients`` and the class sum need."""
     degrees = [a.size for a in colors]
     n = m * sum(degrees)
     if n == 0:
         return SchurExpansion(0, {Partition(()): 1})
     zls = [lcm(*(b.z_factor() for b in partitions_of(d))) for d in degrees]
     masks = [_beta_mask(a) for a in colors]
+    mus = partitions_of(n) if durfee is None else partitions_within(n, durfee=durfee)
+    support = [(mu, _beta_mask(mu)) for mu in mus]
     acc = {}
     for combo in product(*(partitions_of(d) for d in degrees)):
         w = prod(_char(k, b) * (zl // b.z_factor()) for k, b, zl in zip(masks, combo, zls))
         if w == 0:
             continue
         rho = tuple(sorted((m * p for b in combo for p in b), reverse=True))
-        for mu in partitions_of(n):
-            if chi := _char(_beta_mask(mu), rho):
+        for mu, mask in support:
+            if chi := _char(mask, rho):
                 acc[mu] = acc.get(mu, 0) + w * chi
     scale, out = prod(zls), {}
     for mu, c in acc.items():

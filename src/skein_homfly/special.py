@@ -7,7 +7,11 @@ hook colors on torus knots -- but not for arbitrary colors, and for links
 the t->1 limit generally does not exist at all.  H is the ratio of two
 leading q -> 1 coefficients: the torus value's, from the exact vanishing
 orders of its numerator and denominator, over the unknots' closed form;
-the dual is taken limit-first from a few classes of the torus class sum.
+the dual is taken limit-first from a few classes of the torus class sum,
+those with at most k = sum d(A) parts, and from the plethysm coefficients
+C^mu with Durfee size at most k alone: a border strip holds at most one
+diagonal cell, so the other mu have no character on those classes, and no
+list of all partitions of N is built.
 Both take a ``TorusLinkSpec``; the unknot and the unlinks are T(1, 0),
 where both limits are 1.  Each value is built once per (m, n, colors) and
 shared by every equal spec; the weight-free class data of the t -> 1
@@ -83,11 +87,17 @@ def special_H(spec: TorusLinkSpec) -> SpecialPolynomial:
 @lru_cache(maxsize=None)
 def _delta_torus(m: int, n: int, colors: tuple) -> LaurentQT:
     """The limit-first t -> 1 value of T(m, n) colored by colors, built once
-    per link."""
-    weights, n_total, _ = _torus_weights(m, n, colors)
+    per link.
+
+    Only the classes nu with at most k = sum d(A) parts are summed, and
+    chi_mu(nu) = 0 on them for every mu of Durfee size above k: a border
+    strip holds at most one diagonal cell, so l(nu) strips tile no larger
+    Durfee square.  The weights are built on the other mu alone, with no
+    list of all partitions of N."""
     # s*_A vanishes at t = 1 once per cell of content 0: d(A), the Durfee size
     orders = [sum(1 for i, p in enumerate(a) if p > i) for a in colors]
     k = sum(orders)
+    weights, n_total, _ = _torus_weights(m, n, colors, k)
     for j in range(k):
         if class_sum_order(n_total, weights, j)[0]:
             raise LimitDoesNotExist(f"numerator vanishes to order {j} < denominator order {k} at t=1")

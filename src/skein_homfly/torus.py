@@ -26,7 +26,7 @@ from operator import index
 from .errors import IntegralityViolation, NonCoprime
 from .exact import RationalQT, delta
 from .partitions import Partition, PartitionVector
-from .schur import character_bracket_sum, plethysm_coefficients
+from .schur import _plethysm_cached, character_bracket_sum, plethysm_coefficients
 
 
 @dataclass(frozen=True)
@@ -65,18 +65,25 @@ class ColoredInvariant:
     spec: TorusLinkSpec
 
 
-def _torus_weights(m: int, n: int, colors: tuple):
+def _torus_weights(m: int, n: int, colors: tuple, durfee=None):
     """(weights {mu: {n k_mu / m - m n sum k_A: C^mu}}, degree, te): the twist
     weights with the prefactor's q-power folded in, and the prefactor's
-    t-exponent te = -n (m - 1) sum |A|.
+    t-exponent te = -n (m - 1) sum |A|.  ``durfee`` keeps only the mu of
+    Durfee size at most durfee (``schur._plethysm_cached``), all that the
+    classes with at most durfee parts read; None keeps the whole support.
 
     Each exponent is an integer.  By Littlewood's rule for s_A(x^m) (Proc.
     R. Soc. A 209, 1951) every mu with C^mu != 0 has an empty m-core, so mu
     is tiled by m-ribbons; the contents of one ribbon are m consecutive
     integers, whose sum is divisible by m, so m divides k_mu = 2 sum c(x).
-    A mu that breaks this raises IntegralityViolation.
+    A kept mu that breaks this raises IntegralityViolation; the mu that
+    ``durfee`` drops are not checked.
     """
-    expansion = plethysm_coefficients(m, colors)
+    if durfee is None:
+        # the public entry point: its cache entry is the plethysm command's
+        expansion = plethysm_coefficients(m, colors)
+    else:
+        expansion = _plethysm_cached(m, colors, durfee)
     shift = m * n * sum(a.k_invariant() for a in colors)
     weights = {}
     for mu, c in expansion.coeffs.items():

@@ -28,7 +28,12 @@ a permutation, the parity sweep's (inversions, cycles) classes scored on
 every permutation (the route the prefix walk of
 ``verify._permutation_classes`` replaced), and a floating-point
 evaluation of Laurent polynomials for numeric sanity checks.
-None of this feeds a computed result of the package.
+None of this feeds a computed result of the package.  The bounded t -> 1
+route has two references: the full plethysm expansion
+``schur.plethysm_coefficients``, which stays in ``src`` because the class
+sum needs it, for the Durfee-bounded support that ``special.special_delta``
+reads; and the classes ``class_sum_order_reference`` picks out of every
+partition of n, for those ``schur._order_data`` lists directly.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 from skein_homfly.cli import build_parser, main
-from skein_homfly.exact import laurent_from_json, q_bracket, t_bracket, RationalQT
+from skein_homfly.exact import canonical_text, laurent_from_json, q_bracket, t_bracket, RationalQT
+from skein_homfly.special import alexander_torus
 
 TREFOIL_ARGS = ["torus", "--m", "2", "--n", "3", "--components", "1", "--colors", "(1)"]
 
@@ -54,6 +55,14 @@ def test_special_delta_basis_string(capsys):
     )
     assert code == 0
     assert out == "5 - 4*D_4 - D_6 + 3*D_8 + 2*D_10 - 2*D_12 - D_14 + D_16\n"
+
+
+def test_special_delta_at_n_100_prints_the_alexander_closed_form(capsys):
+    # T(10, 3)[(10)], N = 100 and p(100) about 1.9e8: only the 100 hooks of
+    # N, the mu of Durfee size 1, are listed; the closed form is independent
+    code, out, _ = run_cli(capsys, "special", "--kind", "delta", "--m", "10", "--n", "3", "--color", "(10)")
+    assert code == 0
+    assert out == canonical_text(alexander_torus(10, 3, 10)) + "\n"
 
 
 def test_special_H_monomial(capsys):

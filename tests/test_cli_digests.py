@@ -8,8 +8,10 @@ as text and as ``--json``, then the benchmark's single commands
 3-component unlink as the torus link T(1, 0), two braid closures with
 as many components as strands and with one component on six strands, the
 character table of S_11, the unknot colored (10,10), whose class data
-has 9-byte slots, and braid closures on 1, 8 and 9 strands, whose
-permutation codes have 1-, 3- and 4-bit fields.
+has 9-byte slots, braid closures on 1, 8 and 9 strands, whose
+permutation codes have 1-, 3- and 4-bit fields, and three t -> 1 limits
+on the Durfee-bounded plethysm support: a non-hook color, a link with no
+limit, and N = 100.
 Every call runs in process; a changed byte names the call it came from.
 """
 
@@ -48,6 +50,12 @@ EXTRA = (
     'homfly-braid --strands 1 --word ""',
     'homfly-braid --strands 8 --word "1 2 3 4 5 6 7 -1 -2 3 4 -5 6 7 1 2"',
     'homfly-braid --strands 9 --word "1 8 -3 4 5 -6 7 2" --max-strands 9',
+    # the t -> 1 route on bounded supports: Durfee size 2 with m = 3 (N = 12),
+    # a link whose limit does not exist (exit 1), and N = 100, where only
+    # the 100 hooks of N are listed
+    'special --kind delta --m 3 --n 4 --color "(2,2)"',
+    'special --kind delta --m 1 --n 2 --colors "(2);(1)"',
+    'special --kind delta --m 10 --n 3 --color "(10)"',
 )
 
 

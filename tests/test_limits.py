@@ -285,6 +285,7 @@ def test_delta_limit_first_matches_full_route():
 
 def test_delta_never_builds_the_torus_value(monkeypatch):
     import skein_homfly.exact as exact_mod
+    import skein_homfly.partitions as partitions_mod
     import skein_homfly.schur as schur_mod
     import skein_homfly.special as special_mod
     import skein_homfly.torus as torus_mod
@@ -292,22 +293,42 @@ def test_delta_never_builds_the_torus_value(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("special_delta reached the full route")
 
-    # the value may already be cached by an earlier test: run its body
-    special_mod._delta_torus.cache_clear()
+    # the values may already be cached by an earlier test: run their bodies
+    for cached in (special_mod._delta_torus, schur_mod._plethysm_cached, schur_mod._order_data):
+        cached.cache_clear()
     for module, name in (
         (torus_mod, "colored_homfly"),
         (special_mod, "_torus_value"),
         (schur_mod, "_class_data"),
+        (schur_mod, "plethysm_coefficients"),
+        (torus_mod, "plethysm_coefficients"),
         (exact_mod, "limit_at_one"),
         (special_mod, "expand_series"),
     ):
         monkeypatch.setattr(module, name, forbidden)
-    knot = TorusLinkSpec(3, 5, 1, (P((2, 1, 1)),))
-    special_delta(knot)
-    special_delta(TorusLinkSpec(1, 0, 2, (P((2, 1, 1)), P((3,)))))
-    assert special_delta(TorusLinkSpec(1, 0, 1, (P((2, 1)),))).value == LaurentQT.one()
+    # the colors' own degrees may list their classes; the link's N may not
+    size, full = [None], partitions_mod.partitions_of
+
+    def partitions_of(n):
+        if n == size[0]:
+            raise AssertionError(f"special_delta listed all partitions of N = {n}")
+        return full(n)
+
+    for module in (partitions_mod, schur_mod):
+        monkeypatch.setattr(module, "partitions_of", partitions_of)
+
+    def delta(m, n, *colors):
+        size[0] = m * sum(a.size for a in colors)
+        return special_delta(TorusLinkSpec(m, n, len(colors), colors))
+
+    delta(3, 5, P((2, 1, 1)))
+    assert delta(3, 5, P((6, 1, 1, 1))).value == alexander_torus(3, 5, 9)
+    delta(1, 0, P((2, 1, 1)), P((3,)))
     with pytest.raises(LimitDoesNotExist):
-        special_delta(TorusLinkSpec(1, 2, 2, (P((2,)), P((1,)))))
+        delta(1, 2, P((2,)), P((1,)))
+    # one color with m = 1: its own classes are the partitions of N
+    size[0] = None
+    assert special_delta(TorusLinkSpec(1, 0, 1, (P((2, 1)),))).value == LaurentQT.one()
 
 
 # -- torus Alexander polynomials -------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 import skein_homfly
 import skein_homfly.partitions as partitions_module
 from skein_homfly.characters import character, hook_character_identity
-from skein_homfly.partitions import EMPTY, Partition, PartitionVector, integer, partitions_of
+from skein_homfly.partitions import EMPTY, Partition, PartitionVector, integer, partitions_of, partitions_within
 from skein_homfly.schur import plethysm_coefficients, unknot_value
 from skein_homfly.torus import TorusLinkSpec, _torus_value, colored_homfly
 
@@ -96,6 +96,37 @@ def _partition_count_oracle(n):
 def test_enumeration_against_recurrence():
     for n in range(0, 16):
         assert len(partitions_of(n)) == _partition_count_oracle(n)
+
+
+def _durfee_size(mu):
+    return sum(1 for i, p in enumerate(mu) if p > i)
+
+
+def test_partitions_within_lists_the_bounded_partitions_in_order():
+    for n in range(21):
+        full = partitions_of(n)
+        assert tuple(partitions_within(n)) == full
+        for bound in range(6):
+            by_durfee = [mu for mu in full if _durfee_size(mu) <= bound]
+            by_parts = [mu for mu in full if len(mu) <= bound]
+            assert list(partitions_within(n, durfee=bound)) == by_durfee, (n, bound)
+            assert list(partitions_within(n, parts=bound)) == by_parts, (n, bound)
+            both = [mu for mu in by_durfee if len(mu) <= bound + 1]
+            assert list(partitions_within(n, durfee=bound, parts=bound + 1)) == both, (n, bound)
+    assert all(type(mu) is Partition for mu in partitions_within(12, durfee=2))
+    assert list(partitions_within(0, durfee=0, parts=0)) == [EMPTY]
+    assert list(partitions_within(5, durfee=0)) == list(partitions_within(5, parts=0)) == []
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        list(partitions_within(-1, durfee=1))
+
+
+def test_partitions_within_never_lists_all_partitions_of_n():
+    # p(200) is about 4e12: the 200 hooks and the 101 partitions with at
+    # most two parts are listed without passing through the others
+    hooks = list(partitions_within(200, durfee=1))
+    assert len(hooks) == 200 and hooks[0] == (200,) and hooks[-1] == (1,) * 200
+    assert all(mu[1:] == (1,) * (len(mu) - 1) for mu in hooks)
+    assert len(list(partitions_within(200, parts=2))) == 101
 
 
 def test_class_equation():

@@ -420,6 +420,34 @@ def test_plethysm_support_has_k_divisible_by_m():
     assert terms > 1000
 
 
+def test_plethysm_bounded_by_durfee_size_is_the_full_expansion_restricted():
+    # the mu of Durfee size at most k, with the same coefficients in the
+    # same key order; m <= 4, m * sum |A| <= 14, one to three colors
+    def durfee_size(mu):
+        return sum(1 for i, p in enumerate(mu) if p > i)
+
+    cases = [(m, (a,)) for m in range(1, 5) for d in range(1, (14 if m > 1 else 6) // m + 1) for a in partitions_of(d)]
+    cases += [
+        (m, (a, b))
+        for m in (1, 2, 3)
+        for da in (1, 2, 3)
+        for db in range(1, 9 // m - da + 1)
+        for a in partitions_of(da)
+        for b in partitions_of(db)
+    ]
+    cases += [(m, (a, b, P((1,)))) for m in (1, 2) for a in partitions_of(2) for b in partitions_of(2)]
+    cases += [(4, (P((1,)),) * 3)]
+    dropped = 0
+    for m, colors in cases:
+        full = plethysm_coefficients(m, colors)
+        for k in range(4):
+            bounded = schur._plethysm_cached(m, colors, k)
+            expected = [(mu, c) for mu, c in full.coeffs.items() if durfee_size(mu) <= k]
+            assert bounded.degree == full.degree and list(bounded.coeffs.items()) == expected, (m, colors, k)
+            dropped += len(full.coeffs) - len(expected)
+    assert len(cases) > 300 and dropped > 1000
+
+
 def test_plethysm_accepts_partition_vector():
     e = plethysm_coefficients(2, PartitionVector.parse("(1)"))
     assert e.coeffs[P((2,))] == 1
